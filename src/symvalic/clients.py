@@ -54,7 +54,11 @@ class Warning:
     explanation: str
 
     def sort_key(self):
-        return (self.contract, self.function, self.stmt, self.kind)
+        """Total order over all fields: warnings that tie on location and
+        kind (e.g. both arguments of ``transfer(to, to)``) still print in
+        one order, whatever the hash seed."""
+        return (self.contract, self.function, self.stmt, self.kind,
+                self.witness, self.explanation)
 
 
 def is_tainted(e: Expr) -> bool:

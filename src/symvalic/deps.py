@@ -109,14 +109,27 @@ CombineResult = Union[DependencyMap, Conflict]
 
 
 def _merge_side(a: Tuple[Entry, ...], b: Tuple[Entry, ...], scope: str):
-    merged = dict(a)
+    """Sorted merge of two canonical entry tuples. A variable on both sides
+    keeps a's value; the first clash in b's order is the Conflict."""
+    if not b:
+        return a
+    if not a:
+        return b
+    merged = []
+    i, n = 0, len(a)
     for var, value in b:
-        prev = merged.get(var)
-        if prev is None:
-            merged[var] = value
-        elif prev != value:
-            return Conflict(var, scope, prev, value)
-    return tuple(sorted(merged.items()))
+        while i < n and a[i][0] < var:
+            merged.append(a[i])
+            i += 1
+        if i < n and a[i][0] == var:
+            if a[i][1] != value:
+                return Conflict(var, scope, a[i][1], value)
+            merged.append(a[i])
+            i += 1
+        else:
+            merged.append((var, value))
+    merged.extend(a[i:])
+    return tuple(merged)
 
 
 def combine(a: DependencyMap, b: DependencyMap) -> CombineResult:
@@ -131,6 +144,10 @@ def combine(a: DependencyMap, b: DependencyMap) -> CombineResult:
     tx = _merge_side(a.transaction, b.transaction, "transaction")
     if isinstance(tx, Conflict):
         return tx
+    if local is a.local and tx is a.transaction:
+        return a
+    if local is b.local and tx is b.transaction:
+        return b
     return DependencyMap(local, tx)
 
 

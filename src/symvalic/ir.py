@@ -17,12 +17,17 @@ as "@name" and resolves to the opaque bound symbol <<contract:name>>.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple, Union
 
 from .symexpr import ADDRESS_BOUND, Concat, Const, Expr, Sha3
 
 SEMANTIC_TYPES = ("uint256", "address", "bool")
+
+# names of the lowering's single-assignment temps; surface locals may not
+# take this form, but may otherwise start with "t"
+TEMP_NAME = re.compile(r"t\d+\Z")
 
 OPS = (
     "CONST", "BINOP", "SHA3", "CONCAT", "SLOAD", "SSTORE", "REQUIRE",
@@ -257,7 +262,7 @@ def validate(contract: Contract) -> None:
                         raise IRError(
                             f"{f.name}: direct access to mapping slot "
                             f"{addr.value} at s{s.sid}")
-                if s.result is not None and s.result.startswith("t"):
+                if s.result is not None and TEMP_NAME.match(s.result):
                     if s.result in assigned_temps:
                         raise IRError(
                             f"{f.name}: temp {s.result} assigned twice")

@@ -24,13 +24,12 @@ order from 0. A function named `constructor` is the initializer.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .ir import (
     CONSTRUCTOR_NAME, BasicBlock, Contract, Function, IRError, LiteralUse,
-    Statement, StorageDecl, validate,
+    Statement, StorageDecl, TEMP_NAME, validate,
 )
 from .symexpr import Const, WORD
 
@@ -443,11 +442,9 @@ class _Parser:
 _SURFACE_TO_BINOP = {"+": "ADD", "-": "SUB", "*": "MUL", "/": "DIV", "%": "MOD",
                      "<": "LT", ">": "GT", "==": "EQ", "&&": "AND", "||": "OR"}
 
-_TEMP_RE = re.compile(r"t\d+\Z")
-
 
 def _check_name(name: str, line: int):
-    if _TEMP_RE.match(name):
+    if TEMP_NAME.match(name):
         raise ParseError(f"{name!r} is reserved for lowering temps", line, 0)
 
 

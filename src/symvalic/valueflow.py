@@ -16,13 +16,21 @@ are visited in topological order carrying:
   * reachability alternatives: (deps, path-condition, solver substitution)
     triples describing the distinguishable ways control reached the block.
 
-Every statement executes once per (alternative x operand combination);
-dependency combination prunes pairs that belong to guaranteed-separate
-executions. Branch edges tag the flowing environment with the surviving
-arm alternatives, so values that took the other arm conflict and die at
-the join. Storage writes are buffered during a round and committed (with
-dependencies stripped: a new transaction is a new dependency world) at the
-round boundary.
+A statement executes once for each alternative and each choice of operand
+values whose dependency maps are compatible with the alternative's and
+with each other; choices that belong to guaranteed-separate executions
+are never formed. The choices are found by a join, not by enumerating the
+cartesian product: each operand's values are indexed by their bindings
+(scope, variable -> value -> bitset of values), and each level of the
+join visits only the values that agree with the dependencies chosen so
+far, in the order the product would have produced them. Branch edges tag
+the flowing environment with the surviving arm alternatives, matched
+through the same index, so values that took the other arm conflict and
+die where the arms meet. When a value or alternative bound is hit, survivors are picked
+round-robin across sender bindings, so the untrusted caller is never
+trimmed away wholesale. Storage writes are buffered during a round and
+committed (with dependencies stripped: a new transaction is a new
+dependency world) at the round boundary.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import re
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -40,8 +47,8 @@ from .deps import (
     SENDER_KEY, TrackingPlan, combine, restrict,
 )
 from .ir import (
-    Contract, Function, Statement, harvest_constants, slot_of_address,
-    statements_after,
+    TEMP_NAME, Contract, Function, Statement, harvest_constants,
+    slot_of_address, statements_after,
 )
 from .symexpr import (
     ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Not, OWNER,
@@ -51,7 +58,6 @@ from .symexpr import (
 )
 
 SENDER_INPUT = "msg.sender"
-_TEMP_NAME = re.compile(r"t\d+\Z")
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,88 @@ class _Timeout(Exception):
     pass
 
 
+class _DepIndex:
+    """Bitset index of a list of dependency maps by their bindings.
+
+    Per scope and variable: value -> bitset of the maps that bind the
+    variable to that value, and the bitset of the maps that leave it
+    unbound. Bit i stands for the i-th map.
+    """
+
+    __slots__ = ("full", "local", "tx")
+
+    def __init__(self, maps: list[DependencyMap]):
+        self.full = (1 << len(maps)) - 1
+        self.local = _bindings([m.local for m in maps], self.full)
+        self.tx = _bindings([m.transaction for m in maps], self.full)
+
+    def compatible(self, d: DependencyMap) -> int:
+        """Bitset of the maps that combine with d without a Conflict."""
+        mask = self.full
+        for entries, index in ((d.local, self.local), (d.transaction, self.tx)):
+            for var, value in entries:
+                hit = index.get(var)
+                if hit is not None:
+                    by_value, unbound = hit
+                    mask &= by_value.get(value, 0) | unbound
+                    if not mask:
+                        return 0
+        return mask
+
+
+def _bindings(sides: list, full: int) -> dict:
+    by_var: dict[str, dict[Expr, int]] = {}
+    for i, entries in enumerate(sides):
+        bit = 1 << i
+        for var, value in entries:
+            by_value = by_var.setdefault(var, {})
+            by_value[value] = by_value.get(value, 0) | bit
+    out = {}
+    for var, by_value in by_var.items():
+        bound = 0
+        for bits in by_value.values():
+            bound |= bits
+        out[var] = (by_value, full & ~bound)
+    return out
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _join(levels, i: int, d: DependencyMap, picks: tuple):
+    """(picks, combined deps) for every choice of one candidate per level
+    that combines with d without a Conflict, in lexicographic order."""
+    if i == len(levels):
+        yield picks, d
+        return
+    cands, index = levels[i]
+    for j in _bits(index.compatible(d)):
+        cand = cands[j]
+        yield from _join(levels, i + 1, combine(d, cand[1]), picks + (cand,))
+
+
+def _trim(items: list, limit: int) -> list:
+    """`limit` of the items (values or alternatives), picked round-robin
+    across their distinct sender bindings in first-seen order, kept in
+    their original order. A plain prefix would keep only the owner's
+    entries, which come first, once the bound is hit."""
+    groups: dict[Optional[Expr], list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item.deps.sender(), []).append(i)
+    chosen: list[int] = []
+    for rank in itertools.count():
+        for group in groups.values():
+            if rank < len(group):
+                chosen.append(group[rank])
+                if len(chosen) == limit:
+                    return [items[i] for i in sorted(chosen)]
+
+
 class _Engine:
     def __init__(self, contract: Contract, config: AnalysisConfig,
                  entry_seeds: Optional[SeedOverrides]):
@@ -309,7 +397,7 @@ class _Engine:
             first_load: Tuple[str, ...] = ()
             for s in f.statements():
                 if (s.op == "SLOAD" and s.result
-                        and not _TEMP_NAME.match(s.result)
+                        and not TEMP_NAME.match(s.result)
                         and assign_counts[s.result] == 1):
                     first_load = (s.result,)
                     break
@@ -412,20 +500,17 @@ class _Engine:
             alts = self._cap_alts(alts)
             for stmt in block.statements:
                 for alt in alts:
-                    self._record_reach(fn.name, stmt.sid, alt.deps, plan)
+                    self._record_reach(fn.name, stmt.sid, alt.deps)
                 alts = self._exec(fn, plan, stmt, env, alts, entry_fn, stack,
                                   env_in, alts_in)
                 if not alts:
                     break
 
     def _cap_alts(self, alts: list[_Alt]) -> list[_Alt]:
-        out: dict[_Alt, None] = {}
-        for a in alts:
-            out.setdefault(a, None)
-        alts = list(out)
+        alts = list(dict.fromkeys(alts))
         if len(alts) > self.cfg.max_alts_per_block:
             self.notes.append("alternative bound trimmed a block")
-            alts = alts[: self.cfg.max_alts_per_block]
+            alts = _trim(alts, self.cfg.max_alts_per_block)
         return alts
 
     # -- recording ---------------------------------------------------------
@@ -439,8 +524,7 @@ class _Engine:
             raise _Timeout()
         self.inferences.setdefault(Inference(fname, var, value, deps), None)
 
-    def _record_reach(self, fname: str, sid: int, deps: DependencyMap,
-                      plan: TrackingPlan):
+    def _record_reach(self, fname: str, sid: int, deps: DependencyMap):
         self.reach.setdefault(ReachabilityFact(fname, sid, deps), None)
 
     def _call_row(self, stmt: Statement, fname: str, kind: str, n_args: int):
@@ -476,50 +560,56 @@ class _Engine:
             v = self._subst_val(val, alt)
             d = v.deps
             if tracked:
-                d = combine(d, DependencyMap.of(local={operand: v.expr}))
+                d = combine(d, DependencyMap(((operand, v.expr),), ()))
                 if isinstance(d, Conflict):
                     continue
             out.append((v.expr, d, v.depth))
         return out
 
-    def _combos(self, operands, env, alt: _Alt, plan: TrackingPlan):
-        """All compatible assignments of values to the distinct operand vars.
+    def _combos(self, operands, env, alts, plan: TrackingPlan):
+        """All compatible assignments of values to the distinct operand vars,
+        for each alternative in turn.
 
-        Yields (values by operand position, combined deps incl. alt.deps,
-        depths by operand position). A duplicated variable operand takes the
-        same value at every position; conflicting pairings are pruned.
+        Yields (alt, values by operand position, combined deps incl.
+        alt.deps, depths by operand position), alternative-major and then
+        in the lexicographic order of the operands' value lists. A
+        duplicated variable operand takes the same value at every position.
+        The choices are joined through a bitset index of each operand's
+        values by their bindings, so a value whose bindings conflict with
+        the deps chosen so far is never visited. Alternatives without a
+        solver substitution resolve every operand alike and share one set
+        of indexed values per statement.
         """
-        distinct: list = []
-        for op in operands:
-            if op not in distinct:
-                distinct.append(op)
-        resolved = [self._resolve(op, env, alt, plan) for op in distinct]
-        for choice in itertools.product(*resolved):
-            d: DependencyMap = alt.deps
-            ok = True
-            for (_, cd, _k) in choice:
-                res = combine(d, cd)
-                if isinstance(res, Conflict):
-                    ok = False
-                    break
-                d = res
-            if not ok:
-                continue
-            by_op = {op: (choice[i][0], choice[i][2])
-                     for i, op in enumerate(distinct)}
-            vals = [by_op[op][0] for op in operands]
-            depths = [by_op[op][1] for op in operands]
-            yield vals, d, depths
+        distinct = list(dict.fromkeys(operands))
+        positions = [distinct.index(op) for op in operands]
+        shared = None
+        for alt in alts:
+            self._check_time()
+            if alt.subst:
+                levels = self._levels(distinct, env, alt, plan)
+            else:
+                if shared is None:
+                    shared = self._levels(distinct, env, alt, plan)
+                levels = shared
+            for picks, d in _join(levels, 0, alt.deps, ()):
+                yield (alt, [picks[i][0] for i in positions], d,
+                       [picks[i][2] for i in positions])
+
+    def _levels(self, distinct, env, alt: _Alt, plan: TrackingPlan):
+        levels = []
+        for op in distinct:
+            cands = self._resolve(op, env, alt, plan)
+            levels.append((cands, _DepIndex([c[1] for c in cands])))
+        return levels
 
     def _put_env(self, env, var: str, vals: list[_Val]):
-        dedup: dict[_Val, None] = {}
-        for v in vals:
-            dedup.setdefault(v, None)
-        out = list(dedup)
-        if len(out) > self.cfg.max_values_per_var:
+        env[var] = self._bound_values(var, list(dict.fromkeys(vals)))
+
+    def _bound_values(self, var: str, vals: list[_Val]) -> Tuple[_Val, ...]:
+        if len(vals) > self.cfg.max_values_per_var:
             self.notes.append(f"value bound trimmed {var}")
-            out = out[: self.cfg.max_values_per_var]
-        env[var] = tuple(out)
+            vals = _trim(vals, self.cfg.max_values_per_var)
+        return tuple(vals)
 
     # -- statement execution -------------------------------------------------
 
@@ -562,11 +652,10 @@ class _Engine:
             return alts
         if op in ("SHA3", "CONCAT"):
             produced = []
-            for alt in alts:
-                for vals, d, depths in self._combos(stmt.operands, env, alt, plan):
-                    e = (Sha3(vals[0]) if op == "SHA3"
-                         else Concat(vals[0], vals[1]))
-                    produced.append(_Val(normalize(e), d, min(depths)))
+            for _, vals, d, depths in self._combos(stmt.operands, env, alts,
+                                                   plan):
+                e = Sha3(vals[0]) if op == "SHA3" else Concat(vals[0], vals[1])
+                produced.append(_Val(normalize(e), d, min(depths)))
             self._finish_assign(fn, plan, stmt, env, produced)
             return alts
         if op == "SLOAD":
@@ -594,54 +683,50 @@ class _Engine:
         binop = stmt.binop
         arith = binop in ARITH_OPS
         produced = []
-        for alt in alts:
-            for vals, d, depths in self._combos(stmt.operands, env, alt, plan):
-                depth = min(depths)
-                if arith and depth == 0:
-                    continue  # storage-cycle lineage exhausted
-                e = Not(vals[0]) if binop == "NOT" else BinOp(binop, vals[0], vals[1])
-                produced.append(_Val(normalize(e), d, depth))
+        for _, vals, d, depths in self._combos(stmt.operands, env, alts, plan):
+            depth = min(depths)
+            if arith and depth == 0:
+                continue  # storage-cycle lineage exhausted
+            e = Not(vals[0]) if binop == "NOT" else BinOp(binop, vals[0], vals[1])
+            produced.append(_Val(normalize(e), d, depth))
         self._finish_assign(fn, plan, stmt, env, produced)
 
     def _exec_sload(self, fn, plan, stmt, env, alts):
         produced = []
-        for alt in alts:
-            for vals, d, _ in self._combos(stmt.operands, env, alt, plan):
-                key = vals[0]
-                if stmt.result:
-                    self.loads.setdefault(
-                        LoadFact(fn.name, stmt.sid, stmt.result, key,
-                                 slot_of_address(key)), None)
-                cell = self.storage.get(key)
-                if not cell:
-                    # never-written cell: EVM zero default
-                    produced.append(_Val(FALSE, d, self.limit))
-                    continue
-                for value, depth in cell.items():
-                    produced.append(_Val(value, d, depth))
+        for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
+            key = vals[0]
+            if stmt.result:
+                self.loads.setdefault(
+                    LoadFact(fn.name, stmt.sid, stmt.result, key,
+                             slot_of_address(key)), None)
+            cell = self.storage.get(key)
+            if not cell:
+                # never-written cell: EVM zero default
+                produced.append(_Val(FALSE, d, self.limit))
+                continue
+            for value, depth in cell.items():
+                produced.append(_Val(value, d, depth))
         self._finish_assign(fn, plan, stmt, env, produced)
 
     def _exec_sstore(self, fn, plan, stmt, env, alts):
-        for alt in alts:
-            for vals, d, depths in self._combos(stmt.operands, env, alt, plan):
-                key, value = vals[0], vals[1]
-                self.stores.setdefault(
-                    StoreFact(fn.name, stmt.sid, key, slot_of_address(key),
-                              value, d), None)
-                stored_depth = depths[1] - 1
-                if stored_depth < 0:
-                    continue  # value lineage stops propagating
-                cell = self.buffer.setdefault(key, {})
-                if value not in cell or cell[value] < stored_depth:
-                    cell[value] = stored_depth
+        for _, vals, d, depths in self._combos(stmt.operands, env, alts, plan):
+            key, value = vals[0], vals[1]
+            self.stores.setdefault(
+                StoreFact(fn.name, stmt.sid, key, slot_of_address(key),
+                          value, d), None)
+            stored_depth = depths[1] - 1
+            if stored_depth < 0:
+                continue  # value lineage stops propagating
+            cell = self.buffer.setdefault(key, {})
+            if value not in cell or cell[value] < stored_depth:
+                cell[value] = stored_depth
 
     def _exec_return(self, fn, plan, stmt, env, alts):
         if not stmt.operands:
             return
         rows = self.returns.setdefault(fn.name, {})
-        for alt in alts:
-            for vals, d, _ in self._combos(stmt.operands, env, alt, plan):
-                rows.setdefault((vals[0], d), None)
+        for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
+            rows.setdefault((vals[0], d), None)
 
     def _exec_external(self, fn, plan, stmt, env, alts):
         if stmt.op == "CALLEXTERNAL":
@@ -649,15 +734,14 @@ class _Engine:
         else:
             kind, n_args = "intrinsic", len(stmt.operands)
         row = self._call_row(stmt, fn.name, kind, n_args)
-        for alt in alts:
-            for vals, d, _ in self._combos(stmt.operands, env, alt, plan):
-                if kind == "external":
-                    row["target"].setdefault((vals[0], d), None)
-                    args = vals[1:]
-                else:
-                    args = vals
-                for i, a in enumerate(args):
-                    row["args"][i].setdefault((a, d), None)
+        for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
+            if kind == "external":
+                row["target"].setdefault((vals[0], d), None)
+                args = vals[1:]
+            else:
+                args = vals
+            for i, a in enumerate(args):
+                row["args"][i].setdefault((a, d), None)
 
     def _exec_internal(self, fn, plan, stmt, env, alts, entry_fn, stack):
         callee = self.contract.function(stmt.callee)
@@ -668,46 +752,42 @@ class _Engine:
         tx_keys = tuple(
             f"{entry_fn.name}.{p}"
             for p in entry_fn.param_names[: self.cfg.budget.tx_args])
-        for alt in alts:
-            for vals, d, depths in self._combos(stmt.operands, env, alt, plan):
-                # entry-point arguments pinned on this path migrate into the
-                # transaction dependencies under qualified keys
-                tx = dict(d.transaction)
-                if fn.name == entry_fn.name:
-                    for p, qualified in zip(entry_fn.param_names, tx_keys):
-                        bound = d.local_map.get(p)
-                        if bound is not None:
-                            tx.setdefault(qualified, bound)
-                callee_alt = _Alt(DependencyMap.of(transaction=tx),
-                                  alt.pc, alt.subst)
-                callee_env = {
-                    pname: (_Val(vals[i], EMPTY, depths[i]),)
-                    for i, (pname, _) in enumerate(callee.params)
-                }
-                memo_key = (callee.name, tuple(vals), tuple(depths), callee_alt)
-                if memo_key in self.call_memo:
-                    continue
-                self.call_memo.add(memo_key)
-                callee_plan = replace(
-                    self.local_plans[callee.name], tx_arg_order=tx_keys)
-                for pname in callee_env:
-                    for val in callee_env[pname]:
-                        self._record_inference(callee.name, callee_plan,
-                                               pname, val.expr, callee_alt.deps)
-                self._walk(callee, callee_env, [callee_alt], entry_fn,
-                           stack + (callee.name,))
+        for alt, vals, d, depths in self._combos(stmt.operands, env, alts,
+                                                 plan):
+            # entry-point arguments pinned on this path migrate into the
+            # transaction dependencies under qualified keys
+            tx = dict(d.transaction)
+            if fn.name == entry_fn.name:
+                for p, qualified in zip(entry_fn.param_names, tx_keys):
+                    bound = d.local_map.get(p)
+                    if bound is not None:
+                        tx.setdefault(qualified, bound)
+            callee_alt = _Alt(DependencyMap.of(transaction=tx),
+                              alt.pc, alt.subst)
+            callee_env = {
+                pname: (_Val(vals[i], EMPTY, depths[i]),)
+                for i, (pname, _) in enumerate(callee.params)
+            }
+            memo_key = (callee.name, tuple(vals), tuple(depths), callee_alt)
+            if memo_key in self.call_memo:
+                continue
+            self.call_memo.add(memo_key)
+            callee_plan = replace(
+                self.local_plans[callee.name], tx_arg_order=tx_keys)
+            for pname in callee_env:
+                for val in callee_env[pname]:
+                    self._record_inference(callee.name, callee_plan,
+                                           pname, val.expr, callee_alt.deps)
+            self._walk(callee, callee_env, [callee_alt], entry_fn,
+                       stack + (callee.name,))
 
     # -- gating (REQUIRE and branch arms) -------------------------------------
 
     def _gate(self, cond_operand, env, alts, plan, want_true: bool) -> list[_Alt]:
         out: list[_Alt] = []
-        for alt in alts:
-            for cv, cd, _ in self._resolve(cond_operand, env, alt, plan):
-                d = combine(alt.deps, cd)
-                if isinstance(d, Conflict):
-                    continue
-                target = cv if want_true else normalize(Not(cv))
-                out.extend(self._admit(alt, d, target))
+        for alt, (cv,), d, _ in self._combos((cond_operand,), env, alts, plan):
+            target = cv if want_true else normalize(Not(cv))
+            out.extend(self._admit(alt, d, target))
         return self._cap_alts(out)
 
     def _admit(self, alt: _Alt, d: DependencyMap, target: Expr) -> list[_Alt]:
@@ -752,10 +832,20 @@ class _Engine:
         if not alts:
             return
         if tag:
+            # without substitutions every value meets the alternatives
+            # unchanged, so only the index-compatible ones are visited
+            index = (None if any(a.subst for a in alts)
+                     else _DepIndex([a.deps for a in alts]))
             tagged: dict[str, Tuple[_Val, ...]] = {}
             for var, vals in env.items():
                 keep: dict[_Val, None] = {}
                 for val in vals:
+                    self._check_time()
+                    if index is not None:
+                        for j in _bits(index.compatible(val.deps)):
+                            d = combine(val.deps, alts[j].deps)
+                            keep.setdefault(_Val(val.expr, d, val.depth), None)
+                        continue
                     for alt in alts:
                         v = self._subst_val(val, alt)
                         d = combine(v.deps, alt.deps)
@@ -763,11 +853,7 @@ class _Engine:
                             continue
                         keep.setdefault(_Val(v.expr, d, val.depth), None)
                 if keep:
-                    out = list(keep)
-                    if len(out) > self.cfg.max_values_per_var:
-                        self.notes.append(f"value bound trimmed {var}")
-                        out = out[: self.cfg.max_values_per_var]
-                    tagged[var] = tuple(out)
+                    tagged[var] = self._bound_values(var, list(keep))
             payload = tagged
         else:
             payload = env

@@ -9,9 +9,11 @@ plain tuples.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional
 
+from symvalic.deps import Conflict, DependencyMap, combine
 from symvalic.ir import Contract
 from symvalic.symexpr import (
     BinOp, Concat, Const, Expr, Not, Sha3, Sym,
@@ -119,6 +121,53 @@ def run_concrete(contract: Contract, fn_name: str, args: dict,
                 raise NotImplementedError(op)
         if not jumped:
             raise AssertionError("block fell through without terminator")
+
+
+# ---------------------------------------------------------------------------
+# Reference formulations of dependency combination
+# ---------------------------------------------------------------------------
+
+
+def combine_dict(a: DependencyMap, b: DependencyMap):
+    """combine() as a dict union followed by a sort, reporting the first
+    clash in b's order; the reference for the sorted-merge combine."""
+    sides = []
+    for left, right, scope in ((a.local, b.local, "local"),
+                               (a.transaction, b.transaction, "transaction")):
+        merged = dict(left)
+        for var, value in right:
+            prev = merged.get(var)
+            if prev is None:
+                merged[var] = value
+            elif prev != value:
+                return Conflict(var, scope, prev, value)
+        sides.append(tuple(sorted(merged.items())))
+    return DependencyMap(*sides)
+
+
+def product_combos(resolve, operands, alts):
+    """The engine's operand combinations by product-and-prune: per
+    alternative, the full cartesian product of the distinct operands'
+    values (resolve(op, alt) -> [(expr, deps, depth)]), with every choice
+    whose deps conflict dropped. Yields (alt, values, deps, depths) like
+    the engine's indexed join, which must produce the same sequence."""
+    for alt in alts:
+        distinct: list = []
+        for op in operands:
+            if op not in distinct:
+                distinct.append(op)
+        resolved = [resolve(op, alt) for op in distinct]
+        for choice in itertools.product(*resolved):
+            d = alt.deps
+            for _, cd, _ in choice:
+                d = combine(d, cd)
+                if isinstance(d, Conflict):
+                    break
+            if isinstance(d, Conflict):
+                continue
+            by_op = {op: choice[i] for i, op in enumerate(distinct)}
+            yield (alt, [by_op[op][0] for op in operands], d,
+                   [by_op[op][2] for op in operands])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """CLI commands, exit-status contract, schemas, output determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import jsonschema
+
+from pathlib import Path
 
 from symvalic.cli import main
 from symvalic.schemas import FACTS_SCHEMA, RESULT_SCHEMA, WARNINGS_SCHEMA
@@ -186,3 +189,24 @@ def test_text_format_renders_same_warnings(capsys, tmp_path):
                            "--format", "text")
     assert code == 1
     assert "UNGUARDED_SENSITIVE" in out
+
+
+def test_scan_output_independent_of_hash_seed(tmp_path):
+    # the two TAINTED_SENSITIVE_ARG warnings of transfer(to, to) tie on
+    # contract, function, statement and kind
+    src = tmp_path / "forward.svc"
+    src.write_text("contract Forward {\n"
+                   "    function pay(address to) public {\n"
+                   "        transfer(to, to);\n    }\n}\n")
+    package = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (package, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "symvalic.cli", "scan", str(src)],
+            capture_output=True, env=env)
+        assert proc.returncode == 1
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -11,6 +11,8 @@ from symvalic.corpus import DomainFacts, GuardedFact, ReentrancyFact
 from symvalic.parser import parse
 from symvalic.valueflow import analyze
 
+from conftest import fixture_contract
+
 
 def analyzed(src):
     return analyze(parse(src))
@@ -191,3 +193,12 @@ def test_warnings_json_shape():
     for row in doc["warnings"]:
         assert set(row) == {"kind", "contract", "function", "stmt",
                             "witness", "explanation"}
+
+
+def test_value_bound_keeps_untrusted_caller():
+    # pay's condition temps exceed the 64-value bound; a prefix trim kept
+    # only owner-sender values and lost both warnings on the unguarded pay
+    r = analyze(fixture_contract("branchy004.svc"))
+    found = {(w.function, w.kind) for w in run_detectors(r)}
+    assert ("pay", UNGUARDED_SENSITIVE) in found
+    assert ("pay", TAINTED_SENSITIVE_ARG) in found

@@ -11,6 +11,8 @@ from symvalic.deps import (
 )
 from symvalic.symexpr import BinOp, Const, OWNER, Sym
 
+from helpers import combine_dict
+
 
 def dm(local=None, tx=None):
     return DependencyMap.of(local, tx)
@@ -157,3 +159,30 @@ def test_combine_associative_and_absorbing(seed):
 def test_combine_idempotent(seed):
     d = random_map(random.Random(seed))
     assert combine(d, d) == d
+
+
+# values that compare equal but print differently: a clash-free merge must
+# keep the left map's entry
+HINTED = VALUES + (Const(1, hex_hint=True), Const(2, hex_hint=True))
+
+
+def hinted_map(rng: random.Random) -> DependencyMap:
+    local = tuple((v, rng.choice(HINTED)) for v in VARS if rng.random() < 0.5)
+    tx = ()
+    if rng.random() < 0.5:
+        tx = (("f.a", rng.choice(HINTED)),)
+    if rng.random() < 0.5:
+        tx += (("sender", rng.choice((Sym("<<owner>>", True),
+                                      Sym("<<unprivileged-user>>", True)))),)
+    return DependencyMap(local, tx)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_combine_merge_matches_dict_reference(seed):
+    rng = random.Random(seed)
+    a, b = hinted_map(rng), hinted_map(rng)
+    got, want = combine(a, b), combine_dict(a, b)
+    assert type(got) is type(want)
+    assert got == want  # a Conflict names the same variable, scope, values
+    assert got.render() == want.render()

@@ -186,3 +186,11 @@ def test_validate_rejects_stale_structures():
     from symvalic.ir import IRError
     with pytest.raises(IRError):
         validate(c)
+
+
+def test_reassigned_local_starting_with_t_is_not_a_temp():
+    c = parse("contract T { function f(uint x) public {"
+              " total = x; total = total + 1; return total; } }")
+    validate(c)
+    results = [s.result for s in stmts(c, "f")]
+    assert results.count("total") == 2
