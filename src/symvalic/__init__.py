@@ -12,7 +12,7 @@ from .symexpr import (
 )
 from .valueflow import (
     AnalysisConfig, AnalysisResult, Inference, ReachabilityFact, analyze,
-    seed_inputs, stmt_reachable, var_may_be,
+    seed_inputs,
 )
 
 __version__ = "0.1.0"
@@ -24,6 +24,5 @@ __all__ = [
     "ReachabilityFact", "Sha3", "Statement", "Sym", "TrackingPlan",
     "UNPRIVILEGED_USER", "USER_UNIQUE", "analyze", "combine", "eval_concrete",
     "harvest_constants", "implies", "normalize", "parse", "pretty",
-    "restrict", "seed_inputs", "stmt_reachable", "validate", "value_for_var",
-    "var_may_be",
+    "restrict", "seed_inputs", "validate", "value_for_var",
 ]

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -229,6 +228,8 @@ def _analyze_corpus(corpus_dir: Path, config: AnalysisConfig, jobs: int):
         seen.add(contract.name)
         payloads.append((contract.name, text, config))
     if jobs > 1 and len(payloads) > 1:
+        # imported here: the pool machinery costs every process start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_analyze_one, payloads))
     else:

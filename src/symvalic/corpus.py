@@ -97,7 +97,7 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
 
         ext_summaries = []
         for c in externals:
-            reach = result.reach_for(c.stmt)
+            reach = result.stmt_reachable(c.stmt)
             guarded = bool(reach) and all(requires_owner(f.deps) for f in reach)
             taint = tuple(
                 "tainted" if any(is_tainted(v) and requires_unprivileged(d)
@@ -120,7 +120,7 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
 
         transfers = [c for c in intrinsics if c.callee == "TRANSFER"]
         checked_transfer = bool(transfers) and all(
-            all(requires_owner(f.deps) for f in result.reach_for(c.stmt))
+            all(requires_owner(f.deps) for f in result.stmt_reachable(c.stmt))
             for c in transfers
         )
 
@@ -136,7 +136,7 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
         performs_init = fname != CONSTRUCTOR_NAME and any(
             s.function == fname and s.slot in ctor_slots
             and any(requires_unprivileged(f.deps)
-                    for f in result.reach_for(s.stmt))
+                    for f in result.stmt_reachable(s.stmt))
             for s in result.stores
         )
 
@@ -259,15 +259,6 @@ class DomainFacts:
     @property
     def reentrancy_allowing(self) -> frozenset:
         return frozenset(f.signature for f in self.reentrancy)
-
-    def sensitive_specs(self) -> Tuple[SensitiveOpSpec, ...]:
-        by_sig: dict[str, set] = {}
-        for f in self.sensitive_args:
-            by_sig.setdefault(f.signature, set()).add(f.position)
-        return tuple(
-            SensitiveOpSpec(sig, frozenset(positions), source="corpus-inferred")
-            for sig, positions in sorted(by_sig.items())
-        )
 
     def sensitive_fact(self, signature: str, position: int
                        ) -> Optional[SensitiveArgFact]:

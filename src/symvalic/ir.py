@@ -23,8 +23,6 @@ from typing import Iterable, Optional, Tuple, Union
 
 from .symexpr import ADDRESS_BOUND, Concat, Const, Expr, Sha3
 
-SEMANTIC_TYPES = ("uint256", "address", "bool")
-
 # names of the lowering's single-assignment temps; surface locals may not
 # take this form, but may otherwise start with "t"
 TEMP_NAME = re.compile(r"t\d+\Z")
@@ -129,32 +127,39 @@ class Function:
             yield from b.statements
 
     def topo_blocks(self) -> list[BasicBlock]:
-        """Blocks in a topological order of the (acyclic) CFG."""
-        order: list[BasicBlock] = []
-        marks: dict[str, int] = {}
+        """The blocks reachable from the entry, in a topological order of
+        the (acyclic) CFG."""
+        return _postorder(self, (self.entry_block,))[::-1]
 
-        def visit(bid: str):
-            state = marks.get(bid, 0)
-            if state == 1:
-                raise IRError(f"cycle in CFG of {self.name} at {bid}")
-            if state == 2:
-                return
-            marks[bid] = 1
-            for succ in self.block(bid).successors():
-                visit(succ)
-            marks[bid] = 2
-            order.append(self.block(bid))
 
-        visit(self.entry_block)
-        order.reverse()
-        return order
-
-    def predecessors(self) -> dict[str, list[str]]:
-        preds: dict[str, list[str]] = {b.bid: [] for b in self.blocks}
-        for b in self.blocks:
-            for succ in b.successors():
-                preds[succ].append(b.bid)
-        return preds
+def _postorder(fn: Function, roots: Iterable[str]) -> list[BasicBlock]:
+    """The blocks reachable from roots, each after all of its successors:
+    depth-first from each root in turn, successors in branch order.
+    Iterative, so long chains of blocks do not exhaust the Python stack.
+    Raises IRError on a cycle."""
+    by_id = {b.bid: b for b in fn.blocks}
+    order: list[BasicBlock] = []
+    marks: dict[str, int] = {}  # 1: on the DFS path, 2: finished
+    for root in roots:
+        if root in marks:
+            continue
+        marks[root] = 1
+        path = [(by_id[root], iter(by_id[root].successors()))]
+        while path:
+            block, succs = path[-1]
+            for succ in succs:
+                state = marks.get(succ)
+                if state == 1:
+                    raise IRError(f"cycle in CFG of {fn.name} at {succ}")
+                if state is None:
+                    marks[succ] = 1
+                    path.append((by_id[succ], iter(by_id[succ].successors())))
+                    break
+            else:
+                path.pop()
+                marks[block.bid] = 2
+                order.append(block)
+    return order
 
 
 @dataclass(eq=True)
@@ -164,12 +169,6 @@ class Contract:
     functions: Tuple[Function, ...]
     literal_uses: Tuple[LiteralUse, ...] = ()
     source_ast: object = field(default=None, compare=False, repr=False)
-
-    def storage_by_name(self, name: str) -> Optional[StorageDecl]:
-        for decl in self.storage:
-            if decl.name == name:
-                return decl
-        return None
 
     def function(self, name: str) -> Optional[Function]:
         for f in self.functions:
@@ -185,10 +184,6 @@ class Contract:
         return tuple(f for f in self.functions
                      if f.visibility == "public" and not f.is_constructor)
 
-    @property
-    def address_constants(self) -> frozenset:
-        _, addrs = harvest_constants(self)
-        return addrs
 
 def harvest_constants(contract: Contract) -> Tuple[frozenset, frozenset]:
     """(numeric constants, address-like constants) from the program text.
@@ -270,29 +265,17 @@ def validate(contract: Contract) -> None:
         f.topo_blocks()  # raises on cyclic CFGs
 
 
-def statements_after(fn: Function, sid: int) -> frozenset:
-    """Statement ids reachable after sid on some intra-function CFG path."""
-    target_block = None
-    later: set[int] = set()
-    for b in fn.blocks:
-        for i, s in enumerate(b.statements):
-            if s.sid == sid:
-                target_block = b
-                later.update(x.sid for x in b.statements[i + 1:])
-                break
-        if target_block is not None:
-            break
-    if target_block is None:
-        return frozenset()
-    # successor-block closure
-    work = list(target_block.successors())
-    seen: set[str] = set()
-    while work:
-        bid = work.pop()
-        if bid in seen:
-            continue
-        seen.add(bid)
-        blk = fn.block(bid)
-        later.update(s.sid for s in blk.statements)
-        work.extend(blk.successors())
-    return frozenset(later)
+def flow_after(fn: Function) -> dict[int, frozenset]:
+    """Statement id -> ids of the statements reachable after it on some
+    intra-function CFG path, for every statement of fn (unreachable blocks
+    included), in one pass that visits each block after its successors."""
+    from_start: dict[str, frozenset] = {}  # block id -> ids from its head on
+    out: dict[int, frozenset] = {}
+    for block in _postorder(fn, [b.bid for b in fn.blocks]):
+        later = frozenset().union(*(from_start[bid]
+                                    for bid in block.successors()))
+        for s in reversed(block.statements):
+            out[s.sid] = later
+            later = later | {s.sid}
+        from_start[block.bid] = later
+    return out

@@ -544,7 +544,10 @@ class _FnLowerer:
             if self.terminated:
                 raise ParseError("unreachable statement after terminator",
                                  getattr(s, "line", 0), 0)
-            self.lower_stmt(s)
+            try:
+                self.lower_stmt(s)
+            except RecursionError:
+                raise ParseError("nesting too deep", s.line, 0) from None
 
     # -- expressions ---------------------------------------------------
 
@@ -766,8 +769,14 @@ class _FnLowerer:
 
 
 def parse(text: str) -> Contract:
-    """Parse and lower a surface contract. Raises ParseError."""
-    ast = _Parser(text).parse_contract()
+    """Parse and lower a surface contract. Raises ParseError, also for
+    input nested too deeply for the recursive parser or lowering."""
+    parser = _Parser(text)
+    try:
+        ast = parser.parse_contract()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("nesting too deep", tok.line, tok.col) from None
     return _Lowerer(ast).lower()
 
 

@@ -31,7 +31,6 @@ ARITH_OPS = ("ADD", "SUB", "MUL", "DIV", "MOD")
 CMP_OPS = ("LT", "GT", "EQ")
 LOGIC_OPS = ("AND", "OR")
 BINOPS = ARITH_OPS + CMP_OPS + LOGIC_OPS
-COMMUTATIVE = {"ADD", "MUL", "AND", "OR", "EQ"}
 ASSOCIATIVE = {"ADD", "MUL", "AND", "OR"}
 
 
@@ -168,7 +167,6 @@ UNPRIVILEGED_USER = Sym("<<unprivileged-user>>", bound=True)
 OWNER_UNIQUE = Sym("<<owner-unique-value>>", bound=False)
 USER_UNIQUE = Sym("<<user-unique-value>>", bound=False)
 
-IDENTITY_SYMBOLS = (OWNER, UNPRIVILEGED_USER, OWNER_UNIQUE, USER_UNIQUE)
 FREE_IDENTITY_SYMBOLS = (OWNER_UNIQUE, USER_UNIQUE)
 
 
@@ -180,10 +178,6 @@ def contract_symbol(name: str) -> Sym:
 def expr_key(e: Expr) -> tuple:
     """Sort key usable on heterogeneous Expr collections."""
     return e.sort_key()
-
-
-def is_const(e: Expr) -> bool:
-    return isinstance(e, Const)
 
 
 def is_truthy_const(e: Expr) -> bool:

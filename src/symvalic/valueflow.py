@@ -23,14 +23,18 @@ are never formed. The choices are found by a join, not by enumerating the
 cartesian product: each operand's values are indexed by their bindings
 (scope, variable -> value -> bitset of values), and each level of the
 join visits only the values that agree with the dependencies chosen so
-far, in the order the product would have produced them. Branch edges tag
-the flowing environment with the surviving arm alternatives, matched
-through the same index, so values that took the other arm conflict and
-die where the arms meet. When a value or alternative bound is hit, survivors are picked
-round-robin across sender bindings, so the untrusted caller is never
-trimmed away wholesale. Storage writes are buffered during a round and
-committed (with dependencies stripped: a new transaction is a new
-dependency world) at the round boundary.
+far, in the order the product would have produced them. Alternatives
+that carry the same solver substitution see the same operand values, so
+they share one set of indexed values. Branch edges tag the flowing
+environment with the surviving arm alternatives, matched through one
+index over all of them: each value is substituted once per distinct
+substitution and meets only the alternatives that carry it, so values
+that took the other arm conflict and die where the arms meet. When a
+value or alternative bound is hit, survivors are picked round-robin
+across sender bindings, so the untrusted caller is never trimmed away
+wholesale. Storage writes are buffered during a round and committed (with
+dependencies stripped: a new transaction is a new dependency world) at the
+round boundary.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .deps import (
@@ -47,8 +52,8 @@ from .deps import (
     SENDER_KEY, TrackingPlan, combine, restrict,
 )
 from .ir import (
-    TEMP_NAME, Contract, Function, Statement, harvest_constants,
-    slot_of_address, statements_after,
+    TEMP_NAME, Contract, Function, Statement, flow_after, harvest_constants,
+    slot_of_address,
 )
 from .symexpr import (
     ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Not, OWNER,
@@ -170,13 +175,16 @@ class AnalysisResult:
 
     def stmt_reachable(self, stmt, local=None, tx=None
                        ) -> Tuple[ReachabilityFact, ...]:
-        return tuple(
-            f for f in self.reachability
-            if f.stmt == stmt and _deps_match(f.deps, local, tx)
-        )
+        """Reachability facts of stmt matching the patterns, in order."""
+        return tuple(f for f in self._reach_by_stmt.get(stmt, ())
+                     if _deps_match(f.deps, local, tx))
 
-    def reach_for(self, stmt: int) -> Tuple[ReachabilityFact, ...]:
-        return tuple(f for f in self.reachability if f.stmt == stmt)
+    @cached_property
+    def _reach_by_stmt(self) -> dict[int, list[ReachabilityFact]]:
+        by_stmt: dict[int, list[ReachabilityFact]] = {}
+        for f in self.reachability:
+            by_stmt.setdefault(f.stmt, []).append(f)
+        return by_stmt
 
     def return_values(self, function: str) -> frozenset:
         return frozenset(v for v, _ in self.returns.get(function, ()))
@@ -199,16 +207,6 @@ def _deps_match(d: DependencyMap, local, tx) -> bool:
             if have.get(var) != want:
                 return False
     return True
-
-
-def var_may_be(result: AnalysisResult, var, value=None, local=None, tx=None,
-               function=None) -> Tuple[Inference, ...]:
-    return result.var_may_be(var, value, local, tx, function)
-
-
-def stmt_reachable(result: AnalysisResult, stmt, local=None, tx=None
-                   ) -> Tuple[ReachabilityFact, ...]:
-    return result.stmt_reachable(stmt, local, tx)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +380,7 @@ class _Engine:
         self.notes: list[str] = []
         self.deadline = (time.monotonic() + config.time_budget
                          if config.time_budget else None)
+        self.topo = {f.name: f.topo_blocks() for f in contract.functions}
 
         # per-function tracking plans (local part); the tracked storage-load
         # variable is the first SLOAD into a named local (temps are the
@@ -490,7 +489,7 @@ class _Engine:
             fn.entry_block: dict(entry_env)}
         alts_in: dict[str, list[_Alt]] = {fn.entry_block: list(entry_alts)}
 
-        for block in fn.topo_blocks():
+        for block in self.topo[fn.name]:
             env = env_in.get(block.bid)
             alts = alts_in.get(block.bid, [])
             if env is None or not alts:
@@ -541,12 +540,8 @@ class _Engine:
         if not alt.subst:
             return val
         m = dict(alt.subst)
-        e = normalize(substitute(val.expr, m))
-        d = DependencyMap(
-            tuple((v, normalize(substitute(x, m))) for v, x in val.deps.local),
-            tuple((v, normalize(substitute(x, m))) for v, x in val.deps.transaction),
-        )
-        return _Val(e, d, val.depth)
+        return _Val(normalize(substitute(val.expr, m)),
+                    _subst_deps(val.deps, m), val.depth)
 
     def _resolve(self, operand, env, alt: _Alt, plan: TrackingPlan):
         """Values of one operand under alt: (expr, contribution deps, depth)."""
@@ -576,21 +571,19 @@ class _Engine:
         duplicated variable operand takes the same value at every position.
         The choices are joined through a bitset index of each operand's
         values by their bindings, so a value whose bindings conflict with
-        the deps chosen so far is never visited. Alternatives without a
-        solver substitution resolve every operand alike and share one set
-        of indexed values per statement.
+        the deps chosen so far is never visited. An operand resolves the
+        same under every alternative with the same solver substitution, so
+        those alternatives share one set of indexed values per statement.
         """
         distinct = list(dict.fromkeys(operands))
         positions = [distinct.index(op) for op in operands]
-        shared = None
+        by_subst: dict = {}
         for alt in alts:
             self._check_time()
-            if alt.subst:
-                levels = self._levels(distinct, env, alt, plan)
-            else:
-                if shared is None:
-                    shared = self._levels(distinct, env, alt, plan)
-                levels = shared
+            levels = by_subst.get(alt.subst)
+            if levels is None:
+                levels = by_subst[alt.subst] = self._levels(distinct, env,
+                                                            alt, plan)
             for picks, d in _join(levels, 0, alt.deps, ()):
                 yield (alt, [picks[i][0] for i in positions], d,
                        [picks[i][2] for i in positions])
@@ -814,13 +807,8 @@ class _Engine:
                 merged[sym] = cand
                 new_subst = tuple(sorted(merged.items(),
                                          key=lambda kv: kv[0].sort_key()))
-                d2 = DependencyMap(
-                    tuple((v, normalize(substitute(e, m))) for v, e in d.local),
-                    tuple((v, normalize(substitute(e, m)))
-                          for v, e in d.transaction),
-                )
                 pc2 = alt.pc | {normalize(BinOp("EQ", sym, cand))}
-                out.append(_Alt(d2, pc2, new_subst))
+                out.append(_Alt(_subst_deps(d, m), pc2, new_subst))
         if not out and _free_satisfiable(target):
             out.append(_Alt(d, alt.pc | {target}, alt.subst))
         return out
@@ -832,25 +820,27 @@ class _Engine:
         if not alts:
             return
         if tag:
-            # without substitutions every value meets the alternatives
-            # unchanged, so only the index-compatible ones are visited
-            index = (None if any(a.subst for a in alts)
-                     else _DepIndex([a.deps for a in alts]))
+            # a value meets each alternative under that alternative's
+            # substitution: substitute once per distinct substitution and
+            # keep the index-compatible alternatives that carry it
+            index = _DepIndex([a.deps for a in alts])
+            groups: dict = {}  # subst -> (first alt carrying it, bitset)
+            for j, alt in enumerate(alts):
+                first, members = groups.get(alt.subst, (alt, 0))
+                groups[alt.subst] = (first, members | 1 << j)
             tagged: dict[str, Tuple[_Val, ...]] = {}
             for var, vals in env.items():
                 keep: dict[_Val, None] = {}
                 for val in vals:
                     self._check_time()
-                    if index is not None:
-                        for j in _bits(index.compatible(val.deps)):
-                            d = combine(val.deps, alts[j].deps)
-                            keep.setdefault(_Val(val.expr, d, val.depth), None)
-                        continue
-                    for alt in alts:
-                        v = self._subst_val(val, alt)
-                        d = combine(v.deps, alt.deps)
-                        if isinstance(d, Conflict):
-                            continue
+                    mask = 0
+                    subbed = {}
+                    for subst, (first, members) in groups.items():
+                        v = subbed[subst] = self._subst_val(val, first)
+                        mask |= index.compatible(v.deps) & members
+                    for j in _bits(mask):
+                        v = subbed[alts[j].subst]
+                        d = combine(v.deps, alts[j].deps)
                         keep.setdefault(_Val(v.expr, d, val.depth), None)
                 if keep:
                     tagged[var] = self._bound_values(var, list(keep))
@@ -882,10 +872,9 @@ class _Engine:
             for value, depth in sorted(self.storage[key].items(),
                                        key=lambda kv: kv[0].sort_key()):
                 storage.append((key, value, depth))
-        flow_after = {}
+        after: dict[int, frozenset] = {}
         for f in self.contract.functions:
-            for s in f.statements():
-                flow_after[s.sid] = statements_after(f, s.sid)
+            after.update(flow_after(f))
         return AnalysisResult(
             contract=self.contract.name,
             config=self.cfg,
@@ -900,9 +889,17 @@ class _Engine:
             notes=tuple(dict.fromkeys(self.notes)),
             functions=tuple((f.name, f.visibility, f.param_names)
                             for f in self.contract.functions),
-            flow_after=flow_after,
+            flow_after=after,
             internal_calls=tuple(self.internal_edges),
         )
+
+
+def _subst_deps(d: DependencyMap, m: dict) -> DependencyMap:
+    """d with the solver assignment m substituted into its values."""
+    return DependencyMap(
+        tuple((v, normalize(substitute(x, m))) for v, x in d.local),
+        tuple((v, normalize(substitute(x, m))) for v, x in d.transaction),
+    )
 
 
 def _conjunction(pc: frozenset) -> Expr:

@@ -14,7 +14,7 @@ import random
 from typing import Optional
 
 from symvalic.deps import Conflict, DependencyMap, combine
-from symvalic.ir import Contract
+from symvalic.ir import Contract, Function
 from symvalic.symexpr import (
     BinOp, Concat, Const, Expr, Not, Sha3, Sym,
 )
@@ -168,6 +168,35 @@ def product_combos(resolve, operands, alts):
             by_op = {op: choice[i] for i, op in enumerate(distinct)}
             yield (alt, [by_op[op][0] for op in operands], d,
                    [by_op[op][2] for op in operands])
+
+
+def statements_after(fn: Function, sid: int) -> frozenset:
+    """Statement ids reachable after sid on some intra-function CFG path,
+    found by a fresh search from sid's block; the reference for
+    ir.flow_after, which computes every statement's set in one pass."""
+    target_block = None
+    later: set[int] = set()
+    for b in fn.blocks:
+        for i, s in enumerate(b.statements):
+            if s.sid == sid:
+                target_block = b
+                later.update(x.sid for x in b.statements[i + 1:])
+                break
+        if target_block is not None:
+            break
+    if target_block is None:
+        return frozenset()
+    work = list(target_block.successors())
+    seen: set[str] = set()
+    while work:
+        bid = work.pop()
+        if bid in seen:
+            continue
+        seen.add(bid)
+        blk = fn.block(bid)
+        later.update(s.sid for s in blk.statements)
+        work.extend(blk.successors())
+    return frozenset(later)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ from symvalic.schemas import FACTS_SCHEMA, RESULT_SCHEMA, WARNINGS_SCHEMA
 from conftest import FIXTURES, write_reentrancy_corpus, write_swap_corpus
 
 
+def package_env(**extra) -> dict:
+    """The environment for a child Python that imports this checkout."""
+    package = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, (package, os.environ.get("PYTHONPATH")))))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -198,15 +205,50 @@ def test_scan_output_independent_of_hash_seed(tmp_path):
     src.write_text("contract Forward {\n"
                    "    function pay(address to) public {\n"
                    "        transfer(to, to);\n    }\n}\n")
-    package = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
     for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, (package, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "symvalic.cli", "scan", str(src)],
-            capture_output=True, env=env)
+            capture_output=True, env=package_env(PYTHONHASHSEED=hash_seed))
         assert proc.returncode == 1
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+DEEP = ("contract Deep {\n    function f(uint a) public {\n        x = "
+        + "(" * 3000 + "a" + ")" * 3000 + ";\n    }\n}\n")
+
+
+def test_deep_nesting_scan_exits_2_without_traceback(tmp_path):
+    deep = tmp_path / "deep.svc"
+    deep.write_text(DEEP)
+    proc = subprocess.run(
+        [sys.executable, "-m", "symvalic.cli", "scan", str(deep)],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"{deep}:3:")
+    assert proc.stderr.rstrip("\n").endswith("nesting too deep")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_corpus_build_reports_deep_nesting_and_goes_on(capsys, tmp_path):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=1)
+    (corpus / "deep.svc").write_text(DEEP)
+    code, out, err = run_cli(capsys, "corpus-build", str(corpus),
+                             "--jobs", "1")
+    assert code == 2
+    assert err.startswith("deep.svc: 3:") and "nesting too deep" in err
+    assert "Traceback" not in err
+    names = [c["contract"] for c in json.loads(out)["contracts"]]
+    assert names == ["SwapTainted", "SwapUser00"]
+    assert (corpus / "out" / "SwapUser00.result.json").is_file()
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, symvalic.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"

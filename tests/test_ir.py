@@ -1,12 +1,15 @@
 """Surface parsing, lowering, IR invariants, constant harvesting."""
 
+import random
+
 import pytest
 
-from symvalic.ir import harvest_constants, validate
+from symvalic.ir import IRError, flow_after, harvest_constants, validate
 from symvalic.parser import ParseError, parse, pretty
 from symvalic.symexpr import Const
 
-from conftest import fixture_contract
+from conftest import FIXTURES, fixture_contract
+from helpers import gen_oracle_contract, statements_after
 
 
 def stmts(contract, fn):
@@ -183,7 +186,6 @@ def test_roundtrip_with_calls_and_else():
 def test_validate_rejects_stale_structures():
     c = parse("contract T { function f() public { } }")
     c.functions[0].blocks[0].statements.clear()
-    from symvalic.ir import IRError
     with pytest.raises(IRError):
         validate(c)
 
@@ -194,3 +196,54 @@ def test_reassigned_local_starting_with_t_is_not_a_temp():
     validate(c)
     results = [s.result for s in stmts(c, "f")]
     assert results.count("total") == 2
+
+
+def flow_contracts():
+    yield from (fixture_contract(p.name) for p in sorted(FIXTURES.glob("*.svc")))
+    rng = random.Random(11)
+    for i in range(40):
+        yield parse(gen_oracle_contract(rng, i)[0])
+    # both arms return, so the join block after the if is unreachable
+    yield parse("contract T { function f(uint a) public {"
+                " if (a < 3) { return 1; } else { return 2; } } }")
+
+
+def test_flow_after_matches_per_statement_search():
+    for c in flow_contracts():
+        for fn in c.functions:
+            after = flow_after(fn)
+            sids = [s.sid for s in fn.statements()]
+            assert sorted(after) == sorted(sids)
+            for sid in sids:
+                assert after[sid] == statements_after(fn, sid), (c.name, sid)
+
+
+def test_topo_blocks_rejects_a_cycle():
+    c = parse("contract T { function f(uint a) public {"
+              " if (a < 3) { x = 1; } } }")
+    fn = c.functions[0]
+    fn.blocks[-1].statements[-1].targets = (fn.entry_block,)
+    fn.blocks[-1].statements[-1].op = "JUMP"
+    with pytest.raises(IRError, match="cycle"):
+        validate(c)
+
+
+def test_long_if_chain_parses():
+    # the CFG is a chain of 2,400 blocks, deeper than the Python stack
+    c = parse("contract T { function f(uint a) public { x = 1; "
+              + "if (a < 3) { x = 2; } " * 1200 + "} }")
+    blocks = c.functions[0].topo_blocks()
+    assert len(blocks) == len(c.functions[0].blocks)
+
+
+@pytest.mark.parametrize("body", [
+    "x = " + "(" * 3000 + "a" + ")" * 3000 + ";",
+    "x = " + "!" * 3000 + "a;",
+    "x = " + " + ".join(["a"] * 2000) + ";",
+    "if (a < 3) { " * 400 + "x = 2;" + " }" * 400,
+], ids=["parens", "negations", "sum", "ifs"])
+def test_deep_nesting_is_a_parse_error(body):
+    # where the parser gives up depends on the depth of the caller's stack
+    with pytest.raises(ParseError, match="nesting too deep") as err:
+        parse("contract T { function f(uint a) public {\n" + body + "\n} }")
+    assert err.value.line == 2

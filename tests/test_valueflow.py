@@ -142,7 +142,7 @@ def test_sender_constant_hypothesis_passes_matching_guard():
     r = analyze(c)
     store = next(s.sid for s in c.function("f").statements()
                  if s.op == "SSTORE")
-    facts = r.reach_for(store)
+    facts = r.stmt_reachable(store)
     senders = {f.deps.transaction_map["sender"] for f in facts}
     assert senders == {Const(0x42)}
 
@@ -264,7 +264,7 @@ def test_value_for_var_substitution_at_require():
     assert all(not any(n == USER_UNIQUE for n in v.walk())
                for v in unpriv_args)
     # the solving assignment lands in the recorded dependencies
-    facts = r.reach_for(transfer.stmt)
+    facts = r.stmt_reachable(transfer.stmt)
     locals_seen = {f.deps.local_map.get("to") for f in facts
                    if f.deps.transaction_map.get("sender") == UNPRIVILEGED_USER}
     assert locals_seen == {OWNER}
@@ -321,6 +321,20 @@ def test_var_may_be_wildcards(whichpaths_contract):
     assert {i.value.value for i in all_y} >= {3, 4, 9, 16}
     only16 = r.var_may_be("y", value=16)
     assert {i.value.value for i in only16} == {16}
+
+
+def test_stmt_reachable_matches_a_scan_of_the_facts(guarded_contract):
+    r = analyze(guarded_contract)
+    patterns = ({}, {"tx": {"sender": OWNER}},
+                {"tx": {"sender": UNPRIVILEGED_USER}})
+    sids = [s.sid for f in guarded_contract.functions for s in f.statements()]
+    for sid in sids + [max(sids) + 1]:
+        for pattern in patterns:
+            want = tuple(
+                f for f in r.reachability if f.stmt == sid
+                and all(f.deps.transaction_map.get(k) == v
+                        for k, v in pattern.get("tx", {}).items()))
+            assert r.stmt_reachable(sid, **pattern) == want
 
 
 # --- oracle equivalence (spot checks; the acceptance suite runs 20+) -------------
