@@ -7,9 +7,12 @@ Commands:
     corpus-infer DIR        run fact refinement, write out/facts.round-N.json
     corpus-scan DIR         emit corpus-anomaly warnings for every contract
 
-Exit status: 0 no warnings, 1 warnings emitted, 2 usage or parse error,
-3 analysis resource cap hit on any input. Reports go to stdout,
-diagnostics to stderr. Identical invocations produce byte-identical JSON.
+Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
+analysis error, 3 analysis resource cap hit on any input. Reports go to
+stdout, diagnostics to stderr, one line per failed input
+(`path:line:col: message` for a parse error, `path: message` otherwise).
+A corpus command reports a failed contract and goes on with the others.
+Identical invocations produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -162,16 +165,27 @@ def _facts_lines(doc: dict):
         yield f"  reentrancy-allowing {f['signature']} ({f['votes']} votes)"
 
 
+def _diagnostic(path, err: Exception) -> str:
+    if isinstance(err, ParseError):
+        return f"{path}:{err}"
+    return f"{path}: {err}"
+
+
 def _parse_file(path: Path):
     try:
-        text = path.read_text()
-    except OSError as err:
-        print(f"{path}: {err}", file=sys.stderr)
+        return parse(path.read_text())
+    except (OSError, ValueError, ParseError) as err:
+        print(_diagnostic(path, err), file=sys.stderr)
         return None
+
+
+def _analyze_file(path: Path, contract, config: AnalysisConfig):
+    """The analysis result of one parsed file, or None after a one-line
+    diagnostic: a failure inside the analysis is the input's, not a crash."""
     try:
-        return parse(text)
-    except ParseError as err:
-        print(f"{path}:{err}", file=sys.stderr)
+        return analyze(contract, config)
+    except Exception as err:
+        print(_diagnostic(path, err), file=sys.stderr)
         return None
 
 
@@ -179,7 +193,9 @@ def cmd_analyze(args) -> int:
     contract = _parse_file(args.file)
     if contract is None:
         return EXIT_USAGE
-    result = analyze(contract, config_from_args(args))
+    result = _analyze_file(args.file, contract, config_from_args(args))
+    if result is None:
+        return EXIT_USAGE
     _emit(result.to_json_dict(), args.format, _result_lines)
     return EXIT_RESOURCE if result.truncated else EXIT_OK
 
@@ -195,7 +211,9 @@ def cmd_scan(args) -> int:
         except (OSError, ValueError, KeyError) as err:
             print(f"{args.facts}: {err}", file=sys.stderr)
             return EXIT_USAGE
-    result = analyze(contract, config_from_args(args))
+    result = _analyze_file(args.file, contract, config_from_args(args))
+    if result is None:
+        return EXIT_USAGE
     warnings = run_detectors(result, BUILTIN_SPECS, facts)
     _emit(warnings_json(warnings), args.format, _warning_lines)
     if result.truncated:
@@ -204,29 +222,33 @@ def cmd_scan(args) -> int:
 
 
 def _analyze_one(payload):
-    """Worker for corpus commands (runs in a separate process)."""
-    name, text, config = payload
-    contract = parse(text)
-    return name, analyze(contract, config)
+    """Worker for corpus commands (runs in a separate process): (path,
+    result, None), or (path, None, diagnostic line) if the analysis failed,
+    so that one contract's failure never takes the pool down."""
+    path, text, config = payload
+    try:
+        return path, analyze(parse(text), config), None
+    except Exception as err:
+        return path, None, _diagnostic(path, err)
 
 
 def _analyze_corpus(corpus_dir: Path, config: AnalysisConfig, jobs: int):
-    """(results by contract name, parse errors by file name)."""
-    errors: dict[str, str] = {}
+    """(results by contract name, diagnostic lines by file path)."""
+    errors: dict[Path, str] = {}
     payloads = []
     seen = set()
     for path in sorted(corpus_dir.glob("*.svc")):
-        text = path.read_text()
         try:
+            text = path.read_text()
             contract = parse(text)
-        except ParseError as err:
-            errors[path.name] = str(err)
+        except (OSError, ValueError, ParseError) as err:
+            errors[path] = _diagnostic(path, err)
             continue
         if contract.name in seen:
-            errors[path.name] = f"duplicate contract name {contract.name}"
+            errors[path] = f"{path}: duplicate contract name {contract.name}"
             continue
         seen.add(contract.name)
-        payloads.append((contract.name, text, config))
+        payloads.append((path, text, config))
     if jobs > 1 and len(payloads) > 1:
         # imported here: the pool machinery costs every process start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -234,12 +256,18 @@ def _analyze_corpus(corpus_dir: Path, config: AnalysisConfig, jobs: int):
             rows = list(pool.map(_analyze_one, payloads))
     else:
         rows = [_analyze_one(p) for p in payloads]
-    return {name: result for name, result in sorted(rows)}, errors
+    results = {}
+    for path, result, error in rows:
+        if error is None:
+            results[result.contract] = result
+        else:
+            errors[path] = error
+    return dict(sorted(results.items())), errors
 
 
 def _report_errors(errors: dict):
-    for name in sorted(errors):
-        print(f"{name}: {errors[name]}", file=sys.stderr)
+    for path in sorted(errors):
+        print(errors[path], file=sys.stderr)
 
 
 def _corpus_exit(errors, truncated, warnings) -> int:
@@ -276,14 +304,15 @@ def cmd_corpus_infer(args) -> int:
     config = config_from_args(args)
     thresholds = thresholds_from_args(args)
     results, errors = _analyze_corpus(args.dir, config, args.jobs)
+    # refine parses the same files: its errors are among these
     outcome = corpus_mod.refine(args.dir, rounds=args.rounds, config=config,
                                 thresholds=thresholds, results=results)
-    _report_errors(outcome.errors)
+    _report_errors(errors)
     final_round = len(outcome.facts_rounds)
     _emit(facts_json(outcome.facts, final_round, thresholds), args.format,
           _facts_lines)
     truncated = any(r.truncated for r in outcome.results.values())
-    return _corpus_exit(outcome.errors, truncated, warnings=False)
+    return _corpus_exit(errors, truncated, warnings=False)
 
 
 def cmd_corpus_scan(args) -> int:
@@ -292,11 +321,9 @@ def cmd_corpus_scan(args) -> int:
     results, errors = _analyze_corpus(args.dir, config, args.jobs)
     facts = latest_facts(args.dir)
     if facts is None:
-        outcome = corpus_mod.refine(args.dir, rounds=args.rounds,
-                                    config=config, thresholds=thresholds,
-                                    results=results)
-        errors.update(outcome.errors)
-        facts = outcome.facts
+        facts = corpus_mod.refine(args.dir, rounds=args.rounds,
+                                  config=config, thresholds=thresholds,
+                                  results=results).facts
     _report_errors(errors)
     all_warnings = []
     for name in sorted(results):

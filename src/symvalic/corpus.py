@@ -396,7 +396,7 @@ def load_corpus(corpus_dir) -> Tuple[list, dict]:
     for path in sorted(Path(corpus_dir).glob("*.svc")):
         try:
             contract = parse(path.read_text())
-        except ParseError as err:
+        except (OSError, ValueError, ParseError) as err:
             errors[path.name] = str(err)
             continue
         if contract.name in seen:

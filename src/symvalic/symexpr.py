@@ -276,14 +276,14 @@ def _norm_binop(op: str, left: Expr, right: Expr) -> Expr:
 
     if op == "SUB":
         if is_falsy_const(right):
-            return left
+            return _as_word(left)
         if left == right:
             return FALSE
     elif op == "DIV":
         if is_falsy_const(right) or is_falsy_const(left):
             return FALSE
         if isinstance(right, Const) and right.value == 1:
-            return left
+            return _as_word(left)
     elif op == "MOD":
         if isinstance(right, Const) and right.value <= 1:
             return FALSE
@@ -361,11 +361,22 @@ def _rebuild_assoc(op: str, left: Expr, right: Expr) -> Expr:
                 rest.append(leaf)
         if not rest:
             return FALSE if absorber else TRUE
+    if len(rest) == 1 and op in ("ADD", "MUL"):
+        return _as_word(rest[0])
     rest.sort(key=expr_key)
     out = rest[0]
     for leaf in rest[1:]:
         out = BinOp(op, out, leaf)
     return out
+
+
+def _as_word(e: Expr) -> Expr:
+    """e as the result of an arithmetic identity (x+0, x*1, x-0, x/1).
+    A CONCAT keeps a word operation around it: as a number it is its low
+    word, but inside SHA3 or CONCAT its byte image is the juxtaposition."""
+    if isinstance(e, Concat):
+        return BinOp("ADD", e, FALSE)
+    return e
 
 
 def _fold(op: str, a: int, b: int) -> int:

@@ -7,10 +7,18 @@ sensitivity by consulting the symbolic reasoner at REQUIRE/BRANCH gates.
 
 Mechanics
 ---------
-Each public function is explored once per transaction round against the
-storage committed by earlier rounds (the constructor runs first, with the
-sender fixed to <<owner>>). Inside a function, blocks of the acyclic CFG
-are visited in topological order carrying:
+Public functions are explored in transaction rounds against the storage
+committed by earlier rounds (the constructor runs first, with the sender
+fixed to <<owner>>). Each run records the storage keys it loads, cells
+never written included, and each commit records the keys that gained a
+value or a greater depth. From round 2 on, a function whose last run read
+none of the keys the last commit changed is skipped. The skip is exact: a
+run depends on committed storage only through the cells it reads, so it
+would repeat its last run fact for fact and write for write, and those
+facts and writes are already recorded. A memoized internal-call walk hands
+its reads to every caller that reuses it, since such a caller depends on
+them as if it had walked the callee itself. Inside a function, blocks of
+the acyclic CFG are visited in topological order carrying:
 
   * an environment: variable -> set of (value, deps, depth) triples;
   * reachability alternatives: (deps, path-condition, solver substitution)
@@ -413,7 +421,10 @@ class _Engine:
         self.internal_edges: dict[Tuple[str, str, int], None] = {}
         self.storage: dict[Expr, dict[Expr, int]] = {}
         self.buffer: dict[Expr, dict[Expr, int]] = {}
-        self.call_memo: set = set()
+        # storage keys read by the running entry (or internal walk), and
+        # per memoized internal-call walk the keys that walk read
+        self.reads: set = set()
+        self.call_memo: dict[tuple, set] = {}
 
     # -- top level -------------------------------------------------------
 
@@ -423,11 +434,15 @@ class _Engine:
             if ctor is not None:
                 self._run_entry(ctor, senders=(OWNER,))
                 self._commit()
+            reads: dict[str, set] = {}  # entry -> keys its last run read
+            changed = None
             for _ in range(self.cfg.transaction_rounds):
                 self.call_memo.clear()
                 for f in self.contract.public_functions():
-                    self._run_entry(f, senders=None)
-                if not self._commit():
+                    if not self._skip(reads.get(f.name), changed):
+                        reads[f.name] = self._run_entry(f, senders=None)
+                changed = self._commit()
+                if not changed:
                     break
         except _Timeout:
             self.truncated = True
@@ -438,19 +453,29 @@ class _Engine:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Timeout()
 
-    def _commit(self) -> bool:
-        """Fold buffered writes into committed storage (deps stripped)."""
-        changed = False
+    @staticmethod
+    def _skip(last_reads: Optional[set], changed: Optional[set]) -> bool:
+        """An entry whose last run read no key the last commit changed would
+        repeat that run exactly, so it is not run again."""
+        return last_reads is not None and last_reads.isdisjoint(changed)
+
+    def _commit(self) -> set:
+        """Fold buffered writes into committed storage (deps stripped);
+        returns the keys that gained a value or a greater depth."""
+        changed = set()
         for key in sorted(self.buffer, key=expr_key):
             cell = self.storage.setdefault(key, {})
             for value, depth in self.buffer[key].items():
                 if value not in cell or cell[value] < depth:
                     cell[value] = depth
-                    changed = True
+                    changed.add(key)
         self.buffer = {}
         return changed
 
-    def _run_entry(self, fn: Function, senders: Optional[Tuple[Expr, ...]]):
+    def _run_entry(self, fn: Function, senders: Optional[Tuple[Expr, ...]]
+                   ) -> set:
+        """Explore one entry point; returns the storage keys it read."""
+        self.reads = set()
         seeds = seed_inputs(fn, self.contract, self.cfg)
         for (fname, pname), values in self.entry_seeds.items():
             if fname == fn.name:
@@ -473,6 +498,7 @@ class _Engine:
                     self._record_inference(fn.name, frame_plan, pname,
                                            val.expr, alt.deps)
         self._walk(fn, env, alts, entry_fn=fn, stack=(fn.name,))
+        return self.reads
 
     # -- function body ----------------------------------------------------
 
@@ -519,9 +545,11 @@ class _Engine:
         assert value == normalize(value)
         assert restrict(deps, self.cfg.budget, plan) == deps, \
             f"budget violation for {var}: {deps}"
-        if len(self.inferences) >= self.cfg.max_inferences:
-            raise _Timeout()
-        self.inferences.setdefault(Inference(fname, var, value, deps), None)
+        inf = Inference(fname, var, value, deps)
+        if inf not in self.inferences:
+            if len(self.inferences) >= self.cfg.max_inferences:
+                raise _Timeout()
+            self.inferences[inf] = None
 
     def _record_reach(self, fname: str, sid: int, deps: DependencyMap):
         self.reach.setdefault(ReachabilityFact(fname, sid, deps), None)
@@ -688,6 +716,7 @@ class _Engine:
         produced = []
         for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
             key = vals[0]
+            self.reads.add(key)
             if stmt.result:
                 self.loads.setdefault(
                     LoadFact(fn.name, stmt.sid, stmt.result, key,
@@ -762,9 +791,13 @@ class _Engine:
                 for i, (pname, _) in enumerate(callee.params)
             }
             memo_key = (callee.name, tuple(vals), tuple(depths), callee_alt)
-            if memo_key in self.call_memo:
+            walk_reads = self.call_memo.get(memo_key)
+            if walk_reads is not None:
+                # the skipped walk's reads are this entry's reads too
+                self.reads |= walk_reads
                 continue
-            self.call_memo.add(memo_key)
+            caller_reads = self.reads
+            self.reads = self.call_memo[memo_key] = set()
             callee_plan = replace(
                 self.local_plans[callee.name], tx_arg_order=tx_keys)
             for pname in callee_env:
@@ -773,6 +806,8 @@ class _Engine:
                                            pname, val.expr, callee_alt.deps)
             self._walk(callee, callee_env, [callee_alt], entry_fn,
                        stack + (callee.name,))
+            caller_reads |= self.reads
+            self.reads = caller_reads
 
     # -- gating (REQUIRE and branch arms) -------------------------------------
 

@@ -18,6 +18,7 @@ from symvalic.ir import Contract, Function
 from symvalic.symexpr import (
     BinOp, Concat, Const, Expr, Not, Sha3, Sym,
 )
+from symvalic.valueflow import AnalysisConfig, AnalysisResult, _Engine
 
 WORD = 1 << 256
 MASK = WORD - 1
@@ -168,6 +169,21 @@ def product_combos(resolve, operands, alts):
             by_op = {op: choice[i] for i, op in enumerate(distinct)}
             yield (alt, [by_op[op][0] for op in operands], d,
                    [by_op[op][2] for op in operands])
+
+
+class EveryRoundEngine(_Engine):
+    """The engine with its round skip turned off: every entry point runs
+    in every transaction round. The reference for the incremental round
+    loop, which must produce the same result in the same order."""
+
+    @staticmethod
+    def _skip(last_reads, changed) -> bool:
+        return False
+
+
+def analyze_every_round(contract: Contract, config: AnalysisConfig
+                        ) -> AnalysisResult:
+    return EveryRoundEngine(contract, config, None).run()
 
 
 def statements_after(fn: Function, sid: int) -> frozenset:
@@ -347,3 +363,30 @@ def gen_storage_contract(rng: random.Random, index: int) -> tuple:
     lines = reads + _gen_body(rng, params + [f"r{i}" for i in range(len(reads))])
     return (_assemble(f"Stor{index}", params, lines, decls, ctor),
             "run", params)
+
+
+def gen_rounds_contract(rng: random.Random, index: int) -> str:
+    """Public functions that read and write scalar storage and call one
+    internal helper that does the same, so that one transaction round's
+    writes feed the next round's reads, some cells are written but never
+    read, and helper walks are shared through the call memo."""
+    slots = [f"s{i}" for i in range(rng.randint(2, 3))]
+    templates = (
+        lambda: f"r = {rng.choice(slots)}; call helper(r);",
+        lambda: f"call helper({rng.randint(0, 1)});",
+        lambda: f"{rng.choice(slots)} = {rng.randint(1, 3)};",
+        lambda: (f"{rng.choice(slots)} = "
+                 f"p {rng.choice('+-*')} {rng.randint(0, 3)};"),
+        lambda: (f"r = {rng.choice(slots)}; "
+                 f"{rng.choice(slots)} = r {rng.choice('+*')} 1;"),
+    )
+    parts = [f"contract Rounds{index} {{"]
+    parts.extend(f"    uint {s};" for s in slots)
+    for i in range(rng.randint(2, 5)):
+        body = rng.choice(templates)()
+        sig = "uint p" if " p " in body else ""
+        parts.append(f"    function f{i}({sig}) public {{ {body} }}")
+    parts.append(f"    function helper(uint x) internal {{ "
+                 f"y = {rng.choice(slots)}; {rng.choice(slots)} = y + x; }}")
+    parts.append("}")
+    return "\n".join(parts) + "\n"

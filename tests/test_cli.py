@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from pathlib import Path
 
@@ -238,7 +239,8 @@ def test_corpus_build_reports_deep_nesting_and_goes_on(capsys, tmp_path):
     code, out, err = run_cli(capsys, "corpus-build", str(corpus),
                              "--jobs", "1")
     assert code == 2
-    assert err.startswith("deep.svc: 3:") and "nesting too deep" in err
+    assert err.startswith(f"{corpus / 'deep.svc'}:3:")
+    assert "nesting too deep" in err
     assert "Traceback" not in err
     names = [c["contract"] for c in json.loads(out)["contracts"]]
     assert names == ["SwapTainted", "SwapUser00"]
@@ -252,3 +254,44 @@ def test_cli_import_leaves_out_the_process_pool():
         capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+
+
+# 1,200 chained `x = (x / 3) - to;` build a value expression too deep to
+# hash: the engine itself fails on this contract
+CHAIN = ("contract Chain {\n    function f(address to) public {\n"
+         "        x = 1;\n" + "        x = (x / 3) - to;\n" * 1200
+         + "    }\n}\n")
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze"])
+def test_engine_failure_exits_2_with_one_line(tmp_path, command):
+    chain = tmp_path / "chain.svc"
+    chain.write_text(CHAIN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "symvalic.cli", command, str(chain)],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"{chain}: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, jobs", [
+    ("corpus-build", "1"), ("corpus-build", "2"), ("corpus-infer", "2"),
+    ("corpus-scan", "2")])
+def test_corpus_reports_engine_failure_and_goes_on(capsys, tmp_path,
+                                                   command, jobs):
+    # the anomaly needs the default 19 benign samples
+    benign = 19 if command == "corpus-scan" else 1
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=benign)
+    (corpus / "chain.svc").write_text(CHAIN)
+    code, out, err = run_cli(capsys, command, str(corpus), "--jobs", jobs)
+    assert code == 2
+    assert err.startswith(f"{corpus / 'chain.svc'}: ")
+    assert err.count("\n") == 1
+    doc = json.loads(out)
+    if command == "corpus-build":
+        names = [c["contract"] for c in doc["contracts"]]
+        assert names == ["SwapTainted", "SwapUser00"]
+    elif command == "corpus-scan":
+        assert [w["contract"] for w in doc["warnings"]] == ["SwapTainted"]

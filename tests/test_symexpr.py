@@ -170,6 +170,18 @@ def test_eval_hash_is_deterministic_and_injective_in_practice():
     assert a == b != c
 
 
+@pytest.mark.parametrize("op, unit", [
+    ("ADD", 0), ("MUL", 1), ("SUB", 0), ("DIV", 1)])
+def test_identity_keeps_concat_a_word_under_sha3(op, unit):
+    # inside SHA3 a CONCAT is hashed as two words, CONCAT+0 as one
+    e = Sha3(BinOp(op, Concat(X, Y), Const(unit)))
+    n = normalize(e)
+    assert normalize(n) == n
+    env = {"x": 3, "y": 5}
+    assert eval_concrete(n, env) == eval_concrete(e, env)
+    assert eval_concrete(n, env) != eval_concrete(Sha3(Concat(X, Y)), env)
+
+
 def test_eval_requires_total_assignment():
     with pytest.raises(KeyError):
         eval_concrete(add(X, Y), {"x": 1})
