@@ -4,8 +4,13 @@ Commands:
     analyze FILE            emit the analysis result JSON
     scan FILE [--facts F]   emit vulnerability warnings
     corpus-build DIR        analyze every .svc file, write out/*.result.json
+                            and the analysis cache out/*.analysis.json
     corpus-infer DIR        run fact refinement, write out/facts.round-N.json
     corpus-scan DIR         emit corpus-anomaly warnings for every contract
+
+Every corpus command takes a contract's analysis from its cache file when
+the file's key (source text, engine settings, package source) matches,
+and otherwise runs the engine; see analysis_cache.
 
 Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
 analysis error, 3 analysis resource cap hit on any input. Reports go to
@@ -26,10 +31,10 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from .clients import BUILTIN_SPECS, run_detectors, warnings_json
-from .corpus import Thresholds, anomalies, facts_json, latest_facts
+from .corpus import Thresholds, anomalies, facts_json
 from .deps import DependencyBudget
 from .parser import ParseError, parse
-from .valueflow import AnalysisConfig, analyze
+from .valueflow import AnalysisConfig, analyze, assemble
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -179,6 +184,15 @@ def _parse_file(path: Path):
         return None
 
 
+def _read_facts(path: Path):
+    """The facts in a facts file, or None after a one-line diagnostic."""
+    try:
+        return corpus_mod.read_facts(path)
+    except (OSError, ValueError) as err:
+        print(_diagnostic(path, err), file=sys.stderr)
+        return None
+
+
 def _analyze_file(path: Path, contract, config: AnalysisConfig):
     """The analysis result of one parsed file, or None after a one-line
     diagnostic: a failure inside the analysis is the input's, not a crash."""
@@ -206,10 +220,8 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     facts = None
     if args.facts is not None:
-        try:
-            facts = corpus_mod.facts_from_json(json.loads(args.facts.read_text()))
-        except (OSError, ValueError, KeyError) as err:
-            print(f"{args.facts}: {err}", file=sys.stderr)
+        facts = _read_facts(args.facts)
+        if facts is None:
             return EXIT_USAGE
     result = _analyze_file(args.file, contract, config_from_args(args))
     if result is None:
@@ -224,16 +236,35 @@ def cmd_scan(args) -> int:
 def _analyze_one(payload):
     """Worker for corpus commands (runs in a separate process): (path,
     result, None), or (path, None, diagnostic line) if the analysis failed,
-    so that one contract's failure never takes the pool down."""
-    path, text, config = payload
+    so that one contract's failure never takes the pool down. A cached
+    analysis whose key matches stands in for the engine run; with
+    write_cache, a fresh result is cached."""
+    from . import analysis_cache
+
+    path, text, config, cache_file, key, write_cache = payload
     try:
-        return path, analyze(parse(text), config), None
+        contract = parse(text)
+        facts = analysis_cache.load(cache_file, key)
+        if facts is not None:
+            return path, assemble(contract, config, facts), None
+        result = analyze(contract, config)
+        if write_cache:
+            analysis_cache.write(cache_file, key, result)
+        return path, result, None
     except Exception as err:
         return path, None, _diagnostic(path, err)
 
 
-def _analyze_corpus(corpus_dir: Path, config: AnalysisConfig, jobs: int):
-    """(results by contract name, diagnostic lines by file path)."""
+def _analyze_corpus(corpus_dir: Path, config: AnalysisConfig, jobs: int,
+                    write_cache: bool = False):
+    """(results by contract name, diagnostic lines by file path). With
+    write_cache, every result is cached beside the reports."""
+    # imported here: scan and analyze never use the cache
+    from . import analysis_cache
+
+    out = corpus_mod.corpus_out_dir(corpus_dir)
+    if write_cache:
+        out.mkdir(parents=True, exist_ok=True)
     errors: dict[Path, str] = {}
     payloads = []
     seen = set()
@@ -248,7 +279,9 @@ def _analyze_corpus(corpus_dir: Path, config: AnalysisConfig, jobs: int):
             errors[path] = f"{path}: duplicate contract name {contract.name}"
             continue
         seen.add(contract.name)
-        payloads.append((path, text, config))
+        payloads.append((path, text, config,
+                         analysis_cache.cache_path(out, contract.name),
+                         analysis_cache.cache_key(text, config), write_cache))
     if jobs > 1 and len(payloads) > 1:
         # imported here: the pool machinery costs every process start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -280,10 +313,10 @@ def _corpus_exit(errors, truncated, warnings) -> int:
 
 def cmd_corpus_build(args) -> int:
     config = config_from_args(args)
-    results, errors = _analyze_corpus(args.dir, config, args.jobs)
+    results, errors = _analyze_corpus(args.dir, config, args.jobs,
+                                      write_cache=True)
     _report_errors(errors)
     out = corpus_mod.corpus_out_dir(args.dir)
-    out.mkdir(parents=True, exist_ok=True)
     index = []
     for name in sorted(results):
         result = results[name]
@@ -318,8 +351,13 @@ def cmd_corpus_infer(args) -> int:
 def cmd_corpus_scan(args) -> int:
     config = config_from_args(args)
     thresholds = thresholds_from_args(args)
+    facts_path = corpus_mod.latest_facts_path(args.dir)
+    facts = None
+    if facts_path is not None:
+        facts = _read_facts(facts_path)
+        if facts is None:
+            return EXIT_USAGE
     results, errors = _analyze_corpus(args.dir, config, args.jobs)
-    facts = latest_facts(args.dir)
     if facts is None:
         facts = corpus_mod.refine(args.dir, rounds=args.rounds,
                                   config=config, thresholds=thresholds,

@@ -436,22 +436,44 @@ def facts_json(facts: DomainFacts, round_no: int,
     }
 
 
-def facts_from_json(doc: dict) -> DomainFacts:
+def facts_from_json(doc) -> DomainFacts:
+    """The facts of a symvalic-facts/1 document; ValueError on any other
+    shape."""
+    if not isinstance(doc, dict):
+        raise ValueError("not a facts document: expected a JSON object")
     if doc.get("schema") != FACTS_SCHEMA_ID:
         raise ValueError(f"unexpected facts schema: {doc.get('schema')!r}")
     return DomainFacts(
         sensitive_args=tuple(
-            SensitiveArgFact(r["signature"], r["position"],
-                             r["taintedCount"], r["untaintedCount"])
-            for r in doc.get("sensitiveArgs", ())),
+            SensitiveArgFact(*r) for r in _fact_rows(
+                doc, "sensitiveArgs", "signature", "position",
+                "taintedCount", "untaintedCount")),
         usually_guarded=tuple(
-            GuardedFact(r["signature"], r["guardedCallers"],
-                        r["unguardedCallers"])
-            for r in doc.get("usuallyGuarded", ())),
+            GuardedFact(*r) for r in _fact_rows(
+                doc, "usuallyGuarded", "signature", "guardedCallers",
+                "unguardedCallers")),
         reentrancy=tuple(
-            ReentrancyFact(r["signature"], r["votes"])
-            for r in doc.get("reentrancyAllowing", ())),
+            ReentrancyFact(*r) for r in _fact_rows(
+                doc, "reentrancyAllowing", "signature", "votes")),
     )
+
+
+def _fact_rows(doc: dict, key: str, *fields: str) -> list:
+    """The rows under key as lists of the fields' values: the signature a
+    string, every other field a count (an int >= 0)."""
+    rows = doc.get(key, [])
+    if not isinstance(rows, list):
+        raise ValueError(f"{key}: expected a list")
+    out = []
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"{key}: expected an object, got {row!r}")
+        values = [row.get(name) for name in fields]
+        if type(values[0]) is not str or not all(
+                type(v) is int and v >= 0 for v in values[1:]):
+            raise ValueError(f"{key}: malformed row {row!r}")
+        out.append(values)
+    return out
 
 
 def write_facts_rounds(corpus_dir, outcome: RefineOutcome,
@@ -467,7 +489,12 @@ def write_facts_rounds(corpus_dir, outcome: RefineOutcome,
     return paths
 
 
-def latest_facts(corpus_dir) -> Optional[DomainFacts]:
+def read_facts(path) -> DomainFacts:
+    """The facts in a facts JSON file; OSError or ValueError otherwise."""
+    return facts_from_json(json.loads(Path(path).read_text()))
+
+
+def latest_facts_path(corpus_dir) -> Optional[Path]:
     """The newest facts round in the corpus out directory, if any."""
     out = corpus_out_dir(corpus_dir)
     best_path = None
@@ -480,9 +507,13 @@ def latest_facts(corpus_dir) -> Optional[DomainFacts]:
         if round_no > best_round:
             best_round = round_no
             best_path = path
-    if best_path is None:
-        return None
-    return facts_from_json(json.loads(best_path.read_text()))
+    return best_path
+
+
+def latest_facts(corpus_dir) -> Optional[DomainFacts]:
+    """The facts of the newest round in the corpus out directory, if any."""
+    path = latest_facts_path(corpus_dir)
+    return None if path is None else read_facts(path)
 
 
 def refine(corpus_dir, rounds: int = 3,

@@ -13,6 +13,8 @@ The reasoner exposes:
   eval_concrete(e, ...) -- reference 256-bit evaluator (test oracle)
 
 All four are pure; normalize is memoized but observationally pure.
+read_expr(text) is the inverse of Expr.render(), for reading printed
+results back (the analysis cache).
 """
 
 from __future__ import annotations
@@ -175,6 +177,77 @@ def contract_symbol(name: str) -> Sym:
     return Sym(f"<<contract:{name}>>", bound=True)
 
 
+# ---------------------------------------------------------------------------
+# read: the inverse of render
+# ---------------------------------------------------------------------------
+
+_NODES = {"NOT": Not, "SHA3": Sha3, "CONCAT": Concat}
+_ARITY = {**dict.fromkeys(BINOPS, 2), "NOT": 1, "SHA3": 1, "CONCAT": 2}
+_FREE_NAMES = {s.name: s for s in FREE_IDENTITY_SYMBOLS}
+# Deeper text is rejected unread: render() recurses once per level, so no
+# expression the engine printed is nested this deeply.
+READ_DEPTH_LIMIT = 1000
+_read_cache: dict[str, Expr] = {}
+_tokens = None
+
+
+def read_expr(text: str) -> Expr:
+    """The expression whose render() is text, memoized per string.
+
+    Decimal and 0x-hex constants keep their printing (hex_hint). A symbol
+    is bound unless it is one of the free identity symbols. Text that no
+    expression renders to, or nested beyond READ_DEPTH_LIMIT, raises
+    ValueError.
+    """
+    e = _read_cache.get(text)
+    if e is None:
+        e = _read_cache[text] = _read(text)
+    return e
+
+
+def _read(text: str) -> Expr:
+    global _tokens
+    if _tokens is None:  # compiled on first use, not at import
+        import re
+        _tokens = re.compile(r"([^(), ]+)(\()?|(, )|(\))|(.)", re.S)
+    frames: list = []  # open operators: (name, operands read so far)
+    value = None       # the term just read, not yet placed in a frame
+    for token in _tokens.finditer(text):
+        word, opened, sep, close, _ = token.groups()
+        if word and value is None:
+            if not opened:
+                value = _read_leaf(word)
+            elif word in _ARITY and len(frames) < READ_DEPTH_LIMIT:
+                frames.append((word, []))
+            else:
+                raise ValueError(f"unknown or too deeply nested {word}(")
+        elif (sep or close) and value is not None and frames:
+            name, args = frames[-1]
+            args.append(value)
+            value = None
+            if close and len(args) == _ARITY[name]:
+                frames.pop()
+                node = _NODES.get(name)
+                value = node(*args) if node else BinOp(name, *args)
+            elif close or len(args) == _ARITY[name]:
+                raise ValueError(f"wrong operand count for {name}")
+        else:
+            raise ValueError(f"malformed expression: {text[:80]!r}")
+    if value is None or frames:
+        raise ValueError(f"incomplete expression: {text[:80]!r}")
+    return value
+
+
+def _read_leaf(word: str) -> Expr:
+    if word[0].isdigit():
+        hint = word.startswith("0x")
+        c = Const(int(word, 16 if hint else 10), hex_hint=hint)
+        if c.render() != word:
+            raise ValueError(f"not a canonical constant: {word[:80]!r}")
+        return c
+    return _FREE_NAMES.get(word) or Sym(word, bound=True)
+
+
 def expr_key(e: Expr) -> tuple:
     """Sort key usable on heterogeneous Expr collections."""
     return e.sort_key()
@@ -227,7 +300,8 @@ def normalize(e: Expr) -> Expr:
 
     Guarantees: constant subterms folded (no BinOp with two Const children),
     commutative operands canonically ordered, the standard identities applied
-    (x+0, x*1, x*0, x-x, x&&true, x&&false, !!x, x==x) plus sound extras:
+    (x+0, x*1, x*0, x-x, x&&true, x&&false, !!x, x==x; a logical identity
+    whose operand may be neither 0 nor 1 keeps AND(1, x)) plus sound extras:
     associative const gathering for ADD/MUL, GT -> swapped LT, unsigned
     facts (x<0 is false, x%1 is 0), SHA3/CONCAT injectivity peeling, and
     disequality of distinct bound identity symbols.
@@ -255,7 +329,7 @@ def _normalize(e: Expr) -> Expr:
         if isinstance(x, Const):
             return FALSE if x.value != 0 else TRUE
         if isinstance(x, Not):
-            return x.operand
+            return _as_bool(x.operand)
         return Not(x)
     assert isinstance(e, BinOp)
     left = normalize(e.left)
@@ -361,8 +435,8 @@ def _rebuild_assoc(op: str, left: Expr, right: Expr) -> Expr:
                 rest.append(leaf)
         if not rest:
             return FALSE if absorber else TRUE
-    if len(rest) == 1 and op in ("ADD", "MUL"):
-        return _as_word(rest[0])
+    if len(rest) == 1:
+        return _as_word(rest[0]) if op in ("ADD", "MUL") else _as_bool(rest[0])
     rest.sort(key=expr_key)
     out = rest[0]
     for leaf in rest[1:]:
@@ -377,6 +451,24 @@ def _as_word(e: Expr) -> Expr:
     if isinstance(e, Concat):
         return BinOp("ADD", e, FALSE)
     return e
+
+
+def _as_bool(e: Expr) -> Expr:
+    """e as the result of a logical identity (x&&1, x||0, x&&x, !!x). A
+    value that may be neither 0 nor 1 keeps the canonical 0/1 conversion
+    AND(1, e) around it: the identities hold only for truth values."""
+    if _is_bool(e):
+        return e
+    return BinOp("AND", TRUE, e)
+
+
+def _is_bool(e: Expr) -> bool:
+    """e evaluates to 0 or 1 under every assignment."""
+    if isinstance(e, Const):
+        return e.value <= 1
+    if isinstance(e, BinOp):
+        return e.op in CMP_OPS or e.op in LOGIC_OPS
+    return isinstance(e, Not)
 
 
 def _fold(op: str, a: int, b: int) -> int:

@@ -428,7 +428,7 @@ class _Engine:
 
     # -- top level -------------------------------------------------------
 
-    def run(self) -> AnalysisResult:
+    def run(self) -> dict:
         try:
             ctor = self.contract.constructor
             if ctor is not None:
@@ -447,7 +447,7 @@ class _Engine:
         except _Timeout:
             self.truncated = True
             self.notes.append("resource cap exceeded; partial result")
-        return self._assemble()
+        return self._facts()
 
     def _check_time(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -894,7 +894,8 @@ class _Engine:
 
     # -- result ------------------------------------------------------------------
 
-    def _assemble(self) -> AnalysisResult:
+    def _facts(self) -> dict:
+        """The collected facts as AnalysisResult fields, in engine order."""
         calls = []
         for (sid, fname, callee, kind), row in sorted(self.call_rows.items()):
             calls.append(CallSite(
@@ -907,12 +908,7 @@ class _Engine:
             for value, depth in sorted(self.storage[key].items(),
                                        key=lambda kv: kv[0].sort_key()):
                 storage.append((key, value, depth))
-        after: dict[int, frozenset] = {}
-        for f in self.contract.functions:
-            after.update(flow_after(f))
-        return AnalysisResult(
-            contract=self.contract.name,
-            config=self.cfg,
+        return dict(
             inferences=tuple(self.inferences),
             reachability=tuple(self.reach),
             calls=tuple(calls),
@@ -922,11 +918,26 @@ class _Engine:
             storage=tuple(storage),
             truncated=self.truncated,
             notes=tuple(dict.fromkeys(self.notes)),
-            functions=tuple((f.name, f.visibility, f.param_names)
-                            for f in self.contract.functions),
-            flow_after=after,
             internal_calls=tuple(self.internal_edges),
         )
+
+
+def assemble(contract: Contract, config: AnalysisConfig,
+             facts: Mapping) -> AnalysisResult:
+    """The analysis result of a contract: the facts an engine run
+    collected (_Engine._facts), fresh or read back from a cache, plus the
+    structure of the parsed contract (functions and flow_after)."""
+    after: dict[int, frozenset] = {}
+    for f in contract.functions:
+        after.update(flow_after(f))
+    return AnalysisResult(
+        contract=contract.name,
+        config=config,
+        functions=tuple((f.name, f.visibility, f.param_names)
+                        for f in contract.functions),
+        flow_after=after,
+        **facts,
+    )
 
 
 def _subst_deps(d: DependencyMap, m: dict) -> DependencyMap:
@@ -972,7 +983,8 @@ def analyze(contract: Contract, config: Optional[AnalysisConfig] = None,
     entry_seeds optionally replaces the default seed set for selected
     (function, parameter) pairs; everything else follows seed_inputs.
     """
-    return _Engine(contract, config or AnalysisConfig(), entry_seeds).run()
+    cfg = config or AnalysisConfig()
+    return assemble(contract, cfg, _Engine(contract, cfg, entry_seeds).run())
 
 
 # ---------------------------------------------------------------------------

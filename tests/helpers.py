@@ -18,7 +18,9 @@ from symvalic.ir import Contract, Function
 from symvalic.symexpr import (
     BinOp, Concat, Const, Expr, Not, Sha3, Sym,
 )
-from symvalic.valueflow import AnalysisConfig, AnalysisResult, _Engine
+from symvalic.valueflow import (
+    AnalysisConfig, AnalysisResult, _Engine, assemble,
+)
 
 WORD = 1 << 256
 MASK = WORD - 1
@@ -183,7 +185,8 @@ class EveryRoundEngine(_Engine):
 
 def analyze_every_round(contract: Contract, config: AnalysisConfig
                         ) -> AnalysisResult:
-    return EveryRoundEngine(contract, config, None).run()
+    return assemble(contract, config,
+                    EveryRoundEngine(contract, config, None).run())
 
 
 def statements_after(fn: Function, sid: int) -> frozenset:
@@ -224,6 +227,9 @@ CMP = ("LT", "GT", "EQ")
 
 
 def gen_arith(rng: random.Random, syms: list, depth: int) -> Expr:
+    """A random word-valued expression; logical nodes over arithmetic
+    operands appear too, since the language lets `&&`, `||` and `!` take
+    any word."""
     if depth <= 0 or rng.random() < 0.35:
         if syms and rng.random() < 0.5:
             return rng.choice(syms)
@@ -235,22 +241,35 @@ def gen_arith(rng: random.Random, syms: list, depth: int) -> Expr:
     if roll < 0.14:
         return Concat(gen_arith(rng, syms, depth - 1),
                       gen_arith(rng, syms, depth - 1))
+    if roll < 0.20:
+        return Not(gen_arith(rng, syms, depth - 1))
+    if roll < 0.30:
+        return BinOp(rng.choice(("AND", "OR")), gen_arith(rng, syms, depth - 1),
+                     gen_arith(rng, syms, depth - 1))
     return BinOp(rng.choice(ARITH), gen_arith(rng, syms, depth - 1),
                  gen_arith(rng, syms, depth - 1))
 
 
 def gen_bool(rng: random.Random, syms: list, depth: int) -> Expr:
+    """A random truth value (it evaluates to 0 or 1): a comparison, or
+    AND/OR/NOT over truth values and, at times, arithmetic operands."""
     if depth <= 0 or rng.random() < 0.3:
         return BinOp(rng.choice(CMP), gen_arith(rng, syms, 1),
                      gen_arith(rng, syms, 1))
     roll = rng.random()
     if roll < 0.25:
-        return Not(gen_bool(rng, syms, depth - 1))
+        return Not(_logic_operand(rng, syms, depth - 1))
     if roll < 0.65:
-        return BinOp("AND", gen_bool(rng, syms, depth - 1),
-                     gen_bool(rng, syms, depth - 1))
-    return BinOp("OR", gen_bool(rng, syms, depth - 1),
-                 gen_bool(rng, syms, depth - 1))
+        return BinOp("AND", _logic_operand(rng, syms, depth - 1),
+                     _logic_operand(rng, syms, depth - 1))
+    return BinOp("OR", _logic_operand(rng, syms, depth - 1),
+                 _logic_operand(rng, syms, depth - 1))
+
+
+def _logic_operand(rng: random.Random, syms: list, depth: int) -> Expr:
+    if rng.random() < 0.25:
+        return gen_arith(rng, syms, 1)
+    return gen_bool(rng, syms, depth)
 
 
 def gen_assignment(rng: random.Random, e: Expr) -> dict:

@@ -154,6 +154,41 @@ def test_scan_with_facts_enables_reentrancy_detector(capsys, tmp_path):
     assert kinds == {"REENTRANCY"}
 
 
+FACTS = '{"schema": "symvalic-facts/1", '
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    "not json",
+    '{"schema": "symvalic-facts/0"}',
+    FACTS + '"sensitiveArgs": [1]}',
+    FACTS + '"usuallyGuarded": {"signature": "burn"}}',
+    FACTS + '"reentrancyAllowing": [{"signature": "notify", "votes": "3"}]}',
+    FACTS + '"sensitiveArgs": [{"signature": "swap", "position": 0}]}',
+], ids=["list", "not-json", "schema", "row-int", "rows-object", "votes-str",
+        "missing-count"])
+def test_scan_with_malformed_facts_exits_2_with_one_line(capsys, tmp_path,
+                                                         text):
+    facts_file = tmp_path / "facts.json"
+    facts_file.write_text(text)
+    code, out, err = run_cli(capsys, "scan", str(FIXTURES / "safe.svc"),
+                             "--facts", str(facts_file))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{facts_file}: ") and err.count("\n") == 1
+
+
+def test_corpus_scan_with_malformed_facts_exits_2_with_one_line(capsys,
+                                                                tmp_path):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=2)
+    facts_file = corpus / "out" / "facts.round-1.json"
+    facts_file.parent.mkdir()
+    facts_file.write_text("{")
+    code, out, err = run_cli(capsys, "corpus-scan", str(corpus),
+                             "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"{facts_file}: ") and err.count("\n") == 1
+
+
 def test_corpus_scan_reuses_persisted_facts(capsys, tmp_path):
     corpus = write_swap_corpus(tmp_path / "corpus")
     assert main(["corpus-infer", str(corpus), "--jobs", "1"]) == 0

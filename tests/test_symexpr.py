@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from symvalic.symexpr import (
     BinOp, Concat, Const, FALSE, Not, OWNER, OWNER_UNIQUE, Sha3, Sym, TRUE,
     UNPRIVILEGED_USER, WORD, eval_concrete, free_syms, implies,
-    normalize, substitute, value_for_var,
+    normalize, read_expr, substitute, value_for_var,
 )
 
 from helpers import gen_arith, gen_assignment, gen_bool, some_syms
 
 X = Sym("x", False)
 Y = Sym("y", False)
+B = BinOp("LT", X, Const(3))  # a truth value: the logical identities hold
 
 
 def add(a, b):
@@ -39,9 +40,9 @@ def test_wraparound_add():
     (add(X, Const(0)), X),
     (BinOp("MUL", X, Const(0)), FALSE),
     (BinOp("SUB", X, X), FALSE),
-    (BinOp("AND", X, TRUE), X),
+    (BinOp("AND", B, TRUE), B),
     (BinOp("AND", X, FALSE), FALSE),
-    (Not(Not(X)), X),
+    (Not(Not(B)), B),
     (BinOp("EQ", X, X), TRUE),
     (BinOp("DIV", X, Const(0)), FALSE),
     (BinOp("MOD", Const(7), Const(0)), FALSE),
@@ -49,6 +50,28 @@ def test_wraparound_add():
 ])
 def test_required_identities(e, expected):
     assert normalize(e) == expected
+
+
+TRUTH_OF_X = BinOp("AND", TRUE, X)  # the canonical truth value of x
+
+
+@pytest.mark.parametrize("e,expected", [
+    (BinOp("AND", X, Const(1)), TRUTH_OF_X),
+    (BinOp("OR", X, Const(0)), TRUTH_OF_X),
+    (BinOp("AND", X, X), TRUTH_OF_X),
+    (Not(Not(X)), TRUTH_OF_X),
+    (BinOp("EQ", BinOp("AND", X, Const(1)), Const(1)),
+     BinOp("EQ", TRUE, TRUTH_OF_X)),
+], ids=["and-1", "or-0", "and-self", "not-not", "eq-and-1"])
+def test_logical_identity_on_a_non_boolean_keeps_its_truth_value(e, expected):
+    # at x = 5 every shape is 1; dropping the operation would give 5 (or,
+    # under EQ, turn a true condition false)
+    n = normalize(e)
+    assert n == expected
+    assert eval_concrete(e, {"x": 5}) == eval_concrete(n, {"x": 5}) == 1
+    assert eval_concrete(n, {"x": 0}) == eval_concrete(e, {"x": 0})
+    assert normalize(n) == n
+    assert read_expr(n.render()).render() == n.render()
 
 
 def test_commutative_ordering():
