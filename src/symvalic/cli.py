@@ -8,13 +8,16 @@ Commands:
     corpus-infer DIR        run fact refinement, write out/facts.round-N.json
     corpus-scan DIR         emit corpus-anomaly warnings for every contract
 
-Every corpus command takes a contract's analysis from its cache file when
-the file's key (source text, engine settings, package source) matches,
-and otherwise runs the engine; see analysis_cache.
+The corpus commands load and analyze the corpus through
+corpus.analyze_corpus, which takes a contract's analysis from its cache
+file when the file's key (source text, engine settings, package source)
+matches, and otherwise runs the engine; see analysis_cache. This module
+handles arguments, report writing and exit codes.
 
 Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
-analysis error, 3 analysis resource cap hit on any input. Reports go to
-stdout, diagnostics to stderr, one line per failed input
+analysis error or an output that cannot be written, 3 analysis resource
+cap hit on any input. Count flags take integers >= 1. Reports go to
+stdout, diagnostics to stderr, one line per failed input or output
 (`path:line:col: message` for a parse error, `path: message` otherwise).
 A corpus command reports a failed contract and goes on with the others.
 Identical invocations produce byte-identical JSON.
@@ -31,10 +34,10 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from .clients import BUILTIN_SPECS, run_detectors, warnings_json
-from .corpus import Thresholds, anomalies, facts_json
+from .corpus import Thresholds, anomalies, diagnostic, facts_json
 from .deps import DependencyBudget
 from .parser import ParseError, parse
-from .valueflow import AnalysisConfig, analyze, assemble
+from .valueflow import AnalysisConfig, analyze
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -42,16 +45,25 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+def positive_int(text: str) -> int:
+    """A count flag's value: an int >= 1, else a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
+    return value
+
+
 def _add_engine_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dep-args", type=int, default=3, metavar="N",
+    p.add_argument("--dep-args", type=positive_int, default=3, metavar="N",
                    help="tracked function arguments (default 3)")
-    p.add_argument("--dep-storage-loads", type=int, default=1, metavar="N",
+    p.add_argument("--dep-storage-loads", type=positive_int, default=1,
+                   metavar="N",
                    help="tracked storage-load variables (default 1)")
-    p.add_argument("--dep-tx-args", type=int, default=2, metavar="N",
+    p.add_argument("--dep-tx-args", type=positive_int, default=2, metavar="N",
                    help="tracked transaction entry arguments (default 2)")
-    p.add_argument("--arith-depth", type=int, default=5, metavar="N",
+    p.add_argument("--arith-depth", type=positive_int, default=5, metavar="N",
                    help="arithmetic depth limit through storage (default 5)")
-    p.add_argument("--tx-rounds", type=int, default=3, metavar="N",
+    p.add_argument("--tx-rounds", type=positive_int, default=3, metavar="N",
                    help="transaction rounds (default 3)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for input drawing (env SYMVALIC_SEED, then 1)")
@@ -82,20 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus-build", help="analyze all .svc files in a corpus")
     p.add_argument("dir", type=Path)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
     _add_engine_flags(p)
 
     p = sub.add_parser("corpus-infer", help="infer domain facts from a corpus")
     p.add_argument("dir", type=Path)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--rounds", type=positive_int, default=3)
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
     _add_engine_flags(p)
     _add_threshold_flags(p)
 
     p = sub.add_parser("corpus-scan", help="emit corpus anomalies")
     p.add_argument("dir", type=Path)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--rounds", type=positive_int, default=3)
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
     _add_engine_flags(p)
     _add_threshold_flags(p)
 
@@ -170,17 +182,11 @@ def _facts_lines(doc: dict):
         yield f"  reentrancy-allowing {f['signature']} ({f['votes']} votes)"
 
 
-def _diagnostic(path, err: Exception) -> str:
-    if isinstance(err, ParseError):
-        return f"{path}:{err}"
-    return f"{path}: {err}"
-
-
 def _parse_file(path: Path):
     try:
         return parse(path.read_text())
     except (OSError, ValueError, ParseError) as err:
-        print(_diagnostic(path, err), file=sys.stderr)
+        print(diagnostic(path, err), file=sys.stderr)
         return None
 
 
@@ -189,7 +195,7 @@ def _read_facts(path: Path):
     try:
         return corpus_mod.read_facts(path)
     except (OSError, ValueError) as err:
-        print(_diagnostic(path, err), file=sys.stderr)
+        print(diagnostic(path, err), file=sys.stderr)
         return None
 
 
@@ -199,7 +205,7 @@ def _analyze_file(path: Path, contract, config: AnalysisConfig):
     try:
         return analyze(contract, config)
     except Exception as err:
-        print(_diagnostic(path, err), file=sys.stderr)
+        print(diagnostic(path, err), file=sys.stderr)
         return None
 
 
@@ -233,71 +239,6 @@ def cmd_scan(args) -> int:
     return EXIT_WARNINGS if warnings else EXIT_OK
 
 
-def _analyze_one(payload):
-    """Worker for corpus commands (runs in a separate process): (path,
-    result, None), or (path, None, diagnostic line) if the analysis failed,
-    so that one contract's failure never takes the pool down. A cached
-    analysis whose key matches stands in for the engine run; with
-    write_cache, a fresh result is cached."""
-    from . import analysis_cache
-
-    path, text, config, cache_file, key, write_cache = payload
-    try:
-        contract = parse(text)
-        facts = analysis_cache.load(cache_file, key)
-        if facts is not None:
-            return path, assemble(contract, config, facts), None
-        result = analyze(contract, config)
-        if write_cache:
-            analysis_cache.write(cache_file, key, result)
-        return path, result, None
-    except Exception as err:
-        return path, None, _diagnostic(path, err)
-
-
-def _analyze_corpus(corpus_dir: Path, config: AnalysisConfig, jobs: int,
-                    write_cache: bool = False):
-    """(results by contract name, diagnostic lines by file path). With
-    write_cache, every result is cached beside the reports."""
-    # imported here: scan and analyze never use the cache
-    from . import analysis_cache
-
-    out = corpus_mod.corpus_out_dir(corpus_dir)
-    if write_cache:
-        out.mkdir(parents=True, exist_ok=True)
-    errors: dict[Path, str] = {}
-    payloads = []
-    seen = set()
-    for path in sorted(corpus_dir.glob("*.svc")):
-        try:
-            text = path.read_text()
-            contract = parse(text)
-        except (OSError, ValueError, ParseError) as err:
-            errors[path] = _diagnostic(path, err)
-            continue
-        if contract.name in seen:
-            errors[path] = f"{path}: duplicate contract name {contract.name}"
-            continue
-        seen.add(contract.name)
-        payloads.append((path, text, config,
-                         analysis_cache.cache_path(out, contract.name),
-                         analysis_cache.cache_key(text, config), write_cache))
-    if jobs > 1 and len(payloads) > 1:
-        # imported here: the pool machinery costs every process start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_analyze_one, payloads))
-    else:
-        rows = [_analyze_one(p) for p in payloads]
-    results = {}
-    for path, result, error in rows:
-        if error is None:
-            results[result.contract] = result
-        else:
-            errors[path] = error
-    return dict(sorted(results.items())), errors
-
-
 def _report_errors(errors: dict):
     for path in sorted(errors):
         print(errors[path], file=sys.stderr)
@@ -311,20 +252,33 @@ def _corpus_exit(errors, truncated, warnings) -> int:
     return EXIT_WARNINGS if warnings else EXIT_OK
 
 
+def _write_failed(err: OSError) -> int:
+    """One diagnostic line for an output that cannot be written."""
+    print(diagnostic(err.filename, err), file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_corpus_build(args) -> int:
     config = config_from_args(args)
-    results, errors = _analyze_corpus(args.dir, config, args.jobs,
-                                      write_cache=True)
-    _report_errors(errors)
+    try:
+        results, errors = corpus_mod.analyze_corpus(
+            args.dir, config, args.jobs, write_cache=True)
+    except OSError as err:  # the out directory cannot be made
+        return _write_failed(err)
     out = corpus_mod.corpus_out_dir(args.dir)
     index = []
     for name in sorted(results):
         result = results[name]
         doc = result.to_json_dict()
-        (out / f"{name}.result.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path = out / f"{name}.result.json"
+        try:
+            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError as err:
+            errors[path] = diagnostic(path, err)
+            continue
         index.append({"contract": name, "truncated": result.truncated,
                       "inferences": len(doc["inferences"])})
+    _report_errors(errors)
     _emit({"schema": "symvalic-corpus-index/1", "contracts": index},
           args.format,
           lambda d: (f"{c['contract']}: {c['inferences']} inferences"
@@ -336,11 +290,15 @@ def cmd_corpus_build(args) -> int:
 def cmd_corpus_infer(args) -> int:
     config = config_from_args(args)
     thresholds = thresholds_from_args(args)
-    results, errors = _analyze_corpus(args.dir, config, args.jobs)
-    # refine parses the same files: its errors are among these
-    outcome = corpus_mod.refine(args.dir, rounds=args.rounds, config=config,
-                                thresholds=thresholds, results=results)
+    results, errors = corpus_mod.analyze_corpus(args.dir, config, args.jobs)
     _report_errors(errors)
+    # refine parses the same files: its errors are among these
+    try:
+        outcome = corpus_mod.refine(args.dir, rounds=args.rounds,
+                                    config=config, thresholds=thresholds,
+                                    results=results)
+    except OSError as err:  # a facts round cannot be written
+        return _write_failed(err)
     final_round = len(outcome.facts_rounds)
     _emit(facts_json(outcome.facts, final_round, thresholds), args.format,
           _facts_lines)
@@ -357,12 +315,15 @@ def cmd_corpus_scan(args) -> int:
         facts = _read_facts(facts_path)
         if facts is None:
             return EXIT_USAGE
-    results, errors = _analyze_corpus(args.dir, config, args.jobs)
-    if facts is None:
-        facts = corpus_mod.refine(args.dir, rounds=args.rounds,
-                                  config=config, thresholds=thresholds,
-                                  results=results).facts
+    results, errors = corpus_mod.analyze_corpus(args.dir, config, args.jobs)
     _report_errors(errors)
+    if facts is None:
+        try:
+            facts = corpus_mod.refine(args.dir, rounds=args.rounds,
+                                      config=config, thresholds=thresholds,
+                                      results=results).facts
+        except OSError as err:  # a facts round cannot be written
+            return _write_failed(err)
     all_warnings = []
     for name in sorted(results):
         all_warnings.extend(anomalies(results[name], facts))

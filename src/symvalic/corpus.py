@@ -1,5 +1,11 @@
-"""Corpus analysis: behavioral summaries, statistical aggregation, inferred
-domain facts, anomaly detection, and bounded recursive re-import.
+"""Corpus analysis: the corpus pipeline, behavioral summaries, statistical
+aggregation, inferred domain facts, anomaly detection, and bounded
+recursive re-import.
+
+One pipeline serves the corpus commands and the refine API: load_corpus
+reads and parses every .svc file, and analyze_corpus analyzes the
+contracts (over a process pool, reusing matching analysis caches). Both
+report each file that fails as one diagnostic line keyed by its path.
 
 Each analyzed contract yields one FunctionSummary per function. Summaries
 are counted per call site into CorpusStats; frequency thresholds turn the
@@ -13,28 +19,26 @@ Corpus directory layout:
 
     corpus/<contract>.svc               inputs
     corpus/out/<contract>.result.json   analysis results
+    corpus/out/<contract>.analysis.json analysis cache (see analysis_cache)
     corpus/out/facts.round-N.json       facts per refine round (newest wins)
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .clients import (
     CORPUS_ANOMALY, SensitiveOpSpec, Warning, detect_tainted_sensitive_arg,
     detect_untrusted_reachability, is_tainted, relabel, requires_owner,
     requires_unprivileged,
 )
-from .ir import CONSTRUCTOR_NAME, Contract
+from .ir import CONSTRUCTOR_NAME
 from .parser import ParseError, parse
 from .symexpr import Expr, FREE_IDENTITY_SYMBOLS
-from .valueflow import AnalysisConfig, AnalysisResult, analyze
-
-log = logging.getLogger(__name__)
+from .valueflow import AnalysisConfig, AnalysisResult, analyze, assemble
 
 FACTS_SCHEMA_ID = "symvalic-facts/1"
 
@@ -326,47 +330,31 @@ class RefineOutcome:
     facts_rounds: Tuple[DomainFacts, ...]
     stable_after: Optional[int]  # facts unchanged since this round (1-based)
     results: dict
-    summaries: Tuple[FunctionSummary, ...]
-    errors: dict
+    errors: dict = field(default_factory=dict)  # diagnostic lines by path
 
     @property
     def facts(self) -> DomainFacts:
         return self.facts_rounds[-1] if self.facts_rounds else EMPTY_FACTS
 
 
-def refine_contracts(contracts: Sequence[Contract], rounds: int = 3,
-                     config: Optional[AnalysisConfig] = None,
-                     thresholds: Thresholds = Thresholds(),
-                     results: Optional[dict] = None) -> RefineOutcome:
-    """Iterate analyze-all / summarize / aggregate / infer until the fact
-    sets stop changing or the round budget is exhausted.
+def refine_contracts(results: dict, rounds: int = 3,
+                     thresholds: Thresholds = Thresholds()) -> RefineOutcome:
+    """Iterate summarize / aggregate / infer over the analysis results (by
+    contract name) until the fact sets stop changing or the round budget is
+    exhausted.
 
-    Analysis results do not depend on the facts, so contracts are analyzed
-    once and only the fact-sensitive summaries are recomputed per round.
-    Per-contract failures are recorded and skipped.
+    Analysis results do not depend on the facts, so only the fact-sensitive
+    summaries are recomputed per round.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    cfg = config or AnalysisConfig()
-    errors: dict[str, str] = {}
-    if results is None:
-        results = {}
-        for contract in sorted(contracts, key=lambda c: c.name):
-            try:
-                results[contract.name] = analyze(contract, cfg)
-            except Exception as err:  # never abort the corpus run
-                log.warning("analysis of %s failed: %s", contract.name, err)
-                errors[contract.name] = str(err)
-
     facts = EMPTY_FACTS
     facts_rounds: list[DomainFacts] = []
-    summaries: Tuple[FunctionSummary, ...] = ()
     stable_after = None
     for round_no in range(1, rounds + 1):
-        all_summaries: list[FunctionSummary] = []
+        summaries: list[FunctionSummary] = []
         for name in sorted(results):
-            all_summaries.extend(summarize(results[name], facts))
-        summaries = tuple(all_summaries)
+            summaries.extend(summarize(results[name], facts))
         new_facts = infer_domain_facts(aggregate(summaries), thresholds)
         facts_rounds.append(new_facts)
         if new_facts == facts:
@@ -375,8 +363,7 @@ def refine_contracts(contracts: Sequence[Contract], rounds: int = 3,
             stable_after = max(1, round_no - 1)
             break
         facts = new_facts
-    return RefineOutcome(tuple(facts_rounds), stable_after, results,
-                         summaries, errors)
+    return RefineOutcome(tuple(facts_rounds), stable_after, results)
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +375,92 @@ def corpus_out_dir(corpus_dir: Path) -> Path:
     return Path(corpus_dir) / "out"
 
 
+def diagnostic(path, err: Exception) -> str:
+    """The one-line diagnostic for a failed input or output: `path:line:col:
+    message` for a parse error, `path: message` otherwise."""
+    if isinstance(err, ParseError):
+        return f"{path}:{err}"
+    return f"{path}: {err}"
+
+
 def load_corpus(corpus_dir) -> Tuple[list, dict]:
-    """Parse every .svc file in the directory; returns (contracts, errors)."""
-    contracts = []
-    errors: dict[str, str] = {}
+    """Read and parse every .svc file in the directory, in path order:
+    ([(path, text, contract)], {path: diagnostic line}) for the files that
+    cannot be read or parsed or repeat a contract name."""
+    loaded = []
+    errors: dict[Path, str] = {}
     seen: set[str] = set()
     for path in sorted(Path(corpus_dir).glob("*.svc")):
         try:
-            contract = parse(path.read_text())
+            text = path.read_text()
+            contract = parse(text)
         except (OSError, ValueError, ParseError) as err:
-            errors[path.name] = str(err)
+            errors[path] = diagnostic(path, err)
             continue
         if contract.name in seen:
-            errors[path.name] = f"duplicate contract name {contract.name}"
+            errors[path] = f"{path}: duplicate contract name {contract.name}"
             continue
         seen.add(contract.name)
-        contracts.append(contract)
-    return contracts, errors
+        loaded.append((path, text, contract))
+    return loaded, errors
+
+
+def _analyze_one(payload):
+    """Worker of analyze_corpus (may run in a separate process): (path,
+    result, None), or (path, None, diagnostic line) if the analysis failed,
+    so that one contract's failure never takes the pool down. A cached
+    analysis whose key matches stands in for the engine run; with
+    write_cache, a fresh result is cached."""
+    from . import analysis_cache
+
+    path, text, config, cache_file, key, write_cache = payload
+    try:
+        contract = parse(text)
+        facts = analysis_cache.load(cache_file, key)
+        if facts is not None:
+            return path, assemble(contract, config, facts), None
+        result = analyze(contract, config)
+        if write_cache:
+            analysis_cache.write(cache_file, key, result)
+        return path, result, None
+    except Exception as err:
+        return path, None, diagnostic(path, err)
+
+
+def analyze_corpus(corpus_dir, config: AnalysisConfig, jobs: int = 1,
+                   write_cache: bool = False) -> Tuple[dict, dict]:
+    """(results by contract name, diagnostic lines by file path) for every
+    .svc file in the directory, over jobs worker processes. A contract's
+    cache in the out directory stands in for its analysis when the key
+    matches; with write_cache, every fresh result is cached there."""
+    # imported here: scan and analyze never use the cache
+    from . import analysis_cache
+
+    out = corpus_out_dir(corpus_dir)
+    if write_cache:
+        out.mkdir(parents=True, exist_ok=True)
+    loaded, errors = load_corpus(corpus_dir)
+    payloads = [(path, text, config,
+                 analysis_cache.cache_path(out, contract.name),
+                 analysis_cache.cache_key(text, config), write_cache)
+                for path, text, contract in loaded]
+    del loaded  # the workers parse the text again; free the contracts
+    if jobs > 1 and len(payloads) > 1:
+        # imported here: the pool machinery costs every process start-up
+        from concurrent.futures import ProcessPoolExecutor
+        # a fork pool starts all max_workers processes at the first submit
+        workers = min(jobs, len(payloads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_analyze_one, payloads))
+    else:
+        rows = [_analyze_one(p) for p in payloads]
+    results = {}
+    for path, result, error in rows:
+        if error is None:
+            results[result.contract] = result
+        else:
+            errors[path] = error
+    return dict(sorted(results.items())), errors
 
 
 def facts_json(facts: DomainFacts, round_no: int,
@@ -520,10 +576,15 @@ def refine(corpus_dir, rounds: int = 3,
            config: Optional[AnalysisConfig] = None,
            thresholds: Thresholds = Thresholds(),
            results: Optional[dict] = None) -> RefineOutcome:
-    """Directory-level refinement: parse, iterate, persist facts per round."""
-    contracts, errors = load_corpus(corpus_dir)
-    outcome = refine_contracts(contracts, rounds, config, thresholds,
-                               results=results)
+    """Directory-level refinement: analyze the corpus (unless its results
+    are given), iterate, persist facts per round. The outcome's errors are
+    the corpus's diagnostic lines by file path; with given results, only
+    those of the files that cannot be loaded."""
+    if results is None:
+        results, errors = analyze_corpus(corpus_dir, config or AnalysisConfig())
+    else:
+        errors = load_corpus(corpus_dir)[1]
+    outcome = refine_contracts(results, rounds, thresholds)
     outcome.errors.update(errors)
     write_facts_rounds(corpus_dir, outcome, thresholds)
     return outcome

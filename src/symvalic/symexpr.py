@@ -3,7 +3,9 @@
 Expressions are immutable trees over 256-bit unsigned wraparound arithmetic.
 A value is either a concrete constant, a symbolic variable (bound or free),
 a binary/unary operation, or one of the two storage-addressing constructors
-SHA3 and CONCAT, which are kept uninterpreted and assumed injective.
+SHA3 and CONCAT. SHA3 is kept uninterpreted and assumed injective on byte
+images; a CONCAT is the juxtaposition of its operands' byte images, and
+as a number its low word.
 
 The reasoner exposes:
 
@@ -303,7 +305,7 @@ def normalize(e: Expr) -> Expr:
     (x+0, x*1, x*0, x-x, x&&true, x&&false, !!x, x==x; a logical identity
     whose operand may be neither 0 nor 1 keeps AND(1, x)) plus sound extras:
     associative const gathering for ADD/MUL, GT -> swapped LT, unsigned
-    facts (x<0 is false, x%1 is 0), SHA3/CONCAT injectivity peeling, and
+    facts (x<0 is false, x%1 is 0), SHA3 injectivity peeling, and
     disequality of distinct bound identity symbols.
     """
     if isinstance(e, (Const, Sym)):
@@ -382,17 +384,25 @@ def _norm_eq(left: Expr, right: Expr) -> Optional[Expr]:
         # Distinct bound identities never coincide (modeling axiom).
         return FALSE
     if isinstance(left, Sha3) and isinstance(right, Sha3):
-        # SHA3 assumed injective: peel the constructor.
-        return normalize(BinOp("EQ", left.operand, right.operand))
-    if isinstance(left, Concat) and isinstance(right, Concat):
-        return normalize(
-            BinOp(
-                "AND",
-                BinOp("EQ", left.left, right.left),
-                BinOp("EQ", left.right, right.right),
-            )
-        )
+        # SHA3 assumed injective: the byte images are equal, word by word;
+        # images of different lengths never are. A bare CONCAT is a number
+        # (its low word), so EQ(CONCAT, CONCAT) is not peeled.
+        left_words = _image_words(left.operand)
+        right_words = _image_words(right.operand)
+        if len(left_words) != len(right_words):
+            return FALSE
+        out: Expr = BinOp("EQ", left_words[0], right_words[0])
+        for a, b in zip(left_words[1:], right_words[1:]):
+            out = BinOp("AND", out, BinOp("EQ", a, b))
+        return normalize(out)
     return None
+
+
+def _image_words(e: Expr) -> list:
+    """The 32-byte words whose juxtaposition is e's byte image."""
+    if isinstance(e, Concat):
+        return _image_words(e.left) + _image_words(e.right)
+    return [e]
 
 
 def _assoc_leaves(op: str, e: Expr) -> Iterator[Expr]:

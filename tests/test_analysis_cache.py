@@ -136,8 +136,8 @@ def test_full_result_round_trip(tmp_path):
         assert cached.to_json_dict() == fresh.to_json_dict()
         assert dumps(cached, key) == path.read_text()
         pairs.append((fresh, cached))
-    outcome = refine_contracts([], rounds=3, thresholds=Thresholds(1, 0.5, 0.5),
-                               results={f.contract: f for f, _ in pairs})
+    outcome = refine_contracts({f.contract: f for f, _ in pairs}, rounds=3,
+                               thresholds=Thresholds(1, 0.5, 0.5))
     facts = outcome.facts
     assert facts.sensitive_args and facts.reentrancy
     for fresh, cached in pairs:
@@ -340,7 +340,7 @@ def test_bad_cache_falls_back_to_analysis(capsys, monkeypatch, tmp_path,
 
     corpus = copy_of(built_corpus, tmp_path, "faulty")
     apply_fault(corpus, CACHE_FAULTS[fault])
-    calls = count_calls(monkeypatch, cli, "analyze")
+    calls = count_calls(monkeypatch, corpus_mod, "analyze")
     assert infer_and_scan(capsys, corpus) == expected
     assert len(calls) == 2 * 20  # every contract, in infer and in scan
 
@@ -355,7 +355,7 @@ def test_edited_source_is_analyzed_again(capsys, monkeypatch, tmp_path,
 
     corpus = copy_of(built_corpus, tmp_path, "edited")
     edit_source(corpus)
-    calls = count_calls(monkeypatch, cli, "analyze")
+    calls = count_calls(monkeypatch, corpus_mod, "analyze")
     assert infer_and_scan(capsys, corpus) == expected
     assert len(calls) == 2  # the edited contract, in infer and in scan
 
@@ -369,7 +369,7 @@ def test_cache_of_another_seed_is_not_used(capsys, monkeypatch, tmp_path):
         capsys.readouterr()
         if not keep:
             drop_caches(corpus)
-        calls = count_calls(monkeypatch, cli, "analyze")
+        calls = count_calls(monkeypatch, corpus_mod, "analyze")
         runs[name] = infer_and_scan(capsys, corpus)
         assert len(calls) == 2 * 20
     assert runs["seeded"] == runs["reference"]
@@ -384,9 +384,8 @@ def test_infer_and_scan_reuse_the_build(capsys, monkeypatch, tmp_path,
         corpus = copy_of(built_corpus, tmp_path, name)
         if name == "cold":
             drop_caches(corpus)
-        analyses = count_calls(monkeypatch, cli, "analyze")
-        parses = count_calls(monkeypatch, cli, "parse")
-        count_calls(monkeypatch, corpus_mod, "parse", parses)
+        analyses = count_calls(monkeypatch, corpus_mod, "analyze")
+        parses = count_calls(monkeypatch, corpus_mod, "parse")
         counts = []
         outputs = []
         for command in ("corpus-infer", "corpus-scan"):

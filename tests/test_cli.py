@@ -330,3 +330,69 @@ def test_corpus_reports_engine_failure_and_goes_on(capsys, tmp_path,
         assert names == ["SwapTainted", "SwapUser00"]
     elif command == "corpus-scan":
         assert [w["contract"] for w in doc["warnings"]] == ["SwapTainted"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--dep-args"), ("analyze", "--dep-storage-loads"),
+    ("analyze", "--dep-tx-args"), ("analyze", "--arith-depth"),
+    ("analyze", "--tx-rounds"), ("corpus-infer", "--rounds"),
+    ("corpus-scan", "--rounds"), ("corpus-build", "--jobs")])
+def test_count_flag_below_one_is_a_usage_error(capsys, tmp_path, command,
+                                               flag):
+    target = FIXTURES / "safe.svc" if command == "analyze" else tmp_path
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(target), flag, "0"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: 0 is not >= 1" in captured.err
+
+
+def test_pool_never_outnumbers_the_contracts(capsys, monkeypatch, tmp_path):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=2)
+    code, out, _ = run_cli(capsys, "corpus-build", str(corpus),
+                           "--jobs", "500")
+    assert code == 0 and sizes == [3]
+    assert len(json.loads(out)["contracts"]) == 3
+
+
+@pytest.mark.parametrize("command", ["corpus-build", "corpus-infer",
+                                     "corpus-scan"])
+def test_out_that_is_a_file_exits_2_with_one_line(capsys, tmp_path, command):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=2)
+    (corpus / "out").write_text("")
+    code, out, err = run_cli(capsys, command, str(corpus), "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"{corpus / 'out'}: ") and err.count("\n") == 1
+
+
+def test_corpus_build_reports_an_unwritable_report_and_goes_on(capsys,
+                                                               tmp_path):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=2)
+    blocked = corpus / "out" / "SwapUser00.result.json"
+    blocked.mkdir(parents=True)
+    code, out, err = run_cli(capsys, "corpus-build", str(corpus),
+                             "--jobs", "1")
+    assert code == 2
+    assert err.startswith(f"{blocked}: ") and err.count("\n") == 1
+    names = [c["contract"] for c in json.loads(out)["contracts"]]
+    assert names == ["SwapTainted", "SwapUser01"]
+    assert (corpus / "out" / "SwapUser01.result.json").is_file()

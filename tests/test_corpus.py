@@ -2,14 +2,18 @@
 
 import json
 
+from symvalic import corpus as corpus_mod
 from symvalic.corpus import (
     CorpusStats, DomainFacts, GuardedFact, ReentrancyFact, SensitiveArgFact,
     Thresholds, aggregate, anomalies, facts_from_json, facts_json,
     infer_domain_facts, latest_facts, load_corpus, refine, refine_contracts,
     summarize,
 )
+from symvalic.cli import main
 from symvalic.parser import parse
 from symvalic.valueflow import analyze
+
+from conftest import write_swap_corpus
 
 
 def summaries_of(src, facts=None):
@@ -227,10 +231,10 @@ def test_allows_reentrancy_transitive_with_facts():
 
 
 def test_aggregate_counts_per_call_site(swap_corpus):
-    contracts, errors = load_corpus(swap_corpus)
+    loaded, errors = load_corpus(swap_corpus)
     assert not errors
     summaries = []
-    for c in contracts:
+    for _path, _text, c in loaded:
         summaries.extend(summarize(analyze(c)))
     stats = aggregate(summaries)
     assert stats.arg_taint[("swap", 0)] == [1, 19]
@@ -257,9 +261,9 @@ def test_aggregate_empty():
 
 
 def test_aggregate_permutation_invariant(swap_corpus):
-    contracts, _ = load_corpus(swap_corpus)
+    loaded, _ = load_corpus(swap_corpus)
     summaries = []
-    for c in contracts:
+    for _path, _text, c in loaded:
         summaries.extend(summarize(analyze(c)))
     forward = aggregate(summaries)
     backward = aggregate(list(reversed(summaries)))
@@ -308,7 +312,8 @@ def test_refine_round_budget_respected(reentrancy_corpus):
 def test_refine_no_external_calls_fixpoint_immediately():
     contracts = [parse("contract A { function f(uint x) public {"
                        " y = x + 1; return y; } }")]
-    outcome = refine_contracts(contracts, rounds=3)
+    outcome = refine_contracts({c.name: analyze(c) for c in contracts},
+                               rounds=3)
     assert outcome.stable_after == 1
     assert outcome.facts.is_empty()
 
@@ -332,8 +337,36 @@ def test_refine_skips_broken_contracts(tmp_path):
         "contract Good { function f() public { return 1; } }")
     (tmp_path / "bad.svc").write_text("contract Bad { function f( }")
     outcome = refine(tmp_path, rounds=1)
-    assert "bad.svc" in outcome.errors
+    assert tmp_path / "bad.svc" in outcome.errors
     assert "Good" in outcome.results
+
+
+def test_refine_reports_what_corpus_infer_prints(capsys, monkeypatch,
+                                                 tmp_path):
+    def engine(contract, config):
+        if contract.name == "Fails":
+            raise RuntimeError("engine failure")
+        return analyze(contract, config)
+
+    monkeypatch.setattr(corpus_mod, "analyze", engine)
+    corpus = write_swap_corpus(tmp_path / "corpus")
+    (corpus / "broken.svc").write_text("contract Broken {")
+    (corpus / "swapuser00copy.svc").write_text(
+        (corpus / "swapuser00.svc").read_text())
+    (corpus / "undecodable.svc").write_bytes(b"contract \xff { }")
+    (corpus / "fails.svc").write_text(
+        "contract Fails { function f() public { return 1; } }")
+    code = main(["corpus-infer", str(corpus), "--jobs", "1"])
+    captured = capsys.readouterr()
+    outcome = refine(corpus)
+    assert code == 2
+    lines = [outcome.errors[path] for path in sorted(outcome.errors)]
+    assert lines == captured.err.splitlines()
+    assert [path.name for path in sorted(outcome.errors)] == [
+        "broken.svc", "fails.svc", "swapuser00copy.svc", "undecodable.svc"]
+    assert outcome.facts.sensitive_args
+    assert json.loads(captured.out) == facts_json(
+        outcome.facts, len(outcome.facts_rounds), Thresholds())
 
 
 # --- anomalies ---------------------------------------------------------------------

@@ -205,6 +205,40 @@ def test_identity_keeps_concat_a_word_under_sha3(op, unit):
     assert eval_concrete(n, env) != eval_concrete(Sha3(Concat(X, Y)), env)
 
 
+A, B2, C, D = (Sym(name, False) for name in "abcd")
+
+
+@pytest.mark.parametrize("e, env", [
+    (BinOp("EQ", Concat(A, B2), Concat(C, D)),
+     {"a": 1, "b": 2, "c": 3, "d": 2}),
+    (BinOp("EQ", Sha3(A), Sha3(Concat(B2, C))), {"a": 5, "b": 0, "c": 5}),
+    (BinOp("EQ", Sha3(Concat(Concat(A, B2), C)),
+           Sha3(Concat(A, Concat(B2, C)))), {"a": 1, "b": 2, "c": 3}),
+], ids=["bare-concat", "lengths-differ", "shapes-differ"])
+def test_hash_equality_compares_byte_images(e, env):
+    # a bare CONCAT is its low word; under SHA3 equal hashes mean equal
+    # byte images, whatever the CONCAT nesting
+    n = normalize(e)
+    assert normalize(n) == n
+    assert eval_concrete(n, env) == eval_concrete(e, env)
+
+
+hash_images = st.recursive(
+    st.sampled_from([A, B2, C]) | st.builds(Const, st.integers(0, 2)),
+    lambda inner: st.builds(Concat, inner, inner) | st.builds(Sha3, inner),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hash_images, hash_images, st.lists(st.integers(0, 2), min_size=3,
+                                          max_size=3))
+def test_hash_equality_preserves_semantics(x, y, values):
+    e = BinOp("EQ", Sha3(x), Sha3(y))
+    n = normalize(e)
+    env = dict(zip("abc", values))
+    assert eval_concrete(n, env) == eval_concrete(e, env)
+
+
 def test_eval_requires_total_assignment():
     with pytest.raises(KeyError):
         eval_concrete(add(X, Y), {"x": 1})
