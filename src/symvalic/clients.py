@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Tuple
 
-from .deps import DependencyMap
+from .deps import SENDER_KEY, DependencyMap
 from .symexpr import Expr, OWNER, UNPRIVILEGED_USER, USER_UNIQUE
 from .valueflow import AnalysisResult, CallSite
 
@@ -33,7 +33,6 @@ class SensitiveOpSpec:
 
     callee_signature: str
     positions: frozenset
-    source: str = "builtin"  # "builtin" | "corpus-inferred"
 
 
 BUILTIN_SPECS = (
@@ -67,15 +66,15 @@ def is_tainted(e: Expr) -> bool:
 
 
 def requires_unprivileged(d: DependencyMap) -> bool:
-    return d.transaction_map.get("sender") == UNPRIVILEGED_USER
+    return d.sender() == UNPRIVILEGED_USER
 
 
 def requires_owner(d: DependencyMap) -> bool:
-    return d.transaction_map.get("sender") == OWNER
+    return d.sender() == OWNER
 
 
 def _unpriv_reach(result: AnalysisResult, stmt: int) -> Tuple:
-    return result.stmt_reachable(stmt, tx={"sender": UNPRIVILEGED_USER})
+    return result.stmt_reachable(stmt, tx={SENDER_KEY: UNPRIVILEGED_USER})
 
 
 def _sorted(warnings: Iterable[Warning]) -> Tuple[Warning, ...]:

@@ -308,8 +308,7 @@ def anomalies(result: AnalysisResult, facts: DomainFacts) -> Tuple[Warning, ...]
     """
     out: list[Warning] = []
     for fact in facts.sensitive_args:
-        spec = SensitiveOpSpec(fact.signature, frozenset({fact.position}),
-                               source="corpus-inferred")
+        spec = SensitiveOpSpec(fact.signature, frozenset({fact.position}))
         found = detect_tainted_sensitive_arg(result, (spec,))
         out.extend(relabel(
             found, CORPUS_ANOMALY,
@@ -377,9 +376,12 @@ def corpus_out_dir(corpus_dir: Path) -> Path:
 
 def diagnostic(path, err: Exception) -> str:
     """The one-line diagnostic for a failed input or output: `path:line:col:
-    message` for a parse error, `path: message` otherwise."""
+    message` for a parse error, `path: message` otherwise. Python words a
+    RecursionError by where the stack ran out, so its line is fixed."""
     if isinstance(err, ParseError):
         return f"{path}:{err}"
+    if isinstance(err, RecursionError):
+        return f"{path}: maximum recursion depth exceeded"
     return f"{path}: {err}"
 
 

@@ -70,22 +70,6 @@ class Statement:
     targets: Tuple[str, ...] = ()        # block ids for BRANCH/JUMP
     line: int = field(default=0, compare=False)
 
-    def render(self) -> str:
-        parts = [f"s{self.sid}:", self.op if self.binop is None else self.binop]
-        if self.callee:
-            parts.append(self.callee)
-        if self.operands:
-            parts.append("(" + ", ".join(_render_operand(o) for o in self.operands) + ")")
-        if self.targets:
-            parts.append("-> " + "/".join(self.targets))
-        if self.result:
-            parts.append(f"=> {self.result}")
-        return " ".join(parts)
-
-
-def _render_operand(o: Operand) -> str:
-    return o if isinstance(o, str) else o.render()
-
 
 @dataclass(eq=True)
 class BasicBlock:
@@ -188,9 +172,11 @@ class Contract:
 def harvest_constants(contract: Contract) -> Tuple[frozenset, frozenset]:
     """(numeric constants, address-like constants) from the program text.
 
-    Address-like: fits in 160 bits and appears in an address position
-    (mapping key, transfer/selfdestruct/delegatecall argument, assignment
-    to or comparison with an address-typed expression).
+    Address-like: fits in 160 bits and appears in an address position, as
+    lowering records it in `literal_uses`: a mapping key, the first argument
+    of transfer/selfdestruct/delegatecall, a side of an `==` with an
+    address-typed side, or the value assigned to address-typed storage or
+    to an address-typed local.
     """
     numeric = frozenset(u.value for u in contract.literal_uses)
     addrs = frozenset(

@@ -20,6 +20,15 @@ Grammar (keywords bit-exact):
 Expressions: `+ - * / % < > == && || !`, decimal/0x literals, msg.sender,
 NAME, NAME[expr], parentheses. Storage slots are assigned in declaration
 order from 0. A function named `constructor` is the initializer.
+
+Lowering records each literal it turns into a Const operand as a
+`LiteralUse`, in emission order, with its address position: a flag passed
+down the lowering walk. A literal stands in an address position when it is
+a mapping key (read or write), the first argument of transfer, selfdestruct
+or delegatecall, a side of an `==` whose other side is address-typed, or
+the value assigned to address-typed storage or to a local that an earlier
+assignment made address-typed. The operands of any other operator, of `!`,
+call arguments and returned values are not address positions.
 """
 
 from __future__ import annotations
@@ -564,39 +573,28 @@ class _FnLowerer:
             return "bool"
         return "uint256"
 
-    def note_literal(self, e, address_position: bool):
-        if isinstance(e, ENum):
-            self.o.literals.append(LiteralUse(e.value, address_position, e.hex_form))
+    def literal(self, e: ENum, address: bool) -> Const:
+        """Record the use of a literal, `address` telling whether it stands
+        in an address position, and lower it to a Const operand."""
+        self.o.literals.append(LiteralUse(e.value, address, e.hex_form))
+        return Const(e.value, hex_hint=e.hex_form)
 
-    def scan_literals(self, e, address_position: bool = False):
-        """Record literal uses, marking address positions."""
+    def lower_operand(self, e, line=0, address=False):
+        """Lower an expression to an operand (var name or literal Const);
+        `address` marks e as standing in an address position."""
         if isinstance(e, ENum):
-            self.note_literal(e, address_position)
-        elif isinstance(e, EIndex):
-            self.scan_literals(e.key, address_position=True)
-        elif isinstance(e, EBin):
-            addr_cmp = e.op == "==" and (
-                self.expr_type(e.left) == "address"
-                or self.expr_type(e.right) == "address")
-            self.scan_literals(e.left, addr_cmp)
-            self.scan_literals(e.right, addr_cmp)
-        elif isinstance(e, ENot):
-            self.scan_literals(e.operand)
-
-    def lower_operand(self, e, line=0):
-        """Lower an expression to an operand (var name or literal Const)."""
-        if isinstance(e, ENum):
-            return Const(e.value, hex_hint=e.hex_form)
+            return self.literal(e, address)
         if isinstance(e, EVar) and e.name in self.locals:
             return e.name
-        return self.lower_into(e, None, line)
+        return self.lower_into(e, None, line, address)
 
-    def lower_into(self, e, result: Optional[str], line=0) -> str:
+    def lower_into(self, e, result: Optional[str], line=0,
+                   address=False) -> str:
         """Lower e so its value lands in `result` (a fresh temp when None,
         allocated after the operands so temp numbering follows emission
         order). Returns the actual result name."""
         if isinstance(e, ENum):
-            return self.emit("CONST", [Const(e.value, hex_hint=e.hex_form)],
+            return self.emit("CONST", [self.literal(e, address)],
                              result=result or self.fresh_temp(), line=line).result
         if isinstance(e, ESender):
             return self.emit("CALLER", [], result=result or self.fresh_temp(),
@@ -622,8 +620,10 @@ class _FnLowerer:
                              result=result or self.fresh_temp(),
                              line=line).result
         if isinstance(e, EBin):
-            left = self.lower_operand(e.left, line)
-            right = self.lower_operand(e.right, line)
+            addr_cmp = e.op == "==" and "address" in (
+                self.expr_type(e.left), self.expr_type(e.right))
+            left = self.lower_operand(e.left, line, addr_cmp)
+            right = self.lower_operand(e.right, line, addr_cmp)
             return self.emit("BINOP", [left, right],
                              result=result or self.fresh_temp(),
                              binop=_SURFACE_TO_BINOP[e.op], line=line).result
@@ -639,7 +639,7 @@ class _FnLowerer:
             raise ParseError(f"reference to undeclared name {e.mapping}", line, 0)
         if decl.kind != "mapping":
             raise ParseError(f"{e.mapping} is not a mapping", line, 0)
-        key = self.lower_operand(e.key, line)
+        key = self.lower_operand(e.key, line, address=True)
         t0 = self.fresh_temp()
         self.emit("CONCAT", [key, Const(decl.slot, hex_hint=True)], result=t0,
                   line=line)
@@ -653,7 +653,6 @@ class _FnLowerer:
         if isinstance(s, SAssign):
             self.lower_assign(s)
         elif isinstance(s, SRequire):
-            self.scan_literals(s.cond)
             cond = self.lower_operand(s.cond, s.line)
             self.emit("REQUIRE", [cond], line=s.line)
         elif isinstance(s, SIf):
@@ -661,16 +660,14 @@ class _FnLowerer:
         elif isinstance(s, SCall):
             self.lower_call(s)
         elif isinstance(s, SIntrinsic):
-            first_is_addr = True  # to / beneficiary / target
-            for i, a in enumerate(s.args):
-                self.scan_literals(a, address_position=(i == 0 and first_is_addr))
-            ops = [self.lower_operand(a, s.line) for a in s.args]
+            # the first argument is the to / beneficiary / target address
+            ops = [self.lower_operand(a, s.line, i == 0)
+                   for i, a in enumerate(s.args)]
             self.emit(s.op, ops, line=s.line)
         elif isinstance(s, SReturn):
             if s.value is None:
                 self.emit("RETURN", [], line=s.line)
             else:
-                self.scan_literals(s.value)
                 v = self.lower_operand(s.value, s.line)
                 self.emit("RETURN", [v], line=s.line)
         else:
@@ -678,8 +675,6 @@ class _FnLowerer:
 
     def lower_assign(self, s: SAssign):
         if s.key is not None:
-            self.scan_literals(s.key, address_position=True)
-            self.scan_literals(s.value)
             addr = self.lower_cell_address(EIndex(s.target, s.key), s.line)
             value = self.lower_operand(s.value, s.line)
             self.emit("SSTORE", [addr, value], line=s.line)
@@ -689,9 +684,8 @@ class _FnLowerer:
             if decl.kind == "mapping":
                 raise ParseError(f"mapping {s.target} assigned without a key",
                                  s.line, 0)
-            target_type = self.o.storage_types.get(s.target, "uint256")
-            self.scan_literals(s.value, address_position=target_type == "address")
-            value = self.lower_operand(s.value, s.line)
+            value = self.lower_operand(
+                s.value, s.line, self.o.storage_types[s.target] == "address")
             self.emit("SSTORE", [Const(decl.slot, hex_hint=True), value],
                       line=s.line)
             return
@@ -700,15 +694,13 @@ class _FnLowerer:
         if s.target in self.param_names:
             raise ParseError(f"cannot assign to parameter {s.target}",
                              s.line, 0)
-        self.scan_literals(s.value,
-                           address_position=self.locals.get(s.target) == "address")
         _check_name(s.target, s.line)
-        self.lower_into(s.value, s.target, s.line)
+        self.lower_into(s.value, s.target, s.line,
+                        self.locals.get(s.target) == "address")
         if s.target not in self.locals:
             self.locals[s.target] = self.expr_type(s.value)
 
     def lower_if(self, s: SIf):
-        self.scan_literals(s.cond)
         cond = self.lower_operand(s.cond, s.line)
         branch = self.emit("BRANCH", [cond], line=s.line)
 
@@ -736,8 +728,6 @@ class _FnLowerer:
             self.emit("RETURN", [], line=s.line)
 
     def lower_call(self, s: SCall):
-        for a in s.args:
-            self.scan_literals(a)
         if s.target is None:
             if s.callee not in self.o.fn_names:
                 raise ParseError(f"internal call to unknown function {s.callee}",
@@ -784,8 +774,9 @@ def parse(text: str) -> Contract:
 # Pretty printing (canonical surface form; parse(pretty(c)) == c)
 # ---------------------------------------------------------------------------
 
-_PREC = {"||": 1, "&&": 2, "==": 3, "<": 4, ">": 4, "+": 5, "-": 5,
-         "*": 6, "/": 6, "%": 6}
+# binding strength of each operator, from the parser's levels; `!` binds
+# tighter than any binary operator
+_PREC = {op: level + 1 for level, ops in enumerate(_BIN_LEVELS) for op in ops}
 
 
 def _pp_expr(e, parent_prec: int = 0, right: bool = False) -> str:
@@ -798,7 +789,7 @@ def _pp_expr(e, parent_prec: int = 0, right: bool = False) -> str:
     if isinstance(e, EIndex):
         return f"{e.mapping}[{_pp_expr(e.key)}]"
     if isinstance(e, ENot):
-        return f"!{_pp_expr(e.operand, 7)}"
+        return f"!{_pp_expr(e.operand, len(_BIN_LEVELS) + 1)}"
     if isinstance(e, EBin):
         prec = _PREC[e.op]
         s = (f"{_pp_expr(e.left, prec)} {e.op} "

@@ -389,6 +389,11 @@ class _Engine:
         self.deadline = (time.monotonic() + config.time_budget
                          if config.time_budget else None)
         self.topo = {f.name: f.topo_blocks() for f in contract.functions}
+        # qualified transaction keys of each entry point's tracked arguments
+        self.tx_keys = {
+            f.name: tuple(f"{f.name}.{p}"
+                          for p in f.param_names[: config.budget.tx_args])
+            for f in contract.functions}
 
         # per-function tracking plans (local part); the tracked storage-load
         # variable is the first SLOAD into a named local (temps are the
@@ -489,14 +494,6 @@ class _Engine:
         for pname, _ in fn.params:
             env[pname] = tuple(
                 _Val(normalize(v), EMPTY, self.limit) for v in seeds[pname])
-        tx_plan = tuple(f"{fn.name}.{p}"
-                        for p in fn.param_names[: self.cfg.budget.tx_args])
-        frame_plan = replace(self.local_plans[fn.name], tx_arg_order=tx_plan)
-        for pname, _ in fn.params:
-            for val in env[pname]:
-                for alt in alts:
-                    self._record_inference(fn.name, frame_plan, pname,
-                                           val.expr, alt.deps)
         self._walk(fn, env, alts, entry_fn=fn, stack=(fn.name,))
         return self.reads
 
@@ -504,13 +501,14 @@ class _Engine:
 
     def _walk(self, fn: Function, entry_env, entry_alts, entry_fn: Function,
               stack: Tuple[str, ...]):
+        plan = replace(self.local_plans[fn.name],
+                       tx_arg_order=self.tx_keys[entry_fn.name])
+        for pname, _ in fn.params:
+            for val in entry_env[pname]:
+                for alt in entry_alts:
+                    self._record_inference(fn.name, plan, pname, val.expr,
+                                           alt.deps)
         self._check_time()
-        plan = replace(
-            self.local_plans[fn.name],
-            tx_arg_order=tuple(
-                f"{entry_fn.name}.{p}"
-                for p in entry_fn.param_names[: self.cfg.budget.tx_args]),
-        )
         env_in: dict[str, dict[str, Tuple[_Val, ...]]] = {
             fn.entry_block: dict(entry_env)}
         alts_in: dict[str, list[_Alt]] = {fn.entry_block: list(entry_alts)}
@@ -771,16 +769,14 @@ class _Engine:
             self.notes.append(f"internal call to {stmt.callee} skipped")
             return
         self.internal_edges.setdefault((fn.name, callee.name, stmt.sid), None)
-        tx_keys = tuple(
-            f"{entry_fn.name}.{p}"
-            for p in entry_fn.param_names[: self.cfg.budget.tx_args])
         for alt, vals, d, depths in self._combos(stmt.operands, env, alts,
                                                  plan):
             # entry-point arguments pinned on this path migrate into the
             # transaction dependencies under qualified keys
             tx = dict(d.transaction)
             if fn.name == entry_fn.name:
-                for p, qualified in zip(entry_fn.param_names, tx_keys):
+                for p, qualified in zip(entry_fn.param_names,
+                                        plan.tx_arg_order):
                     bound = d.local_map.get(p)
                     if bound is not None:
                         tx.setdefault(qualified, bound)
@@ -798,12 +794,6 @@ class _Engine:
                 continue
             caller_reads = self.reads
             self.reads = self.call_memo[memo_key] = set()
-            callee_plan = replace(
-                self.local_plans[callee.name], tx_arg_order=tx_keys)
-            for pname in callee_env:
-                for val in callee_env[pname]:
-                    self._record_inference(callee.name, callee_plan,
-                                           pname, val.expr, callee_alt.deps)
             self._walk(callee, callee_env, [callee_alt], entry_fn,
                        stack + (callee.name,))
             caller_reads |= self.reads

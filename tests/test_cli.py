@@ -12,6 +12,7 @@ import pytest
 from pathlib import Path
 
 from symvalic.cli import main
+from symvalic.corpus import refine
 from symvalic.schemas import FACTS_SCHEMA, RESULT_SCHEMA, WARNINGS_SCHEMA
 
 from conftest import FIXTURES, write_reentrancy_corpus, write_swap_corpus
@@ -330,6 +331,27 @@ def test_corpus_reports_engine_failure_and_goes_on(capsys, tmp_path,
         assert names == ["SwapTainted", "SwapUser00"]
     elif command == "corpus-scan":
         assert [w["contract"] for w in doc["warnings"]] == ["SwapTainted"]
+
+
+def nested(depth: int, call):
+    """call() from `depth` more stack frames."""
+    return nested(depth - 1, call) if depth else call()
+
+
+def test_engine_recursion_failure_reads_the_same_everywhere(capsys, tmp_path):
+    # Python words a RecursionError by the frame where the stack ran out,
+    # which one more caller frame moves
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    chain = corpus / "chain.svc"
+    chain.write_text(CHAIN)
+    line = f"{chain}: maximum recursion depth exceeded\n"
+    assert run_cli(capsys, "scan", str(chain)) == (2, "", line)
+    for depth in (0, 1):
+        code, _, err = nested(depth, lambda: run_cli(
+            capsys, "corpus-infer", str(corpus), "--jobs", "1"))
+        assert (code, err) == (2, line)
+    assert refine(corpus, rounds=1).errors == {chain: line.rstrip("\n")}
 
 
 @pytest.mark.parametrize("command, flag", [

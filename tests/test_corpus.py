@@ -341,6 +341,14 @@ def test_refine_skips_broken_contracts(tmp_path):
     assert "Good" in outcome.results
 
 
+def test_recursion_diagnostic_is_one_line_whatever_the_message():
+    # Python words the error by the frame where the stack ran out
+    messages = ("maximum recursion depth exceeded",
+                "maximum recursion depth exceeded while calling a Python object")
+    lines = {corpus_mod.diagnostic("c.svc", RecursionError(m)) for m in messages}
+    assert lines == {"c.svc: maximum recursion depth exceeded"}
+
+
 def test_refine_reports_what_corpus_infer_prints(capsys, monkeypatch,
                                                  tmp_path):
     def engine(contract, config):

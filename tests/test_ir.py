@@ -102,6 +102,44 @@ def test_harvest_constants_with_address_position():
     assert addrs == {0x42}
 
 
+def literal_uses(body: str) -> list:
+    c = parse("contract T { address owner; uint n; mapping m;"
+              " function g(address y) internal { }"
+              " function f(address a, uint u) public { " + body + " } }")
+    return [(u.value, u.address_position, u.hex_form) for u in c.literal_uses]
+
+
+@pytest.mark.parametrize("body,expected", [
+    ("x = m[0x10];", [(0x10, True, True)]),
+    ("m[0x10] = 5;", [(0x10, True, True), (5, False, False)]),
+    ("m[1] = m[2] + 3;", [(1, True, False), (2, True, False), (3, False, False)]),
+    ("require(msg.sender == 0x10);", [(0x10, True, True)]),
+    ("require(0x10 == msg.sender);", [(0x10, True, True)]),
+    ("if (a == 7) { x = 8; }", [(7, True, False), (8, False, False)]),
+    ("require(owner == 9);", [(9, True, False)]),
+    ("require(u == 7);", [(7, False, False)]),
+    ("require(u < 7);", [(7, False, False)]),
+    ("transfer(0x20, 3);", [(0x20, True, True), (3, False, False)]),
+    ("transfer(a + 1, 3);", [(1, False, False), (3, False, False)]),
+    ("selfdestruct(0x30);", [(0x30, True, True)]),
+    ("delegatecall(0x40);", [(0x40, True, True)]),
+    ("owner = 0x50; n = 0x60;", [(0x50, True, True), (0x60, False, True)]),
+    ("b = msg.sender; b = 5; c = 6;", [(5, True, False), (6, False, False)]),
+    ("b = 5; b = 6;", [(5, False, False), (6, False, False)]),
+    ("call g(0x10);", [(0x10, False, True)]),
+    ("call ext.ping(0x10, 2);", [(0x10, False, True), (2, False, False)]),
+    ("return 5;", [(5, False, False)]),
+    ("require(!(a == 1));", [(1, True, False)]),
+    ("require(!(u == 1));", [(1, False, False)]),
+], ids=["key-read", "key-write", "key-order", "sender-eq", "eq-sender",
+        "if-param-eq", "storage-eq", "uint-eq", "uint-lt", "transfer",
+        "transfer-arith", "selfdestruct", "delegatecall", "storage-assign",
+        "local-reassign", "uint-local-reassign", "internal-call",
+        "external-call", "return", "not-address-eq", "not-uint-eq"])
+def test_literal_address_positions(body, expected):
+    assert literal_uses(body) == expected
+
+
 def test_harvest_no_literals():
     c = parse("contract T { function f(uint x) public { y = x; } }")
     assert harvest_constants(c) == (frozenset(), frozenset())
