@@ -1,7 +1,7 @@
 """The analysis cache: one engine run's facts as JSON, keyed by its inputs.
 
 `corpus-build` writes `out/<Contract>.analysis.json` (schema
-symvalic-analysis/1) beside each report, and every corpus command reads it
+symvalic-analysis/2) beside each report, and every corpus command reads it
 back instead of running the engine again: analysis results do not depend
 on corpus facts, so one run serves build, infer and scan.
 
@@ -11,10 +11,10 @@ AnalysisConfig field. A cache whose key differs is ignored, and so is one
 that is unreadable, malformed, truncated or nested too deeply: the caller
 then analyzes as if there were none. A truncated result is never written,
 since where it stops depends on wall time. The file is plain JSON, read
-without eval or pickle: the engine's facts in engine order, every
-expression as its render() text (read back by symexpr.read_expr), and
-a table of the distinct dependency maps, each as ordered [var, value]
-pairs, that rows refer to by index.
+without eval or pickle: the engine's facts in engine order (stores as
+[function, stmt] rows), every expression as its render() text (read back
+by symexpr.read_expr), and a table of the distinct dependency maps, each
+as ordered [var, value] pairs, that rows refer to by index.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ from pathlib import Path
 from typing import Optional
 
 from .deps import DependencyMap
-from .ir import slot_of_address
 from .symexpr import Expr, read_expr
 from .valueflow import (
-    AnalysisConfig, AnalysisResult, CallSite, Inference, LoadFact,
-    ReachabilityFact, StoreFact,
+    AnalysisConfig, AnalysisResult, CallSite, Inference, ReachabilityFact,
 )
 
-SCHEMA_ID = "symvalic-analysis/1"
+SCHEMA_ID = "symvalic-analysis/2"
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,16 +89,12 @@ def dumps(result: AnalysisResult, key: str) -> str:
                    values(c.target_values),
                    [values(pos) for pos in c.arg_values]]
                   for c in result.calls],
-        "stores": [[s.function, s.stmt, s.address.render(), s.value.render(),
-                    ref(s.deps)] for s in result.stores],
-        "loads": [[ld.function, ld.stmt, ld.var, ld.address.render()]
-                  for ld in result.loads],
+        "stores": [list(row) for row in result.stores],
         "returns": [[f, values(rows)] for f, rows in result.returns.items()],
         "storage": [[a.render(), v.render(), depth]
                     for a, v, depth in result.storage],
         "truncated": result.truncated,
         "notes": list(result.notes),
-        "internalCalls": [list(edge) for edge in result.internal_calls],
     }
     doc["deps"] = list(table)
     return json.dumps(doc, separators=(",", ":")) + "\n"
@@ -148,16 +142,6 @@ def _facts(doc: dict) -> dict:
     def values(rows) -> tuple:
         return tuple((_expr(v), deps(d)) for v, d in _rows(rows, 2))
 
-    def store(fn, stmt, address, value, d) -> StoreFact:
-        addr = _expr(address)
-        return StoreFact(_str(fn), _int(stmt), addr, slot_of_address(addr),
-                         _expr(value), deps(d))
-
-    def load(fn, stmt, var, address) -> LoadFact:
-        addr = _expr(address)
-        return LoadFact(_str(fn), _int(stmt), _str(var), addr,
-                        slot_of_address(addr))
-
     returns = {}
     for fname, rows in _rows(doc["returns"], 2):
         returns[_str(fname)] = values(rows)
@@ -173,16 +157,13 @@ def _facts(doc: dict) -> dict:
                      values(target), tuple(values(pos) for pos in _list(args)))
             for stmt, fn, callee, kind, target, args
             in _rows(doc["calls"], 6)),
-        stores=tuple(store(*row) for row in _rows(doc["stores"], 5)),
-        loads=tuple(load(*row) for row in _rows(doc["loads"], 4)),
+        stores=tuple((_str(fn), _int(stmt))
+                     for fn, stmt in _rows(doc["stores"], 2)),
         returns=returns,
         storage=tuple((_expr(a), _expr(v), _int(depth))
                       for a, v, depth in _rows(doc["storage"], 3)),
         truncated=False,
         notes=tuple(_str(note) for note in _list(doc["notes"])),
-        internal_calls=tuple(
-            (_str(caller), _str(callee), _int(sid))
-            for caller, callee, sid in _rows(doc["internalCalls"], 3)),
     )
 
 

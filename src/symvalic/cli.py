@@ -16,7 +16,8 @@ handles arguments, report writing and exit codes.
 
 Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
 analysis error or an output that cannot be written, 3 analysis resource
-cap hit on any input. Count flags take integers >= 1. Reports go to
+cap hit on any input. Count flags take integers >= 1 and fraction flags
+numbers in [0, 1]; SYMVALIC_SEED must be an integer. Reports go to
 stdout, diagnostics to stderr, one line per failed input or output
 (`path:line:col: message` for a parse error, `path: message` otherwise).
 A corpus command reports a failed contract and goes on with the others.
@@ -53,6 +54,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def fraction(text: str) -> float:
+    """A threshold flag's value: a number in [0, 1], else a usage error."""
+    value = float(text)
+    if not 0 <= value <= 1:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
 def _add_engine_flags(p: argparse.ArgumentParser):
     p.add_argument("--dep-args", type=positive_int, default=3, metavar="N",
                    help="tracked function arguments (default 3)")
@@ -71,9 +80,9 @@ def _add_engine_flags(p: argparse.ArgumentParser):
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser):
-    p.add_argument("--min-samples", type=int, default=10)
-    p.add_argument("--untainted-frac", type=float, default=0.9)
-    p.add_argument("--guarded-frac", type=float, default=0.9)
+    p.add_argument("--min-samples", type=positive_int, default=10)
+    p.add_argument("--untainted-frac", type=fraction, default=0.9)
+    p.add_argument("--guarded-frac", type=fraction, default=0.9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,15 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> AnalysisConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SYMVALIC_SEED", "1"))
     return AnalysisConfig(
         budget=DependencyBudget(args.dep_args, args.dep_storage_loads,
                                 args.dep_tx_args),
         arithmetic_depth_limit=args.arith_depth,
         transaction_rounds=args.tx_rounds,
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -334,6 +340,14 @@ def cmd_corpus_scan(args) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is None:
+        text = os.environ.get("SYMVALIC_SEED", "1")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            print(f"SYMVALIC_SEED: {text!r} is not an integer",
+                  file=sys.stderr)
+            return EXIT_USAGE
     handlers = {
         "analyze": cmd_analyze,
         "scan": cmd_scan,

@@ -153,8 +153,8 @@ def detect_reentrancy(result: AnalysisResult, facts) -> Tuple[Warning, ...]:
         if not unpriv:
             continue
         after = result.flow_after.get(call.stmt, frozenset())
-        writes = sorted(s.stmt for s in result.stores
-                        if s.function == call.function and s.stmt in after)
+        writes = sorted(stmt for fn, stmt in result.stores
+                        if fn == call.function and stmt in after)
         if writes:
             out.append(Warning(
                 contract=result.contract,

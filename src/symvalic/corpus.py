@@ -7,26 +7,30 @@ reads and parses every .svc file, and analyze_corpus analyzes the
 contracts (over a process pool, reusing matching analysis caches). Both
 report each file that fails as one diagnostic line keyed by its path.
 
-Each analyzed contract yields one FunctionSummary per function. Summaries
-are counted per call site into CorpusStats; frequency thresholds turn the
-stats into DomainFacts (which arguments are usually untainted, which
-signatures are usually guarded, which allow reentrancy). Facts feed back
-into summarization -- marking a signature reentrancy-allowing can make its
-callers' summaries vote in the next round -- so refine() iterates until
-the facts stop changing or the round budget runs out.
+Each analyzed contract yields one FunctionSummary per function: its
+external calls (signature, whether every path to the call requires the
+owner, and whether each argument can be tainted by an untrusted caller)
+and whether it allows reentrancy. Summaries are counted per call site
+into CorpusStats; frequency thresholds turn the stats into DomainFacts
+(which arguments are usually untainted, which signatures are usually
+guarded, which allow reentrancy). Facts feed back into summarization --
+marking a signature reentrancy-allowing can make its callers' summaries
+vote in the next round -- so refine() iterates until the facts stop
+changing or the round budget runs out.
 
 Corpus directory layout:
 
     corpus/<contract>.svc               inputs
     corpus/out/<contract>.result.json   analysis results
     corpus/out/<contract>.analysis.json analysis cache (see analysis_cache)
-    corpus/out/facts.round-N.json       facts per refine round (newest wins)
+    corpus/out/facts.round-N.json       facts per round of the last refine
+                                        (newest wins)
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Tuple
 
@@ -35,7 +39,6 @@ from .clients import (
     detect_untrusted_reachability, is_tainted, relabel, requires_owner,
     requires_unprivileged,
 )
-from .ir import CONSTRUCTOR_NAME
 from .parser import ParseError, parse
 from .symexpr import Expr, FREE_IDENTITY_SYMBOLS
 from .valueflow import AnalysisConfig, AnalysisResult, analyze, assemble
@@ -55,12 +58,7 @@ class ExternalCallSummary:
 class FunctionSummary:
     contract: str
     function: str
-    reaches_delegatecall: bool
-    monetary_arg_positions: frozenset
-    performs_init: bool
-    manipulable_return: bool
     allows_reentrancy: bool
-    checked_transfer: bool
     external_calls: Tuple[ExternalCallSummary, ...]
 
 
@@ -78,26 +76,15 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
     """
     reentrancy_allowing = (facts.reentrancy_allowing if facts is not None
                            else frozenset())
-    calls_by_fn: dict[str, list] = {}
+    externals_by_fn: dict[str, list] = {}
     for c in result.calls:
-        calls_by_fn.setdefault(c.function, []).append(c)
+        if c.kind == "external":
+            externals_by_fn.setdefault(c.function, []).append(c)
 
-    ctor_slots = {s.slot for s in result.stores
-                  if s.function == CONSTRUCTOR_NAME and s.slot is not None}
-    unpriv_writable_slots = {
-        s.slot for s in result.stores
-        if s.slot is not None and requires_unprivileged(s.deps)
-    }
-    load_slots: dict[Tuple[str, str], set] = {}
-    for ld in result.loads:
-        if ld.slot is not None:
-            load_slots.setdefault((ld.function, ld.var), set()).add(ld.slot)
-
-    direct: dict[str, FunctionSummary] = {}
-    for fname, _vis, params in result.functions:
-        calls = sorted(calls_by_fn.get(fname, ()), key=lambda c: c.stmt)
-        intrinsics = [c for c in calls if c.kind == "intrinsic"]
-        externals = [c for c in calls if c.kind == "external"]
+    out = []
+    for fname, _vis, _params in result.functions:
+        externals = sorted(externals_by_fn.get(fname, ()),
+                           key=lambda c: c.stmt)
 
         ext_summaries = []
         for c in externals:
@@ -122,62 +109,13 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
                 allows = True
                 break
 
-        transfers = [c for c in intrinsics if c.callee == "TRANSFER"]
-        checked_transfer = bool(transfers) and all(
-            all(requires_owner(f.deps) for f in result.stmt_reachable(c.stmt))
-            for c in transfers
-        )
-
-        monetary = set()
-        for c in transfers:
-            for pos in c.arg_values:
-                for _v, d in pos:
-                    local = d.local_map
-                    for i, p in enumerate(params):
-                        if p in local:
-                            monetary.add(i)
-
-        performs_init = fname != CONSTRUCTOR_NAME and any(
-            s.function == fname and s.slot in ctor_slots
-            and any(requires_unprivileged(f.deps)
-                    for f in result.stmt_reachable(s.stmt))
-            for s in result.stores
-        )
-
-        manipulable = False
-        for _value, d in result.returns.get(fname, ()):
-            for var in d.local_map:
-                slots = load_slots.get((fname, var), ())
-                if any(s in unpriv_writable_slots for s in slots):
-                    manipulable = True
-                    break
-
-        direct[fname] = FunctionSummary(
+        out.append(FunctionSummary(
             contract=result.contract,
             function=fname,
-            reaches_delegatecall=any(c.callee == "DELEGATECALL"
-                                     for c in intrinsics),
-            monetary_arg_positions=frozenset(monetary),
-            performs_init=performs_init,
-            manipulable_return=manipulable,
             allows_reentrancy=allows,
-            checked_transfer=checked_transfer,
             external_calls=tuple(ext_summaries),
-        )
-
-    # delegatecall reachability closes over internal calls
-    edges = {(caller, callee) for caller, callee, _ in result.internal_calls}
-    changed = True
-    while changed:
-        changed = False
-        for caller, callee in sorted(edges):
-            if (caller in direct and callee in direct
-                    and direct[callee].reaches_delegatecall
-                    and not direct[caller].reaches_delegatecall):
-                direct[caller] = replace(direct[caller],
-                                         reaches_delegatecall=True)
-                changed = True
-    return tuple(direct[name] for name, _, _ in result.functions)
+        ))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +201,6 @@ class DomainFacts:
     @property
     def reentrancy_allowing(self) -> frozenset:
         return frozenset(f.signature for f in self.reentrancy)
-
-    def sensitive_fact(self, signature: str, position: int
-                       ) -> Optional[SensitiveArgFact]:
-        for f in self.sensitive_args:
-            if f.signature == signature and f.position == position:
-                return f
-        return None
-
-    def is_empty(self) -> bool:
-        return not (self.sensitive_args or self.usually_guarded
-                    or self.reentrancy)
 
 
 EMPTY_FACTS = DomainFacts()
@@ -536,8 +463,13 @@ def _fact_rows(doc: dict, key: str, *fields: str) -> list:
 
 def write_facts_rounds(corpus_dir, outcome: RefineOutcome,
                        thresholds: Thresholds) -> list:
+    """Write one facts file per round of the outcome, first removing every
+    facts round an earlier run left, so the newest round on disk is this
+    outcome's."""
     out = corpus_out_dir(corpus_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("facts.round-*.json"):
+        stale.unlink()
     paths = []
     for i, facts in enumerate(outcome.facts_rounds, start=1):
         path = out / f"facts.round-{i}.json"
@@ -566,12 +498,6 @@ def latest_facts_path(corpus_dir) -> Optional[Path]:
             best_round = round_no
             best_path = path
     return best_path
-
-
-def latest_facts(corpus_dir) -> Optional[DomainFacts]:
-    """The facts of the newest round in the corpus out directory, if any."""
-    path = latest_facts_path(corpus_dir)
-    return None if path is None else read_facts(path)
 
 
 def refine(corpus_dir, rounds: int = 3,

@@ -58,9 +58,6 @@ class DependencyMap:
     def transaction_map(self) -> dict[str, Expr]:
         return dict(self.transaction)
 
-    def is_empty(self) -> bool:
-        return not self.local and not self.transaction
-
     def sender(self) -> Optional[Expr]:
         for var, value in self.transaction:
             if var == SENDER_KEY:

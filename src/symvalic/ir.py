@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple, Union
 
-from .symexpr import ADDRESS_BOUND, Concat, Const, Expr, Sha3
+from .symexpr import ADDRESS_BOUND, Const
 
 # names of the lowering's single-assignment temps; surface locals may not
 # take this form, but may otherwise start with "t"
@@ -184,17 +184,6 @@ def harvest_constants(contract: Contract) -> Tuple[frozenset, frozenset]:
         if u.address_position and u.value < ADDRESS_BOUND
     )
     return numeric, addrs
-
-
-def slot_of_address(addr: Expr) -> Optional[int]:
-    """Recover the declared slot from a storage address expr, if apparent."""
-    if isinstance(addr, Const):
-        return addr.value
-    if isinstance(addr, Sha3) and isinstance(addr.operand, Concat):
-        slot = addr.operand.right
-        if isinstance(slot, Const):
-            return slot.value
-    return None
 
 
 def validate(contract: Contract) -> None:

@@ -61,7 +61,6 @@ from .deps import (
 )
 from .ir import (
     TEMP_NAME, Contract, Function, Statement, flow_after, harvest_constants,
-    slot_of_address,
 )
 from .symexpr import (
     ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Not, OWNER,
@@ -120,44 +119,27 @@ class CallSite:
     arg_values: Tuple[Tuple[Tuple[Expr, DependencyMap], ...], ...]
 
 
-@dataclass(frozen=True)
-class StoreFact:
-    function: str
-    stmt: int
-    address: Expr
-    slot: Optional[int]
-    value: Expr
-    deps: DependencyMap
-
-
-@dataclass(frozen=True)
-class LoadFact:
-    function: str
-    stmt: int
-    var: str
-    address: Expr
-    slot: Optional[int]
-
-
 @dataclass
 class AnalysisResult:
+    """One contract's analysis: the facts an engine run collected, then the
+    contract's structure. The result document (to_json_dict) prints every
+    fact except stores, which only detect_reentrancy reads; its storage
+    section is the committed storage."""
+
     contract: str
     config: AnalysisConfig
     inferences: Tuple[Inference, ...]
     reachability: Tuple[ReachabilityFact, ...]
     calls: Tuple[CallSite, ...]
-    stores: Tuple[StoreFact, ...]
-    loads: Tuple[LoadFact, ...]
+    stores: Tuple[Tuple[str, int], ...]  # (function, stmt) of SSTOREs run
     returns: Mapping[str, Tuple[Tuple[Expr, DependencyMap], ...]]
     storage: Tuple[Tuple[Expr, Expr, int], ...]  # (address, value, depth)
     truncated: bool
     notes: Tuple[str, ...] = ()
     # structural context for clients: declared functions (name,
-    # visibility, param names), intra-function statement follow-order,
-    # and internal call edges
+    # visibility, param names) and intra-function statement follow-order
     functions: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = ()
     flow_after: Mapping[int, frozenset] = field(default_factory=dict)
-    internal_calls: Tuple[Tuple[str, str, int], ...] = ()
 
     # -- queries --------------------------------------------------------
 
@@ -419,11 +401,9 @@ class _Engine:
         # collectors (ordered dedup)
         self.inferences: dict[Inference, None] = {}
         self.reach: dict[ReachabilityFact, None] = {}
-        self.stores: dict[StoreFact, None] = {}
-        self.loads: dict[LoadFact, None] = {}
+        self.stores: dict[Tuple[str, int], None] = {}
         self.returns: dict[str, dict[Tuple[Expr, DependencyMap], None]] = {}
         self.call_rows: dict[Tuple[int, str, str, str], dict] = {}
-        self.internal_edges: dict[Tuple[str, str, int], None] = {}
         self.storage: dict[Expr, dict[Expr, int]] = {}
         self.buffer: dict[Expr, dict[Expr, int]] = {}
         # storage keys read by the running entry (or internal walk), and
@@ -715,10 +695,6 @@ class _Engine:
         for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
             key = vals[0]
             self.reads.add(key)
-            if stmt.result:
-                self.loads.setdefault(
-                    LoadFact(fn.name, stmt.sid, stmt.result, key,
-                             slot_of_address(key)), None)
             cell = self.storage.get(key)
             if not cell:
                 # never-written cell: EVM zero default
@@ -729,11 +705,9 @@ class _Engine:
         self._finish_assign(fn, plan, stmt, env, produced)
 
     def _exec_sstore(self, fn, plan, stmt, env, alts):
-        for _, vals, d, depths in self._combos(stmt.operands, env, alts, plan):
+        for _, vals, _, depths in self._combos(stmt.operands, env, alts, plan):
             key, value = vals[0], vals[1]
-            self.stores.setdefault(
-                StoreFact(fn.name, stmt.sid, key, slot_of_address(key),
-                          value, d), None)
+            self.stores.setdefault((fn.name, stmt.sid), None)
             stored_depth = depths[1] - 1
             if stored_depth < 0:
                 continue  # value lineage stops propagating
@@ -768,7 +742,6 @@ class _Engine:
         if callee is None or callee.name in stack:
             self.notes.append(f"internal call to {stmt.callee} skipped")
             return
-        self.internal_edges.setdefault((fn.name, callee.name, stmt.sid), None)
         for alt, vals, d, depths in self._combos(stmt.operands, env, alts,
                                                  plan):
             # entry-point arguments pinned on this path migrate into the
@@ -903,12 +876,10 @@ class _Engine:
             reachability=tuple(self.reach),
             calls=tuple(calls),
             stores=tuple(self.stores),
-            loads=tuple(self.loads),
             returns={f: tuple(rows) for f, rows in self.returns.items()},
             storage=tuple(storage),
             truncated=self.truncated,
             notes=tuple(dict.fromkeys(self.notes)),
-            internal_calls=tuple(self.internal_edges),
         )
 
 

@@ -202,6 +202,20 @@ def test_corpus_scan_reuses_persisted_facts(capsys, tmp_path):
     assert len(json.loads(out)["warnings"]) == 1
 
 
+def test_corpus_infer_removes_the_rounds_of_an_earlier_run(capsys, tmp_path):
+    corpus = write_swap_corpus(tmp_path / "corpus")
+    assert run_cli(capsys, "corpus-infer", str(corpus), "--jobs", "1")[0] == 0
+    assert (corpus / "out" / "facts.round-2.json").is_file()
+    for path in sorted(corpus.glob("swapuser*.svc"))[5:]:
+        path.unlink()  # 6 of the 20 contracts are left: too few samples
+    code, out, _ = run_cli(capsys, "corpus-infer", str(corpus), "--jobs", "1")
+    assert code == 0 and json.loads(out)["sensitiveArgs"] == []
+    rounds = sorted(p.name for p in (corpus / "out").glob("facts.round-*"))
+    assert rounds == ["facts.round-1.json"]
+    code, out, _ = run_cli(capsys, "corpus-scan", str(corpus), "--jobs", "1")
+    assert (code, json.loads(out)["warnings"]) == (0, [])
+
+
 def test_jobs_parallel_output_identical(capsys, tmp_path):
     corpus = write_swap_corpus(tmp_path / "corpus", benign=4)
     code1, out1, _ = run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")
@@ -218,6 +232,15 @@ def test_env_seed_fallback(capsys, tmp_path, monkeypatch):
     _, out_flag, _ = run_cli(capsys, "analyze", target, "--seed", "7")
     assert json.loads(out_env)["config"]["seed"] == 7
     assert out_env == out_flag
+
+
+def test_non_integer_env_seed_is_a_one_line_usage_error(capsys, monkeypatch):
+    target = str(FIXTURES / "safe.svc")
+    monkeypatch.setenv("SYMVALIC_SEED", "abc")
+    assert run_cli(capsys, "scan", target) == (
+        2, "", "SYMVALIC_SEED: 'abc' is not an integer\n")
+    code, _, err = run_cli(capsys, "scan", target, "--seed", "7")
+    assert code == 0 and err == ""  # the flag wins over the environment
 
 
 def test_usage_error_exit_code():
@@ -358,7 +381,8 @@ def test_engine_recursion_failure_reads_the_same_everywhere(capsys, tmp_path):
     ("analyze", "--dep-args"), ("analyze", "--dep-storage-loads"),
     ("analyze", "--dep-tx-args"), ("analyze", "--arith-depth"),
     ("analyze", "--tx-rounds"), ("corpus-infer", "--rounds"),
-    ("corpus-scan", "--rounds"), ("corpus-build", "--jobs")])
+    ("corpus-scan", "--rounds"), ("corpus-build", "--jobs"),
+    ("corpus-infer", "--min-samples"), ("corpus-scan", "--min-samples")])
 def test_count_flag_below_one_is_a_usage_error(capsys, tmp_path, command,
                                                flag):
     target = FIXTURES / "safe.svc" if command == "analyze" else tmp_path
@@ -368,6 +392,22 @@ def test_count_flag_below_one_is_a_usage_error(capsys, tmp_path, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: 0 is not >= 1" in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--untainted-frac", "nan"), ("--untainted-frac", "1.5"),
+    ("--untainted-frac", "-0.1"), ("--guarded-frac", "NaN"),
+    ("--guarded-frac", "inf"), ("--guarded-frac", "2")])
+@pytest.mark.parametrize("command", ["corpus-infer", "corpus-scan"])
+def test_fraction_flag_outside_0_1_is_a_usage_error(capsys, tmp_path,
+                                                    command, flag, value):
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(tmp_path), flag, value, "--jobs", "1"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: {value} is not in [0, 1]" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pool_never_outnumbers_the_contracts(capsys, monkeypatch, tmp_path):

@@ -4,10 +4,10 @@ import json
 
 from symvalic import corpus as corpus_mod
 from symvalic.corpus import (
-    CorpusStats, DomainFacts, GuardedFact, ReentrancyFact, SensitiveArgFact,
-    Thresholds, aggregate, anomalies, facts_from_json, facts_json,
-    infer_domain_facts, latest_facts, load_corpus, refine, refine_contracts,
-    summarize,
+    EMPTY_FACTS, CorpusStats, DomainFacts, GuardedFact, ReentrancyFact,
+    SensitiveArgFact, Thresholds, aggregate, anomalies, facts_from_json,
+    facts_json, infer_domain_facts, latest_facts_path, load_corpus,
+    read_facts, refine, refine_contracts, summarize,
 )
 from symvalic.cli import main
 from symvalic.parser import parse
@@ -27,32 +27,8 @@ def summaries_of(src, facts=None):
 def test_summary_flags_trivial(guarded_contract):
     result = analyze(guarded_contract)
     summary = {s.function: s for s in summarize(result)}["sensitive"]
-    assert not summary.reaches_delegatecall
-    assert not summary.checked_transfer  # no transfer at all
+    assert not summary.allows_reentrancy
     assert summary.external_calls == ()
-
-
-def test_reaches_delegatecall_direct_and_transitive():
-    src = """contract D {
-    address impl;
-
-    function constructor() internal {
-        impl = 0x7777;
-    }
-
-    function inner() internal {
-        delegatecall(impl);
-    }
-
-    function outer() public {
-        call inner();
-    }
-}
-"""
-    summaries, _ = summaries_of(src)
-    assert summaries["inner"].reaches_delegatecall
-    assert summaries["outer"].reaches_delegatecall
-    assert not summaries["constructor"].reaches_delegatecall
 
 
 def test_external_call_guarded_and_taint_flags():
@@ -81,116 +57,6 @@ def test_external_call_guarded_and_taint_flags():
     closed_call = summaries["closed"].external_calls[0]
     assert closed_call.guarded
     assert closed_call.arg_taint == ("untainted", "untainted")
-
-
-def test_performs_init_detection():
-    src = """contract I {
-    address admin;
-    uint other;
-
-    function constructor() internal {
-        admin = msg.sender;
-    }
-
-    function reinit(address who) public {
-        admin = who;
-    }
-
-    function unrelated(uint v) public {
-        other = v;
-    }
-}
-"""
-    summaries, _ = summaries_of(src)
-    assert summaries["reinit"].performs_init
-    assert not summaries["unrelated"].performs_init  # slot not ctor-initialized
-    assert not summaries["constructor"].performs_init
-
-
-def test_constructor_only_writes_no_init_flag(safe_contract):
-    result = analyze(safe_contract)
-    summaries = {s.function: s for s in summarize(result)}
-    # deposit writes balanceOf which the constructor also writes, but only
-    # under the owner hypothesis: not an unguarded re-init
-    assert not summaries["deposit"].performs_init
-
-
-def test_unguarded_write_to_ctor_slot_is_init():
-    src = """contract I {
-    mapping balanceOf;
-
-    function constructor() internal {
-        balanceOf[0x42] = 1;
-    }
-
-    function top(address to) public {
-        balanceOf[to] = 1000;
-    }
-}
-"""
-    summaries, _ = summaries_of(src)
-    assert summaries["top"].performs_init
-
-
-def test_manipulable_return():
-    src = """contract M {
-    uint total;
-    uint fixedVal;
-
-    function constructor() internal {
-        fixedVal = 9;
-    }
-
-    function bump(uint v) public {
-        total = total + v;
-    }
-
-    function readTotal() public {
-        t = total;
-        return t;
-    }
-
-    function readFixed() public {
-        t = fixedVal;
-        return t;
-    }
-}
-"""
-    summaries, _ = summaries_of(src)
-    assert summaries["readTotal"].manipulable_return
-    assert not summaries["readFixed"].manipulable_return
-
-
-def test_checked_transfer_flag():
-    guarded = """contract C {
-    address owner;
-
-    function constructor() internal {
-        owner = msg.sender;
-    }
-
-    function out(address to) public {
-        require(msg.sender == owner);
-        transfer(to, 5);
-    }
-}
-"""
-    summaries, _ = summaries_of(guarded)
-    assert summaries["out"].checked_transfer
-    summaries2, _ = summaries_of(guarded.replace(
-        "        require(msg.sender == owner);\n", ""))
-    assert not summaries2["out"].checked_transfer
-
-
-def test_monetary_arg_positions():
-    src = """contract C {
-    function out(address to, uint amount, uint note) public {
-        transfer(to, amount);
-    }
-}
-"""
-    summaries, _ = summaries_of(src)
-    assert summaries["out"].monetary_arg_positions == {0, 1}
 
 
 def test_allows_reentrancy_direct_vs_sender():
@@ -274,8 +140,9 @@ def test_aggregate_permutation_invariant(swap_corpus):
 def test_infer_thresholds():
     stats = CorpusStats(arg_taint={("swap", 0): [1, 19]})
     facts = infer_domain_facts(stats, Thresholds())
-    fact = facts.sensitive_fact("swap", 0)
-    assert fact is not None and fact.fraction == 0.95 and fact.samples == 20
+    [fact] = [f for f in facts.sensitive_args
+              if (f.signature, f.position) == ("swap", 0)]
+    assert fact.fraction == 0.95 and fact.samples == 20
 
     few = CorpusStats(arg_taint={("swap", 0): [0, 5]})
     assert infer_domain_facts(few, Thresholds()).sensitive_args == ()
@@ -315,7 +182,7 @@ def test_refine_no_external_calls_fixpoint_immediately():
     outcome = refine_contracts({c.name: analyze(c) for c in contracts},
                                rounds=3)
     assert outcome.stable_after == 1
-    assert outcome.facts.is_empty()
+    assert outcome.facts == EMPTY_FACTS
 
 
 def test_refine_monotone_fact_sets(reentrancy_corpus):
@@ -425,6 +292,5 @@ def test_facts_json_roundtrip():
 
 def test_latest_facts_reads_newest_round(reentrancy_corpus):
     refine(reentrancy_corpus, rounds=3)
-    facts = latest_facts(reentrancy_corpus)
-    assert facts is not None
+    facts = read_facts(latest_facts_path(reentrancy_corpus))
     assert sorted(facts.reentrancy_allowing) == ["notify", "relay"]

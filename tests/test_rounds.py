@@ -19,7 +19,7 @@ def assert_same_as_every_round(contract, config=AnalysisConfig()):
     got = analyze(contract, config)
     want = analyze_every_round(contract, config)
     # every in-memory field in order: inferences, reachability, calls,
-    # stores, loads, returns, storage, notes, internal_calls, ...
+    # stores, returns, storage, notes, ...
     for f in dataclasses.fields(got):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
     assert got.to_json_dict() == want.to_json_dict()
