@@ -4,7 +4,8 @@ Commands:
     analyze FILE            emit the analysis result JSON
     scan FILE [--facts F]   emit vulnerability warnings
     corpus-build DIR        analyze every .svc file, write out/*.result.json
-                            and the analysis cache out/*.analysis.json
+                            and the analysis cache out/*.analysis.json, and
+                            remove those of contracts no longer built
     corpus-infer DIR        run fact refinement, write out/facts.round-N.json
     corpus-scan DIR         emit corpus-anomaly warnings for every contract
 
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import corpus as corpus_mod
-from .clients import BUILTIN_SPECS, run_detectors, warnings_json
+from .clients import run_detectors, warnings_json
 from .corpus import Thresholds, anomalies, diagnostic, facts_json
 from .deps import DependencyBudget
 from .parser import ParseError, parse
@@ -238,7 +239,7 @@ def cmd_scan(args) -> int:
     result = _analyze_file(args.file, contract, config_from_args(args))
     if result is None:
         return EXIT_USAGE
-    warnings = run_detectors(result, BUILTIN_SPECS, facts)
+    warnings = run_detectors(result, facts)
     _emit(warnings_json(warnings), args.format, _warning_lines)
     if result.truncated:
         return EXIT_RESOURCE
@@ -269,7 +270,8 @@ def cmd_corpus_build(args) -> int:
     try:
         results, errors = corpus_mod.analyze_corpus(
             args.dir, config, args.jobs, write_cache=True)
-    except OSError as err:  # the out directory cannot be made
+        corpus_mod.remove_stale_outputs(args.dir, results)
+    except OSError as err:  # the out directory cannot be made or cleaned
         return _write_failed(err)
     out = corpus_mod.corpus_out_dir(args.dir)
     index = []

@@ -4,27 +4,30 @@ Every detector is a pure function of its inputs and emits warnings in a
 stable order (contract, function, statement id, kind). The untrusted-caller
 hypothesis is the transaction dependency {sender -> <<unprivileged-user>>};
 "tainted" means the value is, or contains, <<user-unique-value>>.
+
+    run_detectors(result, facts=None)
+
+runs the unguarded and tainted-argument detectors, and with corpus
+DomainFacts also the reentrancy and untrusted-reachability detectors.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 from .deps import SENDER_KEY, DependencyMap
 from .symexpr import Expr, OWNER, UNPRIVILEGED_USER, USER_UNIQUE
 from .valueflow import AnalysisResult, CallSite
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:  # corpus imports this module
+    from .corpus import DomainFacts
 
 UNGUARDED_SENSITIVE = "UNGUARDED_SENSITIVE"
 TAINTED_SENSITIVE_ARG = "TAINTED_SENSITIVE_ARG"
 REENTRANCY = "REENTRANCY"
 UNTRUSTED_REACHABILITY = "UNTRUSTED_REACHABILITY"
 CORPUS_ANOMALY = "CORPUS_ANOMALY"
-
-INTRINSIC_SIGNATURES = ("TRANSFER", "SELFDESTRUCT", "DELEGATECALL")
 
 
 @dataclass(frozen=True)
@@ -60,17 +63,15 @@ class Warning:
                 self.witness, self.explanation)
 
 
-def is_tainted(e: Expr) -> bool:
-    """Value controllable by an untrusted caller: contains <<user-unique-value>>."""
-    return any(n == USER_UNIQUE for n in e.walk())
-
-
-def requires_unprivileged(d: DependencyMap) -> bool:
-    return d.sender() == UNPRIVILEGED_USER
-
-
 def requires_owner(d: DependencyMap) -> bool:
     return d.sender() == OWNER
+
+
+def caller_tainted(value: Expr, deps: DependencyMap) -> bool:
+    """An untrusted caller controls the value: its dependencies require the
+    sender <<unprivileged-user>>, and it is tainted."""
+    return (deps.sender() == UNPRIVILEGED_USER
+            and any(n == USER_UNIQUE for n in value.walk()))
 
 
 def _unpriv_reach(result: AnalysisResult, stmt: int) -> Tuple:
@@ -81,6 +82,13 @@ def _sorted(warnings: Iterable[Warning]) -> Tuple[Warning, ...]:
     return tuple(sorted(set(warnings), key=Warning.sort_key))
 
 
+def _warning(result: AnalysisResult, call: CallSite, kind: str,
+             witness: str, explanation: str) -> Warning:
+    """The warning of kind at one call site of the analyzed contract."""
+    return Warning(result.contract, call.function, kind, call.stmt, witness,
+                   explanation)
+
+
 def detect_unguarded_sensitive(result: AnalysisResult) -> Tuple[Warning, ...]:
     """A transfer/selfdestruct/delegatecall reachable by an untrusted caller."""
     out = []
@@ -89,15 +97,10 @@ def detect_unguarded_sensitive(result: AnalysisResult) -> Tuple[Warning, ...]:
             continue
         facts = _unpriv_reach(result, call.stmt)
         if facts:
-            out.append(Warning(
-                contract=result.contract,
-                function=call.function,
-                kind=UNGUARDED_SENSITIVE,
-                stmt=call.stmt,
-                witness=facts[0].deps.render(),
-                explanation=(f"{call.callee.lower()} in {call.function} is "
-                             "reachable by an untrusted caller"),
-            ))
+            out.append(_warning(
+                result, call, UNGUARDED_SENSITIVE, facts[0].deps.render(),
+                f"{call.callee.lower()} in {call.function} is reachable by "
+                "an untrusted caller"))
     return _sorted(out)
 
 
@@ -105,46 +108,34 @@ def detect_tainted_sensitive_arg(
         result: AnalysisResult,
         specs: Iterable[SensitiveOpSpec] = BUILTIN_SPECS,
 ) -> Tuple[Warning, ...]:
-    """An untrusted caller supplies a tainted value to a sensitive argument."""
-    by_sig: dict[str, list[CallSite]] = {}
-    for call in result.calls:
-        by_sig.setdefault(call.callee, []).append(call)
+    """An untrusted caller supplies a tainted value to a sensitive argument
+    (a position of a spec for the callee; positions past the call's
+    arguments are ignored)."""
+    positions: dict[str, frozenset] = {}
+    for spec in specs:
+        positions[spec.callee_signature] = (
+            positions.get(spec.callee_signature, frozenset()) | spec.positions)
     out = []
-    for spec in sorted(specs, key=lambda s: s.callee_signature):
-        calls = by_sig.get(spec.callee_signature)
-        if calls is None:
-            if spec.callee_signature not in INTRINSIC_SIGNATURES:
-                log.info("skipping sensitive-op spec for unknown callee %s",
-                         spec.callee_signature)
-            continue
-        for call in calls:
-            for pos in sorted(spec.positions):
-                if pos >= len(call.arg_values):
-                    log.info("spec position %d out of range for %s/%d",
-                             pos, call.callee, len(call.arg_values))
-                    continue
-                for value, deps in call.arg_values[pos]:
-                    if is_tainted(value) and requires_unprivileged(deps):
-                        out.append(Warning(
-                            contract=result.contract,
-                            function=call.function,
-                            kind=TAINTED_SENSITIVE_ARG,
-                            stmt=call.stmt,
-                            witness=f"{value.render()} {deps.render()}",
-                            explanation=(
-                                f"argument {pos} of {call.callee} can be "
-                                "tainted by an untrusted caller"),
-                        ))
-                        break
+    for call in result.calls:
+        for pos in positions.get(call.callee, ()):
+            if pos >= len(call.arg_values):
+                continue
+            for value, deps in call.arg_values[pos]:
+                if caller_tainted(value, deps):
+                    out.append(_warning(
+                        result, call, TAINTED_SENSITIVE_ARG,
+                        f"{value.render()} {deps.render()}",
+                        f"argument {pos} of {call.callee} can be tainted "
+                        "by an untrusted caller"))
+                    break
     return _sorted(out)
 
 
-def detect_reentrancy(result: AnalysisResult, facts) -> Tuple[Warning, ...]:
+def detect_reentrancy(result: AnalysisResult, facts: DomainFacts
+                      ) -> Tuple[Warning, ...]:
     """External call to a reentrancy-allowing signature with a storage write
     reachable after it on some path, under an untrusted caller."""
-    allowing = frozenset(getattr(facts, "reentrancy_allowing", frozenset()))
-    if not allowing:
-        return ()
+    allowing = facts.reentrancy_allowing
     out = []
     for call in result.calls:
         if call.kind != "external" or call.callee not in allowing:
@@ -156,25 +147,17 @@ def detect_reentrancy(result: AnalysisResult, facts) -> Tuple[Warning, ...]:
         writes = sorted(stmt for fn, stmt in result.stores
                         if fn == call.function and stmt in after)
         if writes:
-            out.append(Warning(
-                contract=result.contract,
-                function=call.function,
-                kind=REENTRANCY,
-                stmt=call.stmt,
-                witness=unpriv[0].deps.render(),
-                explanation=(
-                    f"storage write at s{writes[0]} follows a call to "
-                    f"reentrancy-allowing {call.callee}"),
-            ))
+            out.append(_warning(
+                result, call, REENTRANCY, unpriv[0].deps.render(),
+                f"storage write at s{writes[0]} follows a call to "
+                f"reentrancy-allowing {call.callee}"))
     return _sorted(out)
 
 
-def detect_untrusted_reachability(result: AnalysisResult, facts
+def detect_untrusted_reachability(result: AnalysisResult, facts: DomainFacts
                                   ) -> Tuple[Warning, ...]:
     """Call to a usually-guarded signature reachable without any guard."""
-    guarded_map = {f.signature: f for f in getattr(facts, "usually_guarded", ())}
-    if not guarded_map:
-        return ()
+    guarded_map = {f.signature: f for f in facts.usually_guarded}
     out = []
     for call in result.calls:
         if call.kind != "external" or call.callee not in guarded_map:
@@ -182,27 +165,20 @@ def detect_untrusted_reachability(result: AnalysisResult, facts
         fact = guarded_map[call.callee]
         unpriv = _unpriv_reach(result, call.stmt)
         if unpriv:
-            out.append(Warning(
-                contract=result.contract,
-                function=call.function,
-                kind=UNTRUSTED_REACHABILITY,
-                stmt=call.stmt,
-                witness=unpriv[0].deps.render(),
-                explanation=(
-                    f"{call.callee} is guarded in {fact.fraction:.2f} of "
-                    f"{fact.samples} corpus call sites but reachable by an "
-                    "untrusted caller here"),
-            ))
+            out.append(_warning(
+                result, call, UNTRUSTED_REACHABILITY, unpriv[0].deps.render(),
+                f"{call.callee} is guarded in {fact.fraction:.2f} of "
+                f"{fact.samples} corpus call sites but reachable by an "
+                "untrusted caller here"))
     return _sorted(out)
 
 
 def run_detectors(result: AnalysisResult,
-                  specs: Iterable[SensitiveOpSpec] = BUILTIN_SPECS,
-                  facts=None) -> Tuple[Warning, ...]:
-    """The full battery: unguarded + tainted always; reentrancy and
-    untrusted-reachability when corpus facts are supplied."""
+                  facts: Optional[DomainFacts] = None) -> Tuple[Warning, ...]:
+    """The full battery: unguarded + tainted (over BUILTIN_SPECS) always;
+    reentrancy and untrusted-reachability when corpus facts are supplied."""
     warnings = list(detect_unguarded_sensitive(result))
-    warnings.extend(detect_tainted_sensitive_arg(result, specs))
+    warnings.extend(detect_tainted_sensitive_arg(result))
     if facts is not None:
         warnings.extend(detect_reentrancy(result, facts))
         warnings.extend(detect_untrusted_reachability(result, facts))
@@ -211,11 +187,12 @@ def run_detectors(result: AnalysisResult,
 
 def relabel(warnings: Iterable[Warning], kind: str,
             suffix: Optional[str] = None) -> Tuple[Warning, ...]:
-    out = []
-    for w in warnings:
-        explanation = w.explanation if suffix is None else f"{w.explanation}; {suffix}"
-        out.append(replace(w, kind=kind, explanation=explanation))
-    return _sorted(out)
+    """The warnings with kind replaced and suffix appended to each
+    explanation, in the given order."""
+    return tuple(
+        replace(w, kind=kind, explanation=(
+            w.explanation if suffix is None else f"{w.explanation}; {suffix}"))
+        for w in warnings)
 
 
 # ---------------------------------------------------------------------------

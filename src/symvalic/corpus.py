@@ -35,9 +35,9 @@ from pathlib import Path
 from typing import Iterable, Optional, Tuple
 
 from .clients import (
-    CORPUS_ANOMALY, SensitiveOpSpec, Warning, detect_tainted_sensitive_arg,
-    detect_untrusted_reachability, is_tainted, relabel, requires_owner,
-    requires_unprivileged,
+    CORPUS_ANOMALY, SensitiveOpSpec, Warning, caller_tainted,
+    detect_tainted_sensitive_arg, detect_untrusted_reachability, relabel,
+    requires_owner,
 )
 from .parser import ParseError, parse
 from .symexpr import Expr, FREE_IDENTITY_SYMBOLS
@@ -91,8 +91,8 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
             reach = result.stmt_reachable(c.stmt)
             guarded = bool(reach) and all(requires_owner(f.deps) for f in reach)
             taint = tuple(
-                "tainted" if any(is_tainted(v) and requires_unprivileged(d)
-                                 for v, d in pos) else "untainted"
+                "tainted" if any(caller_tainted(v, d) for v, d in pos)
+                else "untainted"
                 for pos in c.arg_values
             )
             ext_summaries.append(ExternalCallSummary(
@@ -153,6 +153,13 @@ class Thresholds:
     min_samples: int = 10
     untainted_fraction: float = 0.9
     guarded_fraction: float = 0.9
+
+    def __post_init__(self):
+        if self.min_samples < 1:
+            raise ValueError("min_samples must be >= 1")
+        for value in (self.untainted_fraction, self.guarded_fraction):
+            if not 0 <= value <= 1:  # also false for NaN
+                raise ValueError("threshold fractions must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -390,6 +397,15 @@ def analyze_corpus(corpus_dir, config: AnalysisConfig, jobs: int = 1,
         else:
             errors[path] = error
     return dict(sorted(results.items())), errors
+
+
+def remove_stale_outputs(corpus_dir, contracts) -> None:
+    """Remove the result and analysis-cache files of every contract name
+    not in contracts, so the out directory holds only this build's."""
+    for suffix in (".result.json", ".analysis.json"):
+        for path in corpus_out_dir(corpus_dir).glob(f"*{suffix}"):
+            if path.name[: -len(suffix)] not in contracts:
+                path.unlink()
 
 
 def facts_json(facts: DomainFacts, round_no: int,

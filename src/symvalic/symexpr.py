@@ -297,6 +297,14 @@ def substitute(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
 _norm_cache: dict[Expr, Expr] = {}
 
 
+def clear_normalize_memo() -> None:
+    """Empty normalize's memo. The memo hands back the first of equal
+    expressions it stored, and equal constants may print differently
+    (hex_hint), so an analysis that starts from an empty memo prints the
+    same whatever the process analyzed before it."""
+    _norm_cache.clear()
+
+
 def normalize(e: Expr) -> Expr:
     """Minimal equivalent form under 256-bit wraparound semantics.
 

@@ -65,8 +65,8 @@ from .ir import (
 from .symexpr import (
     ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Not, OWNER,
     OWNER_UNIQUE, Sha3, Sym, TRUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
-    as_expr, contract_symbol, expr_key, free_syms, implies, normalize,
-    substitute, value_for_var,
+    as_expr, clear_normalize_memo, contract_symbol, expr_key, free_syms,
+    implies, normalize, substitute, value_for_var,
 )
 
 SENDER_INPUT = "msg.sender"
@@ -362,6 +362,7 @@ def _trim(items: list, limit: int) -> list:
 class _Engine:
     def __init__(self, contract: Contract, config: AnalysisConfig,
                  entry_seeds: Optional[SeedOverrides]):
+        clear_normalize_memo()
         self.contract = contract
         self.cfg = config
         self.entry_seeds = dict(entry_seeds or {})
@@ -377,8 +378,9 @@ class _Engine:
                           for p in f.param_names[: config.budget.tx_args])
             for f in contract.functions}
 
-        # per-function tracking plans (local part); the tracked storage-load
-        # variable is the first SLOAD into a named local (temps are the
+        # per-function tracking plans (local part); the storage-load
+        # variables are the SLOADs into named locals in statement order, of
+        # which the budget tracks the first storage_loads (temps are the
         # unnamed intermediate loads, e.g. inside a require condition).
         # Reassigned locals are not trackable: a name-keyed dependency must
         # denote one value per execution.
@@ -388,15 +390,12 @@ class _Engine:
             for s in f.statements():
                 if s.result:
                     assign_counts[s.result] = assign_counts.get(s.result, 0) + 1
-            first_load: Tuple[str, ...] = ()
-            for s in f.statements():
-                if (s.op == "SLOAD" and s.result
-                        and not TEMP_NAME.match(s.result)
-                        and assign_counts[s.result] == 1):
-                    first_load = (s.result,)
-                    break
+            loads = tuple(s.result for s in f.statements()
+                          if s.op == "SLOAD" and s.result
+                          and not TEMP_NAME.match(s.result)
+                          and assign_counts[s.result] == 1)
             self.local_plans[f.name] = TrackingPlan(
-                arg_order=f.param_names, storage_load_order=first_load)
+                arg_order=f.param_names, storage_load_order=loads)
 
         # collectors (ordered dedup)
         self.inferences: dict[Inference, None] = {}

@@ -42,6 +42,17 @@ def unguarded_contract():
 # --- generated corpora -----------------------------------------------------
 
 
+def gate_source(name: str, value: str) -> str:
+    """A contract that pays an address parameter required to equal value;
+    0xbeef and 48879 are equal constants that print differently."""
+    return (f"contract {name} {{\n"
+            "    function pay(address to) public {\n"
+            f"        require(to == {value});\n"
+            "        transfer(to, 1);\n"
+            "    }\n"
+            "}\n")
+
+
 def write_swap_corpus(directory: Path, benign: int = 19) -> Path:
     """benign contracts passing a storage constant to dex.swap, plus one
     forwarding a tainted address parameter."""

@@ -14,8 +14,7 @@ import time
 import pytest
 
 from symvalic.clients import (
-    BUILTIN_SPECS, UNGUARDED_SENSITIVE, detect_unguarded_sensitive,
-    run_detectors,
+    UNGUARDED_SENSITIVE, detect_unguarded_sensitive, run_detectors,
 )
 from symvalic.corpus import anomalies, refine
 from symvalic.deps import Conflict, DependencyMap, EMPTY, combine
@@ -283,7 +282,7 @@ def test_criterion_09_benign_suite_zero_warnings(tmp_path):
         total = []
         for name in sorted(outcome.results):
             result = outcome.results[name]
-            total.extend(run_detectors(result, BUILTIN_SPECS, outcome.facts))
+            total.extend(run_detectors(result, outcome.facts))
             total.extend(anomalies(result, outcome.facts))
         assert total == []
 

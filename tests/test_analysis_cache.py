@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from symvalic import cli
 from symvalic import corpus as corpus_mod
 from symvalic.analysis_cache import cache_key, cache_path, dumps, load, write
-from symvalic.clients import BUILTIN_SPECS, run_detectors
+from symvalic.clients import run_detectors
 from symvalic.corpus import Thresholds, anomalies, refine_contracts, summarize
 from symvalic.deps import DependencyBudget, DependencyMap
 from symvalic.parser import parse
@@ -141,8 +141,7 @@ def test_full_result_round_trip(tmp_path):
     facts = outcome.facts
     assert facts.sensitive_args and facts.reentrancy
     for fresh, cached in pairs:
-        assert (run_detectors(cached, BUILTIN_SPECS, facts)
-                == run_detectors(fresh, BUILTIN_SPECS, facts))
+        assert run_detectors(cached, facts) == run_detectors(fresh, facts)
         assert summarize(cached, facts) == summarize(fresh, facts)
         assert anomalies(cached, facts) == anomalies(fresh, facts)
 

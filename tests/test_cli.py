@@ -15,7 +15,9 @@ from symvalic.cli import main
 from symvalic.corpus import refine
 from symvalic.schemas import FACTS_SCHEMA, RESULT_SCHEMA, WARNINGS_SCHEMA
 
-from conftest import FIXTURES, write_reentrancy_corpus, write_swap_corpus
+from conftest import (
+    FIXTURES, gate_source, write_reentrancy_corpus, write_swap_corpus,
+)
 
 
 def package_env(**extra) -> dict:
@@ -104,6 +106,18 @@ def test_corpus_build_writes_results(capsys, tmp_path):
     jsonschema.validate(doc, RESULT_SCHEMA)
     index = json.loads(out)
     assert len(index["contracts"]) == 4
+
+
+def test_corpus_build_removes_the_outputs_of_a_removed_contract(capsys,
+                                                                tmp_path):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=3)
+    assert run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")[0] == 0
+    (corpus / "swapuser02.svc").unlink()
+    assert run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")[0] == 0
+    outputs = sorted(p.name for p in (corpus / "out").iterdir())
+    assert outputs == [f"{name}.{kind}.json"
+                       for name in ("SwapTainted", "SwapUser00", "SwapUser01")
+                       for kind in ("analysis", "result")]
 
 
 def test_corpus_infer_writes_fact_rounds(capsys, tmp_path):
@@ -222,6 +236,20 @@ def test_jobs_parallel_output_identical(capsys, tmp_path):
     shutil.rmtree(corpus / "out")
     code2, out2, _ = run_cli(capsys, "corpus-build", str(corpus), "--jobs", "2")
     assert (code1, out1) == (code2, out2)
+
+
+def test_corpus_build_result_matches_a_lone_analysis(capsys, tmp_path):
+    # a.svc is analyzed first in the same process as b.svc
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.svc").write_text(gate_source("A", "0xbeef"))
+    (corpus / "b.svc").write_text(gate_source("B", "48879"))
+    assert run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")[0] == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "symvalic.cli", "analyze",
+         str(corpus / "b.svc")], capture_output=True, env=package_env())
+    assert proc.returncode == 0
+    assert (corpus / "out" / "B.result.json").read_bytes() == proc.stdout
 
 
 def test_env_seed_fallback(capsys, tmp_path, monkeypatch):

@@ -174,14 +174,14 @@ def test_untrusted_reachability_needs_facts():
 
 def test_warnings_all_carry_unprivileged_witness():
     r = analyzed(UNGUARDED_FORWARDER)
-    for w in run_detectors(r, BUILTIN_SPECS, NOTIFY_FACTS):
+    for w in run_detectors(r, NOTIFY_FACTS):
         assert "<<unprivileged-user>>" in w.witness
 
 
 def test_detectors_pure_and_stably_ordered():
     r = analyzed(UNGUARDED_FORWARDER)
-    first = run_detectors(r, BUILTIN_SPECS)
-    second = run_detectors(r, BUILTIN_SPECS)
+    first = run_detectors(r)
+    second = run_detectors(r)
     assert first == second
     assert list(first) == sorted(first, key=Warning.sort_key)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from symvalic import corpus as corpus_mod
 from symvalic.corpus import (
     EMPTY_FACTS, CorpusStats, DomainFacts, GuardedFact, ReentrancyFact,
@@ -149,6 +151,14 @@ def test_infer_thresholds():
 
     boundary = CorpusStats(arg_taint={("swap", 0): [2, 18]})  # exactly 0.9
     assert infer_domain_facts(boundary, Thresholds()).sensitive_args != ()
+
+
+@pytest.mark.parametrize("fields", [
+    (0, 0.9, 0.9), (1, float("nan"), 0.9), (1, 0.9, float("nan")),
+    (1, -0.1, 0.9), (1, 0.9, 1.5), (1, float("inf"), 0.9)])
+def test_thresholds_out_of_range_rejected(fields):
+    with pytest.raises(ValueError):
+        Thresholds(*fields)
 
 
 def test_infer_guarded_facts():

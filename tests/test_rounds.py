@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from symvalic.clients import BUILTIN_SPECS, run_detectors
+from symvalic.clients import run_detectors
 from symvalic.parser import parse
 from symvalic.valueflow import AnalysisConfig, _Engine, analyze
 
@@ -23,8 +23,7 @@ def assert_same_as_every_round(contract, config=AnalysisConfig()):
     for f in dataclasses.fields(got):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
     assert got.to_json_dict() == want.to_json_dict()
-    assert (run_detectors(got, BUILTIN_SPECS)
-            == run_detectors(want, BUILTIN_SPECS))
+    assert run_detectors(got) == run_detectors(want)
     return got
 
 

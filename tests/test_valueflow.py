@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from symvalic.deps import DependencyMap
+from symvalic.deps import DependencyBudget, DependencyMap
 from symvalic.parser import parse
 from symvalic.symexpr import (
     Const, OWNER, OWNER_UNIQUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
 )
 from symvalic.valueflow import AnalysisConfig, analyze, seed_inputs
 
+from conftest import gate_source
 from helpers import (
     Reverted, gen_oracle_contract, gen_storage_contract, run_concrete,
 )
@@ -303,6 +304,35 @@ def test_values_always_normalized_and_budgeted(safe_contract):
         assert len(i.deps.transaction) <= 3  # sender + 2 entry args
 
 
+TWO_LOADS = """contract L {
+    uint a;
+    uint b;
+
+    function constructor() internal {
+        a = 1;
+        b = 2;
+    }
+
+    function f() public {
+        va = a;
+        vb = b;
+        x = va + vb;
+    }
+}
+"""
+
+
+def test_storage_load_budget_tracks_the_first_loads():
+    contract = parse(TWO_LOADS)
+    tracked = {}
+    for loads in (1, 2, 3):
+        config = AnalysisConfig(budget=DependencyBudget(storage_loads=loads))
+        r = analyze(contract, config)
+        tracked[loads] = {var for i in r.inferences
+                          for var in i.deps.local_map}
+    assert tracked == {1: {"va"}, 2: {"va", "vb"}, 3: {"va", "vb"}}
+
+
 def test_var_may_be_taint_witness_shape():
     c = parse("contract T { mapping sink; function put(address who) public {"
               " sink[0x7] = 1; keep = who; } }")
@@ -321,6 +351,14 @@ def test_var_may_be_wildcards(whichpaths_contract):
     assert {i.value.value for i in all_y} >= {3, 4, 9, 16}
     only16 = r.var_may_be("y", value=16)
     assert {i.value.value for i in only16} == {16}
+
+
+def test_result_does_not_depend_on_earlier_analyses():
+    b = parse(gate_source("B", "48879"))
+    analyze(parse(gate_source("A", "0xbeef")))
+    after_a = analyze(b).to_json_dict()
+    assert "EQ(48879, <<owner-unique-value>>)" in str(after_a)
+    assert analyze(b).to_json_dict() == after_a
 
 
 def test_stmt_reachable_matches_a_scan_of_the_facts(guarded_contract):
