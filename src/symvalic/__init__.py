@@ -4,7 +4,7 @@ from .deps import (
     Conflict, DependencyBudget, DependencyMap, TrackingPlan, combine, restrict,
 )
 from .ir import Contract, Function, Statement, harvest_constants, validate
-from .parser import ParseError, parse, pretty
+from .parser import ParseError, parse
 from .symexpr import (
     BinOp, Concat, Const, Expr, Not, OWNER, OWNER_UNIQUE, Sha3, Sym,
     UNPRIVILEGED_USER, USER_UNIQUE, eval_concrete, implies, normalize,
@@ -23,6 +23,6 @@ __all__ = [
     "Function", "Inference", "Not", "OWNER", "OWNER_UNIQUE", "ParseError",
     "ReachabilityFact", "Sha3", "Statement", "Sym", "TrackingPlan",
     "UNPRIVILEGED_USER", "USER_UNIQUE", "analyze", "combine", "eval_concrete",
-    "harvest_constants", "implies", "normalize", "parse", "pretty",
-    "restrict", "seed_inputs", "validate", "value_for_var",
+    "harvest_constants", "implies", "normalize", "parse", "restrict",
+    "seed_inputs", "validate", "value_for_var",
 ]

@@ -16,9 +16,9 @@ matches, and otherwise runs the engine; see analysis_cache. This module
 handles arguments, report writing and exit codes.
 
 Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
-analysis error or an output that cannot be written, 3 analysis resource
-cap hit on any input. Count flags take integers >= 1 and fraction flags
-numbers in [0, 1]; SYMVALIC_SEED must be an integer. Reports go to
+analysis error, an unlistable corpus or an unwritable output, 3 analysis
+resource cap hit on any input. Count flags take integers >= 1 and fraction
+flags numbers in [0, 1]; SYMVALIC_SEED must be an integer. Reports go to
 stdout, diagnostics to stderr, one line per failed input or output
 (`path:line:col: message` for a parse error, `path: message` otherwise).
 A corpus command reports a failed contract and goes on with the others.
@@ -156,20 +156,25 @@ def _warning_lines(doc: dict):
                f"{w['explanation']} [{w['witness']}]")
 
 
+def _deps_text(row: dict) -> str:
+    """A result row's dependency map as DependencyMap.render() prints it."""
+    local, tx = (", ".join(f"{var} -> {value}" for var, value in row[side].items())
+                 for side in ("local", "tx"))
+    return f"<{{{local}}} ; {{{tx}}}>"
+
+
 def _result_lines(doc: dict):
     yield f"contract {doc['contract']} (truncated: {doc['truncated']})"
     yield "config " + " ".join(f"{k}={v}" for k, v in sorted(doc["config"].items()))
     for i in doc["inferences"]:
-        yield (f"  {i['function']}.{i['var']} -> {i['value']} "
-               f"<{i['local']} ; {i['tx']}>")
+        yield f"  {i['function']}.{i['var']} -> {i['value']} {_deps_text(i)}"
     for r in doc["reachability"]:
-        yield f"  reach s{r['stmt']} ({r['function']}) <{r['local']} ; {r['tx']}>"
+        yield f"  reach s{r['stmt']} ({r['function']}) {_deps_text(r)}"
     for c in doc["externalCalls"]:
         yield f"  call s{c['stmt']} {c['function']} -> {c['callee']} ({c['kind']})"
     for fname, rows in sorted(doc["returns"].items()):
         for row in rows:
-            yield (f"  return {fname} -> {row['value']} "
-                   f"<{row['local']} ; {row['tx']}>")
+            yield f"  return {fname} -> {row['value']} {_deps_text(row)}"
     for cell in doc["storage"]:
         yield (f"  storage {cell['address']} -> {cell['value']} "
                f"(depth {cell['depth']})")
@@ -259,8 +264,8 @@ def _corpus_exit(errors, truncated, warnings) -> int:
     return EXIT_WARNINGS if warnings else EXIT_OK
 
 
-def _write_failed(err: OSError) -> int:
-    """One diagnostic line for an output that cannot be written."""
+def _io_failed(err: OSError) -> int:
+    """One diagnostic line for an unlistable corpus or unwritable output."""
     print(diagnostic(err.filename, err), file=sys.stderr)
     return EXIT_USAGE
 
@@ -271,8 +276,8 @@ def cmd_corpus_build(args) -> int:
         results, errors = corpus_mod.analyze_corpus(
             args.dir, config, args.jobs, write_cache=True)
         corpus_mod.remove_stale_outputs(args.dir, results)
-    except OSError as err:  # the out directory cannot be made or cleaned
-        return _write_failed(err)
+    except OSError as err:  # no corpus, or out cannot be made or cleaned
+        return _io_failed(err)
     out = corpus_mod.corpus_out_dir(args.dir)
     index = []
     for name in sorted(results):
@@ -298,15 +303,15 @@ def cmd_corpus_build(args) -> int:
 def cmd_corpus_infer(args) -> int:
     config = config_from_args(args)
     thresholds = thresholds_from_args(args)
-    results, errors = corpus_mod.analyze_corpus(args.dir, config, args.jobs)
-    _report_errors(errors)
-    # refine parses the same files: its errors are among these
     try:
+        results, errors = corpus_mod.analyze_corpus(args.dir, config, args.jobs)
+        _report_errors(errors)
+        # refine parses the same files: its errors are among these
         outcome = corpus_mod.refine(args.dir, rounds=args.rounds,
                                     config=config, thresholds=thresholds,
                                     results=results)
-    except OSError as err:  # a facts round cannot be written
-        return _write_failed(err)
+    except OSError as err:  # no corpus, or a facts round cannot be written
+        return _io_failed(err)
     final_round = len(outcome.facts_rounds)
     _emit(facts_json(outcome.facts, final_round, thresholds), args.format,
           _facts_lines)
@@ -323,15 +328,15 @@ def cmd_corpus_scan(args) -> int:
         facts = _read_facts(facts_path)
         if facts is None:
             return EXIT_USAGE
-    results, errors = corpus_mod.analyze_corpus(args.dir, config, args.jobs)
-    _report_errors(errors)
-    if facts is None:
-        try:
+    try:
+        results, errors = corpus_mod.analyze_corpus(args.dir, config, args.jobs)
+        _report_errors(errors)
+        if facts is None:
             facts = corpus_mod.refine(args.dir, rounds=args.rounds,
                                       config=config, thresholds=thresholds,
                                       results=results).facts
-        except OSError as err:  # a facts round cannot be written
-            return _write_failed(err)
+    except OSError as err:  # no corpus, or a facts round cannot be written
+        return _io_failed(err)
     all_warnings = []
     for name in sorted(results):
         all_warnings.extend(anomalies(results[name], facts))

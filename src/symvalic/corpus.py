@@ -82,7 +82,7 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
             externals_by_fn.setdefault(c.function, []).append(c)
 
     out = []
-    for fname, _vis, _params in result.functions:
+    for fname in result.functions:
         externals = sorted(externals_by_fn.get(fname, ()),
                            key=lambda c: c.stmt)
 
@@ -322,11 +322,13 @@ def diagnostic(path, err: Exception) -> str:
 def load_corpus(corpus_dir) -> Tuple[list, dict]:
     """Read and parse every .svc file in the directory, in path order:
     ([(path, text, contract)], {path: diagnostic line}) for the files that
-    cannot be read or parsed or repeat a contract name."""
+    cannot be read or parsed or repeat a contract name. OSError if the
+    directory cannot be listed, such as one that does not exist."""
     loaded = []
     errors: dict[Path, str] = {}
     seen: set[str] = set()
-    for path in sorted(Path(corpus_dir).glob("*.svc")):
+    for path in sorted(p for p in Path(corpus_dir).iterdir()
+                       if p.name.endswith(".svc")):
         try:
             text = path.read_text()
             contract = parse(text)
@@ -368,14 +370,15 @@ def analyze_corpus(corpus_dir, config: AnalysisConfig, jobs: int = 1,
     """(results by contract name, diagnostic lines by file path) for every
     .svc file in the directory, over jobs worker processes. A contract's
     cache in the out directory stands in for its analysis when the key
-    matches; with write_cache, every fresh result is cached there."""
+    matches; with write_cache, every fresh result is cached there. OSError,
+    with nothing written, if the directory cannot be listed."""
     # imported here: scan and analyze never use the cache
     from . import analysis_cache
 
+    loaded, errors = load_corpus(corpus_dir)
     out = corpus_out_dir(corpus_dir)
     if write_cache:
         out.mkdir(parents=True, exist_ok=True)
-    loaded, errors = load_corpus(corpus_dir)
     payloads = [(path, text, config,
                  analysis_cache.cache_path(out, contract.name),
                  analysis_cache.cache_key(text, config), write_cache)
@@ -523,7 +526,8 @@ def refine(corpus_dir, rounds: int = 3,
     """Directory-level refinement: analyze the corpus (unless its results
     are given), iterate, persist facts per round. The outcome's errors are
     the corpus's diagnostic lines by file path; with given results, only
-    those of the files that cannot be loaded."""
+    those of the files that cannot be loaded. OSError, with nothing
+    written, if the directory cannot be listed."""
     if results is None:
         results, errors = analyze_corpus(corpus_dir, config or AnalysisConfig())
     else:

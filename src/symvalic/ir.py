@@ -152,7 +152,6 @@ class Contract:
     storage: Tuple[StorageDecl, ...]
     functions: Tuple[Function, ...]
     literal_uses: Tuple[LiteralUse, ...] = ()
-    source_ast: object = field(default=None, compare=False, repr=False)
 
     def function(self, name: str) -> Optional[Function]:
         for f in self.functions:

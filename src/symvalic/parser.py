@@ -94,7 +94,7 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":  # str.isdigit takes other scripts' digits too
             start, scol = i, col
             if text.startswith("0x", i) or text.startswith("0X", i):
                 i += 2
@@ -105,7 +105,7 @@ def tokenize(text: str) -> list[Token]:
                     raise ParseError("malformed hex literal", line, scol)
                 value, hex_form = int(lit, 16), True
             else:
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in "0123456789":
                     i += 1
                 value, hex_form = int(text[start:i]), False
             if value >= WORD:
@@ -194,8 +194,7 @@ class SRequire:
 class SIf:
     cond: ExprAst
     then: Tuple
-    els: Tuple
-    has_else: bool
+    els: Tuple  # empty when the source has no else
     line: int = 0
 
 
@@ -339,11 +338,9 @@ class _Parser:
                 self.expect("punct", ")")
                 then = self.parse_block_stmts()
                 els: Tuple = ()
-                has_else = False
                 if self.accept("keyword", "else"):
                     els = self.parse_block_stmts()
-                    has_else = True
-                return SIf(cond, then, els, has_else, t.line)
+                return SIf(cond, then, els, t.line)
             if t.text == "call":
                 self.next()
                 first = self.expect("ident").text
@@ -469,7 +466,7 @@ class _Lowerer:
             self.storage[name] = StorageDecl(name, slot, skind)
         self.storage_types = {name: ("address" if kind == "address" else "uint256")
                               for (kind, name) in ast.decls if kind != "mapping"}
-        self.fn_names = {f.name for f in ast.functions}
+        self.arity = {f.name: len(f.params) for f in ast.functions}
         self.literals: list[LiteralUse] = []
         self.sid = 0
 
@@ -478,23 +475,18 @@ class _Lowerer:
         return self.sid - 1
 
     def lower(self) -> Contract:
-        functions = tuple(self.lower_function(f) for f in self.ast.functions)
+        functions = tuple(_FnLowerer(self, f).run() for f in self.ast.functions)
         contract = Contract(
             name=self.ast.name,
             storage=tuple(self.storage[name] for _, name in self.ast.decls),
             functions=functions,
             literal_uses=tuple(self.literals),
-            source_ast=self.ast,
         )
         try:
             validate(contract)
         except IRError as err:  # lowering must never construct invalid IR
             raise AssertionError(f"lowering produced invalid IR: {err}") from err
         return contract
-
-    def lower_function(self, fast: FuncAst) -> Function:
-        fl = _FnLowerer(self, fast)
-        return fl.run()
 
 
 class _FnLowerer:
@@ -552,7 +544,7 @@ class _FnLowerer:
         for s in stmts:
             if self.terminated:
                 raise ParseError("unreachable statement after terminator",
-                                 getattr(s, "line", 0), 0)
+                                 s.line, 0)
             try:
                 self.lower_stmt(s)
             except RecursionError:
@@ -729,16 +721,15 @@ class _FnLowerer:
 
     def lower_call(self, s: SCall):
         if s.target is None:
-            if s.callee not in self.o.fn_names:
+            arity = self.o.arity.get(s.callee)
+            if arity is None:
                 raise ParseError(f"internal call to unknown function {s.callee}",
                                  s.line, 0)
             if s.callee == CONSTRUCTOR_NAME:
                 raise ParseError("cannot call the constructor", s.line, 0)
-            callee_ast = next(f for f in self.o.ast.functions if f.name == s.callee)
-            if len(callee_ast.params) != len(s.args):
-                raise ParseError(
-                    f"{s.callee} expects {len(callee_ast.params)} arguments",
-                    s.line, 0)
+            if arity != len(s.args):
+                raise ParseError(f"{s.callee} expects {arity} arguments",
+                                 s.line, 0)
             ops = [self.lower_operand(a, s.line) for a in s.args]
             self.emit("CALLINTERNAL", ops, callee=s.callee, line=s.line)
             return
@@ -769,83 +760,3 @@ def parse(text: str) -> Contract:
         raise ParseError("nesting too deep", tok.line, tok.col) from None
     return _Lowerer(ast).lower()
 
-
-# ---------------------------------------------------------------------------
-# Pretty printing (canonical surface form; parse(pretty(c)) == c)
-# ---------------------------------------------------------------------------
-
-# binding strength of each operator, from the parser's levels; `!` binds
-# tighter than any binary operator
-_PREC = {op: level + 1 for level, ops in enumerate(_BIN_LEVELS) for op in ops}
-
-
-def _pp_expr(e, parent_prec: int = 0, right: bool = False) -> str:
-    if isinstance(e, ENum):
-        return hex(e.value) if e.hex_form else str(e.value)
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, ESender):
-        return "msg.sender"
-    if isinstance(e, EIndex):
-        return f"{e.mapping}[{_pp_expr(e.key)}]"
-    if isinstance(e, ENot):
-        return f"!{_pp_expr(e.operand, len(_BIN_LEVELS) + 1)}"
-    if isinstance(e, EBin):
-        prec = _PREC[e.op]
-        s = (f"{_pp_expr(e.left, prec)} {e.op} "
-             f"{_pp_expr(e.right, prec, right=True)}")
-        if prec < parent_prec or (prec == parent_prec and right):
-            return f"({s})"
-        return s
-    raise AssertionError(e)
-
-
-def _pp_stmt(s, indent: str) -> list[str]:
-    if isinstance(s, SAssign):
-        lhs = s.target if s.key is None else f"{s.target}[{_pp_expr(s.key)}]"
-        return [f"{indent}{lhs} = {_pp_expr(s.value)};"]
-    if isinstance(s, SRequire):
-        return [f"{indent}require({_pp_expr(s.cond)});"]
-    if isinstance(s, SIf):
-        lines = [f"{indent}if ({_pp_expr(s.cond)}) {{"]
-        for t in s.then:
-            lines.extend(_pp_stmt(t, indent + "    "))
-        if s.has_else:
-            lines.append(f"{indent}}} else {{")
-            for t in s.els:
-                lines.extend(_pp_stmt(t, indent + "    "))
-        lines.append(f"{indent}}}")
-        return lines
-    if isinstance(s, SCall):
-        args = ", ".join(_pp_expr(a) for a in s.args)
-        prefix = f"{s.target}." if s.target else ""
-        return [f"{indent}call {prefix}{s.callee}({args});"]
-    if isinstance(s, SIntrinsic):
-        args = ", ".join(_pp_expr(a) for a in s.args)
-        return [f"{indent}{s.op.lower()}({args});"]
-    if isinstance(s, SReturn):
-        if s.value is None:
-            return [f"{indent}return;"]
-        return [f"{indent}return {_pp_expr(s.value)};"]
-    raise AssertionError(s)
-
-
-def pretty(contract: Contract) -> str:
-    """Emit the canonical surface form of a parsed contract."""
-    ast = contract.source_ast
-    if not isinstance(ast, ContractAst):
-        raise ValueError("contract has no retained surface AST")
-    lines = [f"contract {ast.name} {{"]
-    for kind, name in ast.decls:
-        lines.append(f"    {kind} {name};")
-    for f in ast.functions:
-        lines.append("")
-        params = ", ".join(
-            f"{'uint' if ptype == 'uint256' else ptype} {pname}"
-            for pname, ptype in f.params)
-        lines.append(f"    function {f.name}({params}) {f.visibility} {{")
-        for s in f.body:
-            lines.extend(_pp_stmt(s, "        "))
-        lines.append("    }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

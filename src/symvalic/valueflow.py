@@ -122,9 +122,10 @@ class CallSite:
 @dataclass
 class AnalysisResult:
     """One contract's analysis: the facts an engine run collected, then the
-    contract's structure. The result document (to_json_dict) prints every
-    fact except stores, which only detect_reentrancy reads; its storage
-    section is the committed storage."""
+    contract's structure: function names and statement follow-order. The
+    result document (to_json_dict) prints every fact except stores, which
+    only detect_reentrancy reads, and its storage section is the committed
+    storage; it leaves the structure out."""
 
     contract: str
     config: AnalysisConfig
@@ -136,9 +137,9 @@ class AnalysisResult:
     storage: Tuple[Tuple[Expr, Expr, int], ...]  # (address, value, depth)
     truncated: bool
     notes: Tuple[str, ...] = ()
-    # structural context for clients: declared functions (name,
-    # visibility, param names) and intra-function statement follow-order
-    functions: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = ()
+    # structural context for clients: the names of the declared functions
+    # and intra-function statement follow-order
+    functions: Tuple[str, ...] = ()
     flow_after: Mapping[int, frozenset] = field(default_factory=dict)
 
     # -- queries --------------------------------------------------------
@@ -886,15 +887,14 @@ def assemble(contract: Contract, config: AnalysisConfig,
              facts: Mapping) -> AnalysisResult:
     """The analysis result of a contract: the facts an engine run
     collected (_Engine._facts), fresh or read back from a cache, plus the
-    structure of the parsed contract (functions and flow_after)."""
+    structure of the parsed contract (function names and flow_after)."""
     after: dict[int, frozenset] = {}
     for f in contract.functions:
         after.update(flow_after(f))
     return AnalysisResult(
         contract=contract.name,
         config=config,
-        functions=tuple((f.name, f.visibility, f.param_names)
-                        for f in contract.functions),
+        functions=tuple(f.name for f in contract.functions),
         flow_after=after,
         **facts,
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 from symvalic.cli import main
 from symvalic.corpus import refine
 from symvalic.schemas import FACTS_SCHEMA, RESULT_SCHEMA, WARNINGS_SCHEMA
+from symvalic.valueflow import AnalysisConfig, analyze
 
 from conftest import (
     FIXTURES, gate_source, write_reentrancy_corpus, write_swap_corpus,
@@ -69,12 +70,23 @@ def test_analyze_output_matches_schema(capsys):
     jsonschema.validate(json.loads(out), RESULT_SCHEMA)
 
 
-def test_analyze_text_format(capsys):
+def test_analyze_text_format(capsys, safe_contract):
     code, out, _ = run_cli(capsys, "analyze", str(FIXTURES / "safe.svc"),
-                           "--format", "text")
+                           "--format", "text", "--seed", "1")
     assert code == 0
     assert out.startswith("contract Safe")
     assert "nextBalance -> 181" in out
+    # dependency maps read as DependencyMap.render() and warnings print them
+    assert "<{} ; {sender -> <<owner>>}>" in out
+    assert "'" not in out
+    lines = set(out.splitlines())
+    result = analyze(safe_contract, AnalysisConfig(seed=1))
+    for i in result.inferences:
+        assert (f"  {i.function}.{i.var} -> {i.value.render()} "
+                f"{i.deps.render()}") in lines
+    for r in result.reachability:
+        assert (f"  reach s{r.stmt} ({r.function}) "
+                f"{r.deps.render()}") in lines
 
 
 def test_scan_text_format_no_warnings(capsys):
@@ -472,6 +484,19 @@ def test_out_that_is_a_file_exits_2_with_one_line(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, str(corpus), "--jobs", "1")
     assert code == 2 and out == ""
     assert err.startswith(f"{corpus / 'out'}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["corpus-build", "corpus-infer",
+                                     "corpus-scan"])
+def test_missing_corpus_exits_2_with_one_line_and_creates_nothing(
+        capsys, tmp_path, command):
+    missing = tmp_path / "nope"
+    code, out, err = run_cli(capsys, command, str(missing), "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"{missing}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError):
+        refine(missing)
 
 
 def test_corpus_build_reports_an_unwritable_report_and_goes_on(capsys,

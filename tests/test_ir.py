@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symvalic.ir import IRError, flow_after, harvest_constants, validate
-from symvalic.parser import ParseError, parse, pretty
+from symvalic.parser import ParseError, parse
 from symvalic.symexpr import Const
 
 from conftest import FIXTURES, fixture_contract
@@ -70,6 +70,10 @@ def test_storage_slots_in_declaration_order():
      "unreachable"),
     ("contract T { function f() public { t3 = 1; } }", "reserved"),
     ("contract T { function f(uint x, uint x) public { } }", "duplicate"),
+    ("contract T { function f() public { x = 1\u00b2; } }",
+     "1:41: unexpected character '\u00b2'"),
+    ("contract T { function f() public { x = \u0663; } }",
+     "1:40: unexpected character '\u0663'"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError) as err:
@@ -81,6 +85,21 @@ def test_parse_error_carries_location():
     with pytest.raises(ParseError) as err:
         parse("contract T {\n  function f() public {\n    x = ;\n  }\n}")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("expr,expected", [
+    ("a - b - c", [("SUB", ("a", "b")), ("SUB", ("t0", "c"))]),
+    ("a + b * c", [("MUL", ("b", "c")), ("ADD", ("a", "t0"))]),
+    ("(a + b) * c", [("ADD", ("a", "b")), ("MUL", ("t0", "c"))]),
+    ("!a == b", [("NOT", ("a",)), ("EQ", ("t0", "b"))]),
+    ("a || b && c", [("AND", ("b", "c")), ("OR", ("a", "t0"))]),
+    ("a < b == c", [("LT", ("a", "b")), ("EQ", ("t0", "c"))]),
+])
+def test_operator_precedence_and_associativity(expr, expected):
+    c = parse("contract T { function f(uint a, uint b, uint c) public {"
+              f" x = {expr}; }} }}")
+    assert [(s.binop, s.operands) for s in stmts(c, "f")
+            if s.op == "BINOP"] == expected
 
 
 def test_internal_call_requires_known_function():
@@ -181,44 +200,6 @@ def test_mapping_slot_never_accessed_directly():
                     addr = s.operands[0]
                     if isinstance(addr, Const):
                         assert addr.value not in mapping_slots
-
-
-@pytest.mark.parametrize("name", [
-    "safe.svc", "whichpaths.svc", "guarded_selfdestruct.svc",
-    "unguarded_selfdestruct.svc",
-])
-def test_pretty_roundtrip(name):
-    original = fixture_contract(name)
-    reparsed = parse(pretty(original))
-    assert reparsed == original
-    validate(reparsed)
-
-
-def test_roundtrip_with_calls_and_else():
-    src = """contract R {
-    address owner;
-    mapping m;
-
-    function constructor() internal {
-        owner = msg.sender;
-    }
-
-    function helper(uint v) internal {
-        m[msg.sender] = v;
-    }
-
-    function go(uint a, bool flag) public {
-        if (flag && a > 3) {
-            call helper(a);
-        } else {
-            call ext.ping(a, 0x99);
-        }
-        transfer(owner, a % 7);
-    }
-}
-"""
-    c = parse(src)
-    assert parse(pretty(c)) == c
 
 
 def test_validate_rejects_stale_structures():
