@@ -16,8 +16,9 @@ matches, and otherwise runs the engine; see analysis_cache. This module
 handles arguments, report writing and exit codes.
 
 Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
-analysis error, an unlistable corpus or an unwritable output, 3 analysis
-resource cap hit on any input. Count flags take integers >= 1 and fraction
+analysis error (values nested deeper than symexpr.MAX_EXPR_DEPTH among
+them), an unlistable corpus or an unwritable output, 3 analysis resource
+cap hit on any input. Count flags take integers >= 1 and fraction
 flags numbers in [0, 1]; SYMVALIC_SEED must be an integer. Reports go to
 stdout, diagnostics to stderr, one line per failed input or output
 (`path:line:col: message` for a parse error, `path: message` otherwise).
@@ -34,11 +35,14 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+# corpus is imported here, though only the corpus commands and --facts
+# use it: bench/tracer.py wraps the functions of the modules that
+# `import symvalic.cli` loads, corpus's among them
 from . import corpus as corpus_mod
 from .clients import run_detectors, warnings_json
-from .corpus import Thresholds, anomalies, diagnostic, facts_json
+from .corpus import Thresholds, anomalies, facts_json
 from .deps import DependencyBudget
-from .parser import ParseError, parse
+from .parser import ParseError, diagnostic, parse
 from .valueflow import AnalysisConfig, analyze
 
 EXIT_OK = 0

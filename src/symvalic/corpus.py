@@ -39,7 +39,7 @@ from .clients import (
     detect_tainted_sensitive_arg, detect_untrusted_reachability, relabel,
     requires_owner,
 )
-from .parser import ParseError, parse
+from .parser import ParseError, diagnostic, parse
 from .symexpr import Expr, FREE_IDENTITY_SYMBOLS
 from .valueflow import AnalysisConfig, AnalysisResult, analyze, assemble
 
@@ -306,17 +306,6 @@ def refine_contracts(results: dict, rounds: int = 3,
 
 def corpus_out_dir(corpus_dir: Path) -> Path:
     return Path(corpus_dir) / "out"
-
-
-def diagnostic(path, err: Exception) -> str:
-    """The one-line diagnostic for a failed input or output: `path:line:col:
-    message` for a parse error, `path: message` otherwise. Python words a
-    RecursionError by where the stack ran out, so its line is fixed."""
-    if isinstance(err, ParseError):
-        return f"{path}:{err}"
-    if isinstance(err, RecursionError):
-        return f"{path}: maximum recursion depth exceeded"
-    return f"{path}: {err}"
 
 
 def load_corpus(corpus_dir) -> Tuple[list, dict]:

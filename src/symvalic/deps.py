@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .symexpr import ADDRESS_BOUND, Const, Expr, ExprLike, Sym, as_expr, normalize
+from .symexpr import (
+    ADDRESS_BOUND, Const, Expr, ExprLike, Hashed, Sym, as_expr, normalize,
+)
 
 SENDER_KEY = "sender"
 
@@ -35,12 +37,34 @@ def _freeze(entries: Union[Mapping[str, ExprLike], Iterable[Tuple[str, ExprLike]
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class DependencyMap:
-    """Paired local/transaction variable->value mappings, canonically sorted."""
+class DependencyMap(Hashed):
+    """Paired local/transaction variable->value mappings, canonically sorted.
+    Immutable, with its hash stored when built (see symexpr.Hashed)."""
 
-    local: Tuple[Entry, ...] = ()
-    transaction: Tuple[Entry, ...] = ()
+    __slots__ = ("local", "transaction", "_hash")
+
+    def __init__(self, local: Tuple[Entry, ...] = (),
+                 transaction: Tuple[Entry, ...] = ()):
+        self.local = local
+        self.transaction = transaction
+        self._hash = hash((local, transaction))
+
+    __hash__ = Hashed.__hash__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not DependencyMap:
+            return NotImplemented
+        return (self._hash == other._hash and self.local == other.local
+                and self.transaction == other.transaction)
+
+    def __reduce__(self):
+        return DependencyMap, (self.local, self.transaction)
+
+    def __repr__(self) -> str:
+        return (f"DependencyMap(local={self.local!r}, "
+                f"transaction={self.transaction!r})")
 
     @staticmethod
     def of(local=None, transaction=None) -> "DependencyMap":

@@ -51,6 +51,17 @@ class ParseError(Exception):
         self.col = col
 
 
+def diagnostic(path, err: Exception) -> str:
+    """The one-line diagnostic for a failed input or output: `path:line:col:
+    message` for a parse error, `path: message` otherwise. Python words a
+    RecursionError by where the stack ran out, so its line is fixed."""
+    if isinstance(err, ParseError):
+        return f"{path}:{err}"
+    if isinstance(err, RecursionError):
+        return f"{path}: maximum recursion depth exceeded"
+    return f"{path}: {err}"
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -145,9 +156,13 @@ class ENum:
     hex_form: bool = False
 
 
+Pos = Tuple[int, int]  # (line, col) of a token
+
+
 @dataclass(frozen=True)
 class EVar:
     name: str
+    at: Pos
 
 
 @dataclass(frozen=True)
@@ -159,6 +174,7 @@ class ESender:
 class EIndex:
     mapping: str
     key: "ExprAst"
+    at: Pos  # of the mapping name
 
 
 @dataclass(frozen=True)
@@ -176,18 +192,21 @@ class ENot:
 ExprAst = object
 
 
+# Each statement keeps the line and column of its first token.
 @dataclass(frozen=True)
 class SAssign:
     target: str
     key: Optional[ExprAst]  # mapping subscript, if any
     value: ExprAst
     line: int = 0
+    col: int = 0
 
 
 @dataclass(frozen=True)
 class SRequire:
     cond: ExprAst
     line: int = 0
+    col: int = 0
 
 
 @dataclass(frozen=True)
@@ -196,6 +215,7 @@ class SIf:
     then: Tuple
     els: Tuple  # empty when the source has no else
     line: int = 0
+    col: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,6 +224,8 @@ class SCall:
     callee: str
     args: Tuple
     line: int = 0
+    col: int = 0
+    name_at: Pos = (0, 0)  # of the name after `call`: target, else callee
 
 
 @dataclass(frozen=True)
@@ -211,12 +233,14 @@ class SIntrinsic:
     op: str  # TRANSFER | SELFDESTRUCT | DELEGATECALL
     args: Tuple
     line: int = 0
+    col: int = 0
 
 
 @dataclass(frozen=True)
 class SReturn:
     value: Optional[ExprAst]
     line: int = 0
+    col: int = 0
 
 
 @dataclass(frozen=True)
@@ -225,19 +249,24 @@ class FuncAst:
     params: Tuple[Tuple[str, str], ...]
     visibility: str
     body: Tuple
-    line: int = 0
+    name_at: Pos
+    param_at: Tuple[Pos, ...]  # of each parameter name
 
 
 @dataclass(frozen=True)
 class ContractAst:
     name: str
-    decls: Tuple[Tuple[str, str], ...]  # (kind keyword, name)
+    decls: Tuple[Tuple[str, str, Pos], ...]  # (kind keyword, name, at)
     functions: Tuple[FuncAst, ...]
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _at(tok: Token) -> Pos:
+    return (tok.line, tok.col)
+
 
 _BIN_LEVELS = (("||",), ("&&",), ("==",), ("<", ">"), ("+", "-"), ("*", "/", "%"))
 
@@ -277,13 +306,13 @@ class _Parser:
         self.expect("keyword", "contract")
         name = self.expect("ident").text
         self.expect("punct", "{")
-        decls: list[Tuple[str, str]] = []
+        decls: list[Tuple[str, str, Pos]] = []
         while self.peek().kind == "keyword" and self.peek().text in (
                 "address", "uint", "mapping"):
             kind = self.next().text
-            dname = self.expect("ident").text
+            dname = self.expect("ident")
             self.expect("punct", ";")
-            decls.append((kind, dname))
+            decls.append((kind, dname.text, _at(dname)))
         funcs: list[FuncAst] = []
         while self.peek().kind == "keyword" and self.peek().text == "function":
             funcs.append(self.parse_function())
@@ -292,18 +321,21 @@ class _Parser:
         return ContractAst(name, tuple(decls), tuple(funcs))
 
     def parse_function(self) -> FuncAst:
-        start = self.expect("keyword", "function")
+        self.expect("keyword", "function")
         name = self.expect("ident")
         self.expect("punct", "(")
         params: list[Tuple[str, str]] = []
+        param_at: list[Pos] = []
         if not self.accept("punct", ")"):
             while True:
                 ptype = self.peek()
                 if ptype.kind != "keyword" or ptype.text not in ("uint", "address", "bool"):
                     self.fail("expected parameter type (uint, address, bool)")
                 self.next()
-                pname = self.expect("ident").text
-                params.append((pname, {"uint": "uint256"}.get(ptype.text, ptype.text)))
+                pname = self.expect("ident")
+                params.append((pname.text,
+                               {"uint": "uint256"}.get(ptype.text, ptype.text)))
+                param_at.append(_at(pname))
                 if self.accept("punct", ")"):
                     break
                 self.expect("punct", ",")
@@ -312,7 +344,8 @@ class _Parser:
             self.fail("expected visibility (public or internal)")
         self.next()
         body = self.parse_block_stmts()
-        return FuncAst(name.text, tuple(params), vis.text, body, start.line)
+        return FuncAst(name.text, tuple(params), vis.text, body, _at(name),
+                       tuple(param_at))
 
     def parse_block_stmts(self) -> Tuple:
         self.expect("punct", "{")
@@ -330,7 +363,7 @@ class _Parser:
                 cond = self.parse_expr()
                 self.expect("punct", ")")
                 self.expect("punct", ";")
-                return SRequire(cond, t.line)
+                return SRequire(cond, *_at(t))
             if t.text == "if":
                 self.next()
                 self.expect("punct", "(")
@@ -340,39 +373,39 @@ class _Parser:
                 els: Tuple = ()
                 if self.accept("keyword", "else"):
                     els = self.parse_block_stmts()
-                return SIf(cond, then, els, t.line)
+                return SIf(cond, then, els, *_at(t))
             if t.text == "call":
                 self.next()
-                first = self.expect("ident").text
+                first = self.expect("ident")
                 if self.accept("punct", "."):
                     callee = self.expect("ident").text
-                    target: Optional[str] = first
+                    target: Optional[str] = first.text
                 else:
-                    callee, target = first, None
+                    callee, target = first.text, None
                 args = self.parse_args()
                 self.expect("punct", ";")
-                return SCall(target, callee, args, t.line)
+                return SCall(target, callee, args, *_at(t), _at(first))
             if t.text == "transfer":
                 self.next()
                 args = self.parse_args()
                 if len(args) != 2:
                     self.fail("transfer takes (to, amount)", t)
                 self.expect("punct", ";")
-                return SIntrinsic("TRANSFER", args, t.line)
+                return SIntrinsic("TRANSFER", args, *_at(t))
             if t.text in ("selfdestruct", "delegatecall"):
                 self.next()
                 args = self.parse_args()
                 if len(args) != 1:
                     self.fail(f"{t.text} takes one argument", t)
                 self.expect("punct", ";")
-                return SIntrinsic(t.text.upper(), args, t.line)
+                return SIntrinsic(t.text.upper(), args, *_at(t))
             if t.text == "return":
                 self.next()
                 value = None
                 if not (self.peek().kind == "punct" and self.peek().text == ";"):
                     value = self.parse_expr()
                 self.expect("punct", ";")
-                return SReturn(value, t.line)
+                return SReturn(value, *_at(t))
             self.fail(f"unexpected keyword {t.text!r}")
         if t.kind == "ident":
             name = self.next().text
@@ -383,7 +416,7 @@ class _Parser:
             self.expect("punct", "=")
             value = self.parse_expr()
             self.expect("punct", ";")
-            return SAssign(name, key, value, t.line)
+            return SAssign(name, key, value, *_at(t))
         self.fail("expected statement")
 
     def parse_args(self) -> Tuple:
@@ -436,8 +469,8 @@ class _Parser:
             if self.accept("punct", "["):
                 key = self.parse_expr()
                 self.expect("punct", "]")
-                return EIndex(t.text, key)
-            return EVar(t.text)
+                return EIndex(t.text, key, _at(t))
+            return EVar(t.text, _at(t))
         self.fail("expected expression")
 
 
@@ -449,23 +482,23 @@ _SURFACE_TO_BINOP = {"+": "ADD", "-": "SUB", "*": "MUL", "/": "DIV", "%": "MOD",
                      "<": "LT", ">": "GT", "==": "EQ", "&&": "AND", "||": "OR"}
 
 
-def _check_name(name: str, line: int):
+def _check_name(name: str, at: Pos):
     if TEMP_NAME.match(name):
-        raise ParseError(f"{name!r} is reserved for lowering temps", line, 0)
+        raise ParseError(f"{name!r} is reserved for lowering temps", *at)
 
 
 class _Lowerer:
     def __init__(self, ast: ContractAst):
         self.ast = ast
         self.storage: dict[str, StorageDecl] = {}
-        for slot, (kind, name) in enumerate(ast.decls):
-            _check_name(name, 0)
+        for slot, (kind, name, at) in enumerate(ast.decls):
+            _check_name(name, at)
             if name in self.storage:
-                raise ParseError(f"duplicate storage name {name}", 0, 0)
+                raise ParseError(f"duplicate storage name {name}", *at)
             skind = "mapping" if kind == "mapping" else "scalar"
             self.storage[name] = StorageDecl(name, slot, skind)
         self.storage_types = {name: ("address" if kind == "address" else "uint256")
-                              for (kind, name) in ast.decls if kind != "mapping"}
+                              for (kind, name, _) in ast.decls if kind != "mapping"}
         self.arity = {f.name: len(f.params) for f in ast.functions}
         self.literals: list[LiteralUse] = []
         self.sid = 0
@@ -478,7 +511,7 @@ class _Lowerer:
         functions = tuple(_FnLowerer(self, f).run() for f in self.ast.functions)
         contract = Contract(
             name=self.ast.name,
-            storage=tuple(self.storage[name] for _, name in self.ast.decls),
+            storage=tuple(self.storage[name] for _, name, _ in self.ast.decls),
             functions=functions,
             literal_uses=tuple(self.literals),
         )
@@ -498,11 +531,11 @@ class _FnLowerer:
         self.temp = 0
         self.locals: dict[str, str] = {}  # name -> shallow semantic type
         self.param_names = frozenset(p for p, _ in fast.params)
-        _check_name(fast.name, fast.line)
-        for pname, ptype in fast.params:
-            _check_name(pname, fast.line)
+        _check_name(fast.name, fast.name_at)
+        for (pname, ptype), at in zip(fast.params, fast.param_at):
+            _check_name(pname, at)
             if pname in self.locals or pname in outer.storage:
-                raise ParseError(f"duplicate name {pname}", fast.line, 0)
+                raise ParseError(f"duplicate name {pname}", *at)
             self.locals[pname] = ptype
 
     def new_block(self) -> BasicBlock:
@@ -544,11 +577,11 @@ class _FnLowerer:
         for s in stmts:
             if self.terminated:
                 raise ParseError("unreachable statement after terminator",
-                                 s.line, 0)
+                                 s.line, s.col)
             try:
                 self.lower_stmt(s)
             except RecursionError:
-                raise ParseError("nesting too deep", s.line, 0) from None
+                raise ParseError("nesting too deep", s.line, s.col) from None
 
     # -- expressions ---------------------------------------------------
 
@@ -600,9 +633,9 @@ class _FnLowerer:
                                  binop="ADD", line=line).result
             decl = self.o.storage.get(name)
             if decl is None:
-                raise ParseError(f"reference to undeclared name {name}", line, 0)
+                raise ParseError(f"reference to undeclared name {name}", *e.at)
             if decl.kind == "mapping":
-                raise ParseError(f"mapping {name} used without a key", line, 0)
+                raise ParseError(f"mapping {name} used without a key", *e.at)
             return self.emit("SLOAD", [Const(decl.slot, hex_hint=True)],
                              result=result or self.fresh_temp(),
                              line=line).result
@@ -628,9 +661,9 @@ class _FnLowerer:
     def lower_cell_address(self, e: EIndex, line=0) -> str:
         decl = self.o.storage.get(e.mapping)
         if decl is None:
-            raise ParseError(f"reference to undeclared name {e.mapping}", line, 0)
+            raise ParseError(f"reference to undeclared name {e.mapping}", *e.at)
         if decl.kind != "mapping":
-            raise ParseError(f"{e.mapping} is not a mapping", line, 0)
+            raise ParseError(f"{e.mapping} is not a mapping", *e.at)
         key = self.lower_operand(e.key, line, address=True)
         t0 = self.fresh_temp()
         self.emit("CONCAT", [key, Const(decl.slot, hex_hint=True)], result=t0,
@@ -667,7 +700,8 @@ class _FnLowerer:
 
     def lower_assign(self, s: SAssign):
         if s.key is not None:
-            addr = self.lower_cell_address(EIndex(s.target, s.key), s.line)
+            addr = self.lower_cell_address(
+                EIndex(s.target, s.key, (s.line, s.col)), s.line)
             value = self.lower_operand(s.value, s.line)
             self.emit("SSTORE", [addr, value], line=s.line)
             return
@@ -675,7 +709,7 @@ class _FnLowerer:
         if decl is not None:
             if decl.kind == "mapping":
                 raise ParseError(f"mapping {s.target} assigned without a key",
-                                 s.line, 0)
+                                 s.line, s.col)
             value = self.lower_operand(
                 s.value, s.line, self.o.storage_types[s.target] == "address")
             self.emit("SSTORE", [Const(decl.slot, hex_hint=True), value],
@@ -685,8 +719,8 @@ class _FnLowerer:
         # denote the caller-supplied values and cannot be reassigned
         if s.target in self.param_names:
             raise ParseError(f"cannot assign to parameter {s.target}",
-                             s.line, 0)
-        _check_name(s.target, s.line)
+                             s.line, s.col)
+        _check_name(s.target, (s.line, s.col))
         self.lower_into(s.value, s.target, s.line,
                         self.locals.get(s.target) == "address")
         if s.target not in self.locals:
@@ -724,12 +758,12 @@ class _FnLowerer:
             arity = self.o.arity.get(s.callee)
             if arity is None:
                 raise ParseError(f"internal call to unknown function {s.callee}",
-                                 s.line, 0)
+                                 *s.name_at)
             if s.callee == CONSTRUCTOR_NAME:
-                raise ParseError("cannot call the constructor", s.line, 0)
+                raise ParseError("cannot call the constructor", *s.name_at)
             if arity != len(s.args):
                 raise ParseError(f"{s.callee} expects {arity} arguments",
-                                 s.line, 0)
+                                 *s.name_at)
             ops = [self.lower_operand(a, s.line) for a in s.args]
             self.emit("CALLINTERNAL", ops, callee=s.callee, line=s.line)
             return
@@ -739,7 +773,8 @@ class _FnLowerer:
         elif target in self.o.storage:
             decl = self.o.storage[target]
             if decl.kind == "mapping":
-                raise ParseError(f"mapping {target} is not callable", s.line, 0)
+                raise ParseError(f"mapping {target} is not callable",
+                                 *s.name_at)
             top = self.fresh_temp()
             self.emit("SLOAD", [Const(decl.slot, hex_hint=True)], result=top,
                       line=s.line)

@@ -17,12 +17,18 @@ The reasoner exposes:
 All four are pure; normalize is memoized but observationally pure.
 read_expr(text) is the inverse of Expr.render(), for reading printed
 results back (the analysis cache).
+
+Every node stores its hash and its depth when it is built, so hashing a
+value costs the same however large its tree (the engine keys dicts and sets
+by values and dependency maps throughout). Depth is bounded by
+MAX_EXPR_DEPTH: building a deeper node raises ValueError with a fixed
+message, because the recursive walks over a tree (render, sort_key,
+normalize, pickling, equality) must finish within Python's stack.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 WORD_BITS = 256
@@ -38,10 +44,55 @@ BINOPS = ARITH_OPS + CMP_OPS + LOGIC_OPS
 ASSOCIATIVE = {"ADD", "MUL", "AND", "OR"}
 
 
-class Expr:
-    """Base class for expression nodes. Nodes are frozen and hashable."""
+# The deepest tree a node may root, counting a leaf as 1. Building a
+# deeper node raises ValueError (see Expr). Every walk over a tree recurses
+# once per level or more: render, sort_key, normalize, pickling, equality of
+# two separately built equal trees. At this bound each of them still works
+# when called 250 frames deep under Python's default recursion limit, which
+# leaves room for the engine's own stack (internal calls nest); at 500,
+# pickling, equality and normalize exhaust the limit from a shallow stack.
+MAX_EXPR_DEPTH = 256
+
+
+def _too_deep():
+    raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
+
+
+class Hashed:
+    """A value that stores its hash, in _hash, when built.
+
+    Hashing returns the stored value and never visits the parts, which the
+    engine's dict and set probes would otherwise rehash on every lookup. A
+    subclass sets its fields and _hash in __init__, compares the stored
+    hashes before its fields in __eq__, and pickles through its constructor
+    (__reduce__): a stored hash depends on the process's string hashing
+    (PYTHONHASHSEED), so it never crosses a process boundary. Instances
+    are immutable by contract: nothing assigns to a field after __init__,
+    which would leave the stored hash stale. (Enforcing it through
+    object.__setattr__, as frozen dataclasses do, would about double the
+    cost of building one.)
+    """
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class Expr(Hashed):
+    """Base class for expression nodes.
+
+    Nodes are immutable. Each stores its hash (see Hashed) and its depth,
+    the number of nodes on its longest path to a leaf, when built. Equality
+    is structural: Const ignores hex_hint, and equal nodes hash alike.
+    Building a node deeper than MAX_EXPR_DEPTH raises ValueError with one
+    fixed message, so an analysis whose values grow too deep fails the same
+    way on every path, instead of wherever some recursive walk over the tree
+    happens to exhaust the stack.
+    """
+
+    __slots__ = ()
+    depth = 1  # a leaf's; composite nodes store theirs
 
     def render(self) -> str:
         """Canonical printed form, e.g. SHA3(CONCAT(<<owner>>, 0x0))."""
@@ -66,16 +117,27 @@ class Expr:
         return f"Expr[{self.render()}]"
 
 
-@dataclass(frozen=True, repr=False)
 class Const(Expr):
     """Concrete 256-bit value. hex_hint only affects printing."""
 
-    value: int
-    hex_hint: bool = field(default=False, compare=False)
+    __slots__ = ("value", "hex_hint", "_hash")
 
-    def __post_init__(self):
-        if not (0 <= self.value < WORD):
-            raise ValueError(f"constant out of 256-bit range: {self.value}")
+    def __init__(self, value: int, hex_hint: bool = False):
+        if not (0 <= value < WORD):
+            raise ValueError(f"constant out of 256-bit range: {value}")
+        self.value = value
+        self.hex_hint = hex_hint
+        self._hash = hash(value)
+
+    __hash__ = Expr.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self.value == other.value
+
+    def __reduce__(self):
+        return Const, (self.value, self.hex_hint)
 
     def render(self) -> str:
         return hex(self.value) if self.hex_hint else str(self.value)
@@ -84,13 +146,26 @@ class Const(Expr):
         return (0, self.value)
 
 
-@dataclass(frozen=True, repr=False)
 class Sym(Expr):
     """Symbolic variable. Bound symbols model fixed identities the caller
     cannot choose; free symbols may be concretized by the solver."""
 
-    name: str
-    bound: bool
+    __slots__ = ("name", "bound", "_hash")
+
+    def __init__(self, name: str, bound: bool):
+        self.name = name
+        self.bound = bound
+        self._hash = hash(name)
+
+    __hash__ = Expr.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Sym:
+            return NotImplemented
+        return self.name == other.name and self.bound == other.bound
+
+    def __reduce__(self):
+        return Sym, (self.name, self.bound)
 
     def render(self) -> str:
         return self.name
@@ -99,15 +174,33 @@ class Sym(Expr):
         return (1, self.name)
 
 
-@dataclass(frozen=True, repr=False)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right", "depth", "_hash")
 
-    def __post_init__(self):
-        if self.op not in BINOPS:
-            raise ValueError(f"unknown binop {self.op}")
+    def __init__(self, op: str, left: Expr, right: Expr):
+        if op not in BINOPS:
+            raise ValueError(f"unknown binop {op}")
+        depth = (left.depth if left.depth > right.depth else right.depth) + 1
+        if depth > MAX_EXPR_DEPTH:
+            _too_deep()
+        self.op = op
+        self.left = left
+        self.right = right
+        self.depth = depth
+        self._hash = hash((op, left._hash, right._hash))
+
+    __hash__ = Expr.__hash__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not BinOp:
+            return NotImplemented
+        return (self._hash == other._hash and self.op == other.op
+                and self.left == other.left and self.right == other.right)
+
+    def __reduce__(self):
+        return BinOp, (self.op, self.left, self.right)
 
     def render(self) -> str:
         return f"{self.op}({self.left.render()}, {self.right.render()})"
@@ -119,38 +212,76 @@ class BinOp(Expr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, repr=False)
-class Not(Expr):
-    operand: Expr
+class _Unary(Expr):
+    """NOT(x) or SHA3(x): a named operation on one operand."""
+
+    __slots__ = ("operand", "depth", "_hash")
+    NAME = ""
+
+    def __init__(self, operand: Expr):
+        depth = operand.depth + 1
+        if depth > MAX_EXPR_DEPTH:
+            _too_deep()
+        self.operand = operand
+        self.depth = depth
+        self._hash = hash((self.NAME, operand._hash))
+
+    __hash__ = Expr.__hash__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.operand == other.operand
+
+    def __reduce__(self):
+        return self.__class__, (self.operand,)
 
     def render(self) -> str:
-        return f"NOT({self.operand.render()})"
+        return f"{self.NAME}({self.operand.render()})"
 
     def sort_key(self) -> tuple:
-        return (2, "NOT", self.operand.sort_key())
+        return (2, self.NAME, self.operand.sort_key())
 
     def children(self):
         return (self.operand,)
 
 
-@dataclass(frozen=True, repr=False)
-class Sha3(Expr):
-    operand: Expr
-
-    def render(self) -> str:
-        return f"SHA3({self.operand.render()})"
-
-    def sort_key(self) -> tuple:
-        return (2, "SHA3", self.operand.sort_key())
-
-    def children(self):
-        return (self.operand,)
+class Not(_Unary):
+    __slots__ = ()
+    NAME = "NOT"
 
 
-@dataclass(frozen=True, repr=False)
+class Sha3(_Unary):
+    __slots__ = ()
+    NAME = "SHA3"
+
+
 class Concat(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right", "depth", "_hash")
+
+    def __init__(self, left: Expr, right: Expr):
+        depth = (left.depth if left.depth > right.depth else right.depth) + 1
+        if depth > MAX_EXPR_DEPTH:
+            _too_deep()
+        self.left = left
+        self.right = right
+        self.depth = depth
+        self._hash = hash(("CONCAT", left._hash, right._hash))
+
+    __hash__ = Expr.__hash__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Concat:
+            return NotImplemented
+        return (self._hash == other._hash and self.left == other.left
+                and self.right == other.right)
+
+    def __reduce__(self):
+        return Concat, (self.left, self.right)
 
     def render(self) -> str:
         return f"CONCAT({self.left.render()}, {self.right.render()})"
@@ -186,9 +317,6 @@ def contract_symbol(name: str) -> Sym:
 _NODES = {"NOT": Not, "SHA3": Sha3, "CONCAT": Concat}
 _ARITY = {**dict.fromkeys(BINOPS, 2), "NOT": 1, "SHA3": 1, "CONCAT": 2}
 _FREE_NAMES = {s.name: s for s in FREE_IDENTITY_SYMBOLS}
-# Deeper text is rejected unread: render() recurses once per level, so no
-# expression the engine printed is nested this deeply.
-READ_DEPTH_LIMIT = 1000
 _read_cache: dict[str, Expr] = {}
 _tokens = None
 
@@ -198,8 +326,8 @@ def read_expr(text: str) -> Expr:
 
     Decimal and 0x-hex constants keep their printing (hex_hint). A symbol
     is bound unless it is one of the free identity symbols. Text that no
-    expression renders to, or nested beyond READ_DEPTH_LIMIT, raises
-    ValueError.
+    expression renders to, or nested beyond MAX_EXPR_DEPTH, raises
+    ValueError; deeper text is rejected unread.
     """
     e = _read_cache.get(text)
     if e is None:
@@ -219,7 +347,7 @@ def _read(text: str) -> Expr:
         if word and value is None:
             if not opened:
                 value = _read_leaf(word)
-            elif word in _ARITY and len(frames) < READ_DEPTH_LIMIT:
+            elif word in _ARITY and len(frames) < MAX_EXPR_DEPTH:
                 frames.append((word, []))
             else:
                 raise ValueError(f"unknown or too deeply nested {word}(")

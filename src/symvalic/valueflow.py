@@ -63,7 +63,7 @@ from .ir import (
     TEMP_NAME, Contract, Function, Statement, flow_after, harvest_constants,
 )
 from .symexpr import (
-    ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Not, OWNER,
+    ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Hashed, Not, OWNER,
     OWNER_UNIQUE, Sha3, Sym, TRUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
     as_expr, clear_normalize_memo, contract_symbol, expr_key, free_syms,
     implies, normalize, substitute, value_for_var,
@@ -267,11 +267,31 @@ class _Alt:
     subst: Tuple[Tuple[Sym, Expr], ...] = ()  # solver-chosen assignments
 
 
-@dataclass(frozen=True)
-class _Val:
-    expr: Expr
-    deps: DependencyMap
-    depth: int
+class _Val(Hashed):
+    """A value a variable may hold: its expression, the dependencies it
+    carries, and its remaining arithmetic depth through storage. Hashed
+    when built (see symexpr.Hashed)."""
+
+    __slots__ = ("expr", "deps", "depth", "_hash")
+
+    def __init__(self, expr: Expr, deps: DependencyMap, depth: int):
+        self.expr = expr
+        self.deps = deps
+        self.depth = depth
+        self._hash = hash((expr._hash, deps._hash, depth))
+
+    __hash__ = Hashed.__hash__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not _Val:
+            return NotImplemented
+        return (self._hash == other._hash and self.depth == other.depth
+                and self.expr == other.expr and self.deps == other.deps)
+
+    def __reduce__(self):
+        return _Val, (self.expr, self.deps, self.depth)
 
 
 class _Timeout(Exception):

@@ -26,6 +26,11 @@ WORD = 1 << 256
 MASK = WORD - 1
 
 
+def nested(depth: int, call):
+    """call() from `depth` more stack frames."""
+    return nested(depth - 1, call) if depth else call()
+
+
 class Reverted(Exception):
     """A require failed in the concrete run."""
 

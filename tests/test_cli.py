@@ -14,11 +14,13 @@ from pathlib import Path
 from symvalic.cli import main
 from symvalic.corpus import refine
 from symvalic.schemas import FACTS_SCHEMA, RESULT_SCHEMA, WARNINGS_SCHEMA
+from symvalic.symexpr import MAX_EXPR_DEPTH
 from symvalic.valueflow import AnalysisConfig, analyze
 
 from conftest import (
     FIXTURES, gate_source, write_reentrancy_corpus, write_swap_corpus,
 )
+from helpers import nested
 
 
 def package_env(**extra) -> dict:
@@ -355,11 +357,18 @@ def test_cli_import_leaves_out_the_process_pool():
     assert proc.stdout == "False\n"
 
 
-# 1,200 chained `x = (x / 3) - to;` build a value expression too deep to
-# hash: the engine itself fails on this contract
-CHAIN = ("contract Chain {\n    function f(address to) public {\n"
-         "        x = 1;\n" + "        x = (x / 3) - to;\n" * 1200
-         + "    }\n}\n")
+def chain(statements: int) -> str:
+    """A contract whose value of x is 2 * statements deep: each chained
+    `x = (x / 3) - to;` adds a DIV and a SUB."""
+    return ("contract Chain {\n    function f(address to) public {\n"
+            "        x = 1;\n" + "        x = (x / 3) - to;\n" * statements
+            + "    }\n}\n")
+
+
+# 1,200 statements build a value far deeper than MAX_EXPR_DEPTH: the engine
+# itself fails on this contract
+CHAIN = chain(1200)
+DEPTH_LINE = f"expression nested deeper than {MAX_EXPR_DEPTH}"
 
 
 @pytest.mark.parametrize("command", ["scan", "analyze"])
@@ -396,25 +405,50 @@ def test_corpus_reports_engine_failure_and_goes_on(capsys, tmp_path,
         assert [w["contract"] for w in doc["warnings"]] == ["SwapTainted"]
 
 
-def nested(depth: int, call):
-    """call() from `depth` more stack frames."""
-    return nested(depth - 1, call) if depth else call()
-
-
 def test_engine_recursion_failure_reads_the_same_everywhere(capsys, tmp_path):
-    # Python words a RecursionError by the frame where the stack ran out,
-    # which one more caller frame moves
+    # the depth bound, not the stack, ends the run: the line is the same
+    # from every entry point and however many frames the caller adds
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     chain = corpus / "chain.svc"
     chain.write_text(CHAIN)
-    line = f"{chain}: maximum recursion depth exceeded\n"
+    line = f"{chain}: {DEPTH_LINE}\n"
     assert run_cli(capsys, "scan", str(chain)) == (2, "", line)
     for depth in (0, 1):
         code, _, err = nested(depth, lambda: run_cli(
             capsys, "corpus-infer", str(corpus), "--jobs", "1"))
         assert (code, err) == (2, line)
     assert refine(corpus, rounds=1).errors == {chain: line.rstrip("\n")}
+
+
+@pytest.mark.parametrize("statements", [MAX_EXPR_DEPTH // 2,
+                                        MAX_EXPR_DEPTH // 2 + 1],
+                         ids=["at-bound", "over-bound"])
+def test_depth_bound_gives_one_outcome_everywhere(capsys, tmp_path,
+                                                  statements):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    source = corpus / "chain.svc"
+    source.write_text(chain(statements))
+    # a second contract, so that --jobs 2 runs a pool
+    (corpus / "small.svc").write_text(
+        "contract Small { function f() public { return 1; } }")
+    over = 2 * statements > MAX_EXPR_DEPTH
+    builds = []
+    for argv in (["scan", source], ["analyze", source],
+                 ["corpus-build", corpus, "--jobs", "1"],
+                 ["corpus-build", corpus, "--jobs", "2"]):
+        shutil.rmtree(corpus / "out", ignore_errors=True)  # no cache reuse
+        code, out, err = run_cli(capsys, *map(str, argv))
+        if over:
+            assert (code, err) == (2, f"{source}: {DEPTH_LINE}\n"), argv
+        else:
+            assert (code, err) == (0, ""), argv
+        if argv[0] == "corpus-build":
+            builds.append(out)
+    names = [c["contract"] for c in json.loads(builds[0])["contracts"]]
+    assert names == (["Small"] if over else ["Chain", "Small"])
+    assert builds[0] == builds[1]
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -74,6 +74,19 @@ def test_storage_slots_in_declaration_order():
      "1:41: unexpected character '\u00b2'"),
     ("contract T { function f() public { x = \u0663; } }",
      "1:40: unexpected character '\u0663'"),
+    # lowering errors point at the token they name
+    ("contract T { uint a; uint a; function f() public { } }",
+     "1:27: duplicate storage name a"),
+    ("contract T {\n  function f() public {\n    y = 1;\n    x = y + zz;\n"
+     "  }\n}", "4:13: reference to undeclared name zz"),
+    ("contract T { function f() public { call g(1); } }",
+     "1:41: internal call to unknown function g"),
+    ("contract T { function g(uint a, uint b) internal { }\n"
+     "  function f() public { call g(1); } }", "2:30: g expects 2 arguments"),
+    ("contract T { uint t0; function f() public { } }",
+     "1:19: 't0' is reserved for lowering temps"),
+    ("contract T { function f(uint t1) public { } }",
+     "1:30: 't1' is reserved for lowering temps"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError) as err:

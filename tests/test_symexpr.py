@@ -1,17 +1,19 @@
 """Reasoner predicates: normalize / implies / value_for_var / eval_concrete."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symvalic.symexpr import (
-    BinOp, Concat, Const, FALSE, Not, OWNER, OWNER_UNIQUE, Sha3, Sym, TRUE,
-    UNPRIVILEGED_USER, WORD, eval_concrete, free_syms, implies,
-    normalize, read_expr, substitute, value_for_var,
+    MAX_EXPR_DEPTH, BinOp, Concat, Const, Expr, FALSE, Not, OWNER,
+    OWNER_UNIQUE, Sha3, Sym, TRUE, UNPRIVILEGED_USER, WORD,
+    clear_normalize_memo, eval_concrete, free_syms, implies, normalize,
+    read_expr, substitute, value_for_var,
 )
 
-from helpers import gen_arith, gen_assignment, gen_bool, some_syms
+from helpers import gen_arith, gen_assignment, gen_bool, nested, some_syms
 
 X = Sym("x", False)
 Y = Sym("y", False)
@@ -301,3 +303,81 @@ def test_value_for_var_candidates_satisfy(seed):
         for cand in value_for_var(sym, c):
             n = normalize(substitute(normalize(c), {sym: cand}))
             assert n == TRUE, (c.render(), sym.name, cand.render())
+
+
+# --- stored hashes and the depth bound ----------------------------------------
+
+
+def rebuilt(e: Expr, rng: random.Random) -> Expr:
+    """e built anew node by node, each constant with a random hex_hint."""
+    if isinstance(e, Const):
+        return Const(e.value, hex_hint=rng.random() < 0.5)
+    cls, args = e.__reduce__()
+    return cls(*(rebuilt(a, rng) if isinstance(a, Expr) else a for a in args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_equal_trees_built_apart_compare_and_hash_alike(seed, truth_value):
+    rng = random.Random(seed)
+    syms = some_syms(rng)
+    e = gen_bool(rng, syms, 3) if truth_value else gen_arith(rng, syms, 4)
+    a, b = rebuilt(e, rng), rebuilt(e, rng)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
+    normal = []
+    for x in (a, b):
+        clear_normalize_memo()
+        normal.append(normalize(x))
+    na, nb = normal
+    assert na == nb and hash(na) == hash(nb)
+    assert {na: "a"}[nb] == "a" and nb in {na}
+
+
+def test_differing_trees_compare_unequal():
+    assert BinOp("ADD", X, Y) != BinOp("ADD", Y, X)
+    assert BinOp("ADD", X, Y) != BinOp("SUB", X, Y)
+    assert Not(X) != Sha3(X) and Sym("x", True) != X
+    assert Const(42, hex_hint=True) == Const(42) != Const(43)
+    assert hash(Const(42, hex_hint=True)) == hash(Const(42))
+
+
+def deepest_value() -> Expr:
+    """x's value after chained `x = (x / 3) - user;` from x = owner: exactly
+    MAX_EXPR_DEPTH deep, and every level survives normalize."""
+    e = OWNER
+    while e.depth < MAX_EXPR_DEPTH:
+        e = (BinOp("DIV", e, Const(3)) if e.depth % 2
+             else BinOp("SUB", e, UNPRIVILEGED_USER))
+    return e
+
+
+def test_value_at_the_depth_bound_survives_every_walk():
+    e = deepest_value()
+    text = e.render()
+
+    def walks():
+        clear_normalize_memo()
+        back = pickle.loads(pickle.dumps(e))
+        assert back is not e and back == e and hash(back) == hash(e)
+        assert normalize(back) == e
+        swapped = substitute(e, {UNPRIVILEGED_USER: OWNER})
+        assert normalize(swapped).depth == MAX_EXPR_DEPTH
+        read = read_expr(text)
+        assert read == e and read.render() == text
+        assert e.sort_key() == back.sort_key()
+        return True
+
+    assert nested(100, walks)
+
+
+def test_building_past_the_depth_bound_raises_one_fixed_error():
+    e = deepest_value()
+    message = f"expression nested deeper than {MAX_EXPR_DEPTH}"
+    for build in (lambda: BinOp("ADD", e, X), lambda: Not(e),
+                  lambda: Sha3(e), lambda: Concat(X, e),
+                  lambda: read_expr(f"NOT({e.render()})")):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message

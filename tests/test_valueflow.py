@@ -1,20 +1,26 @@
 """Engine semantics: seeding, propagation, path sensitivity, storage rounds."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
 from symvalic.deps import DependencyBudget, DependencyMap
 from symvalic.parser import parse
 from symvalic.symexpr import (
-    Const, OWNER, OWNER_UNIQUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
+    Const, Expr, OWNER, OWNER_UNIQUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
+    read_expr,
 )
-from symvalic.valueflow import AnalysisConfig, analyze, seed_inputs
+from symvalic.valueflow import AnalysisConfig, _Val, analyze, seed_inputs
 
-from conftest import gate_source
+from conftest import FIXTURES, gate_source
 from helpers import (
     Reverted, gen_oracle_contract, gen_storage_contract, run_concrete,
 )
+from test_cli import package_env
 
 
 def consts(values):
@@ -429,3 +435,49 @@ def test_oracle_equivalence_with_constructor_storage(seed):
     _, storage = run_concrete(contract, "constructor", {})
     expected = _oracle_expected(contract, fn, seed_values, storage=storage)
     assert engine_values == expected, src
+
+
+# --- stored hashes across processes ---------------------------------------------
+
+PICKLER = """
+import pickle, sys
+from symvalic.deps import DependencyMap
+from symvalic.parser import parse
+from symvalic.symexpr import OWNER, USER_UNIQUE, Const
+from symvalic.valueflow import _Val, analyze
+result = analyze(parse(open(sys.argv[1]).read()))
+deps = DependencyMap((("to", USER_UNIQUE),), (("sender", OWNER),))
+vals = [_Val(OWNER, deps, 5), _Val(Const(66, hex_hint=True), deps, 4)]
+sys.stdout.buffer.write(pickle.dumps((hash(OWNER.name), result, deps, vals)))
+"""
+
+
+def local_copy(x):
+    """An equal value built in this process from x's printed parts."""
+    if isinstance(x, Expr):
+        return read_expr(x.render())
+    if isinstance(x, DependencyMap):
+        return DependencyMap(*(tuple((var, local_copy(e)) for var, e in side)
+                               for side in (x.local, x.transaction)))
+    return _Val(local_copy(x.expr), local_copy(x.deps), x.depth)
+
+
+def test_unpickled_values_hash_as_local_ones_under_another_hash_seed():
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", PICKLER, str(FIXTURES / "safe.svc")],
+        capture_output=True, check=True, env=package_env(PYTHONHASHSEED=seed))
+    child_hash, result, deps, vals = pickle.loads(proc.stdout)
+    assert child_hash != hash(OWNER.name)  # the two processes hash apart
+    values = ([i.value for i in result.inferences]
+              + [i.deps for i in result.inferences]
+              + [f.deps for f in result.reachability] + [deps] + vals)
+    assert OWNER in values and len(values) > 20
+    table = {}
+    for x in values:
+        mine = local_copy(x)
+        assert mine == x and hash(mine) == hash(x)
+        table[mine] = x
+    assert all(table[x] == x for x in values)
+    assert set(values) == set(table)
+    assert result.var_may_be("to", value=0x42)
