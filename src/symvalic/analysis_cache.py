@@ -19,7 +19,6 @@ as ordered [var, value] pairs, that rows refer to by index.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -46,8 +45,9 @@ def _package_digest() -> str:
 
 
 def cache_key(text: str, config: AnalysisConfig) -> str:
-    material = json.dumps([SCHEMA_ID, _package_digest(), text,
-                           dataclasses.asdict(config)], sort_keys=True)
+    fields = {**config._asdict(), "budget": config.budget._asdict()}
+    material = json.dumps([SCHEMA_ID, _package_digest(), text, fields],
+                          sort_keys=True)
     return hashlib.sha256(material.encode()).hexdigest()
 
 

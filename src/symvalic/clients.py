@@ -13,8 +13,7 @@ DomainFacts also the reentrancy and untrusted-reachability detectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Tuple
 
 from .deps import SENDER_KEY, DependencyMap
 from .symexpr import Expr, OWNER, UNPRIVILEGED_USER, USER_UNIQUE
@@ -30,8 +29,7 @@ UNTRUSTED_REACHABILITY = "UNTRUSTED_REACHABILITY"
 CORPUS_ANOMALY = "CORPUS_ANOMALY"
 
 
-@dataclass(frozen=True)
-class SensitiveOpSpec:
+class SensitiveOpSpec(NamedTuple):
     """An external signature (or intrinsic) with sensitive argument slots."""
 
     callee_signature: str
@@ -46,8 +44,7 @@ BUILTIN_SPECS = (
 )
 
 
-@dataclass(frozen=True)
-class Warning:
+class Warning(NamedTuple):
     contract: str
     function: str
     kind: str
@@ -190,7 +187,7 @@ def relabel(warnings: Iterable[Warning], kind: str,
     """The warnings with kind replaced and suffix appended to each
     explanation, in the given order."""
     return tuple(
-        replace(w, kind=kind, explanation=(
+        w._replace(kind=kind, explanation=(
             w.explanation if suffix is None else f"{w.explanation}; {suffix}"))
         for w in warnings)
 

@@ -30,9 +30,8 @@ Corpus directory layout:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .clients import (
     CORPUS_ANOMALY, SensitiveOpSpec, Warning, caller_tainted,
@@ -46,16 +45,14 @@ from .valueflow import AnalysisConfig, AnalysisResult, analyze, assemble
 FACTS_SCHEMA_ID = "symvalic-facts/1"
 
 
-@dataclass(frozen=True)
-class ExternalCallSummary:
+class ExternalCallSummary(NamedTuple):
     stmt: int
     signature: str
     guarded: bool
     arg_taint: Tuple[str, ...]  # "tainted" | "untainted" per position
 
 
-@dataclass(frozen=True)
-class FunctionSummary:
+class FunctionSummary(NamedTuple):
     contract: str
     function: str
     allows_reentrancy: bool
@@ -123,13 +120,14 @@ def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CorpusStats:
     """Per-call-site counts across the corpus."""
 
-    arg_taint: dict = field(default_factory=dict)       # (sig, pos) -> [t, u]
-    guarded_callers: dict = field(default_factory=dict)  # sig -> [g, u]
-    reentrancy_votes: dict = field(default_factory=dict)  # sig -> votes
+    def __init__(self, arg_taint=None, guarded_callers=None,
+                 reentrancy_votes=None):
+        self.arg_taint = arg_taint or {}                # (sig, pos) -> [t, u]
+        self.guarded_callers = guarded_callers or {}    # sig -> [g, u]
+        self.reentrancy_votes = reentrancy_votes or {}  # sig -> votes
 
 
 def aggregate(summaries: Iterable[FunctionSummary]) -> CorpusStats:
@@ -148,22 +146,29 @@ def aggregate(summaries: Iterable[FunctionSummary]) -> CorpusStats:
     return stats
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class _ThresholdFields(NamedTuple):
     min_samples: int = 10
     untainted_fraction: float = 0.9
     guarded_fraction: float = 0.9
 
-    def __post_init__(self):
+
+class Thresholds(_ThresholdFields):
+    """Raises ValueError unless min_samples >= 1 and both fractions are in
+    [0, 1]; _replace would skip that check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
         for value in (self.untainted_fraction, self.guarded_fraction):
             if not 0 <= value <= 1:  # also false for NaN
                 raise ValueError("threshold fractions must be in [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class SensitiveArgFact:
+class SensitiveArgFact(NamedTuple):
     signature: str
     position: int
     tainted: int
@@ -178,8 +183,7 @@ class SensitiveArgFact:
         return self.untainted / self.samples if self.samples else 0.0
 
 
-@dataclass(frozen=True)
-class GuardedFact:
+class GuardedFact(NamedTuple):
     signature: str
     guarded: int
     unguarded: int
@@ -193,14 +197,12 @@ class GuardedFact:
         return self.guarded / self.samples if self.samples else 0.0
 
 
-@dataclass(frozen=True)
-class ReentrancyFact:
+class ReentrancyFact(NamedTuple):
     signature: str
     votes: int
 
 
-@dataclass(frozen=True)
-class DomainFacts:
+class DomainFacts(NamedTuple):
     sensitive_args: Tuple[SensitiveArgFact, ...] = ()
     usually_guarded: Tuple[GuardedFact, ...] = ()
     reentrancy: Tuple[ReentrancyFact, ...] = ()
@@ -258,12 +260,13 @@ def anomalies(result: AnalysisResult, facts: DomainFacts) -> Tuple[Warning, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RefineOutcome:
-    facts_rounds: Tuple[DomainFacts, ...]
-    stable_after: Optional[int]  # facts unchanged since this round (1-based)
-    results: dict
-    errors: dict = field(default_factory=dict)  # diagnostic lines by path
+    def __init__(self, facts_rounds: Tuple[DomainFacts, ...],
+                 stable_after: Optional[int], results: dict):
+        self.facts_rounds = facts_rounds
+        self.stable_after = stable_after  # facts unchanged since, 1-based
+        self.results = results
+        self.errors: dict = {}  # diagnostic lines by path
 
     @property
     def facts(self) -> DomainFacts:

@@ -10,8 +10,7 @@ pairwise union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .symexpr import (
     ADDRESS_BOUND, Const, Expr, ExprLike, Hashed, Sym, as_expr, normalize,
@@ -109,8 +108,7 @@ def _address_typed(e: Expr) -> bool:
 EMPTY = DependencyMap()
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """Incompatible mappings for one variable. A normal result, not an error."""
 
     variable: str
@@ -172,26 +170,31 @@ def combine(a: DependencyMap, b: DependencyMap) -> CombineResult:
     return DependencyMap(local, tx)
 
 
-@dataclass(frozen=True)
-class DependencyBudget:
-    """The four precision bounds. Defaults follow the analysis presets:
-    3 tracked function arguments, 1 storage-load variable, 2 transaction
-    entry-point arguments; the sender is always tracked."""
-
+class _BudgetFields(NamedTuple):
     local_args: int = 3
     storage_loads: int = 1
     tx_args: int = 2
 
-    def __post_init__(self):
+
+class DependencyBudget(_BudgetFields):
+    """The four precision bounds. Defaults follow the analysis presets:
+    3 tracked function arguments, 1 storage-load variable, 2 transaction
+    entry-point arguments; the sender is always tracked. Raises ValueError
+    on a bound below 1; _replace would skip that check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.local_args < 1 or self.storage_loads < 1 or self.tx_args < 1:
             raise ValueError("dependency budget bounds must be >= 1")
+        return self
 
 
 DEFAULT_BUDGET = DependencyBudget()
 
 
-@dataclass(frozen=True)
-class TrackingPlan:
+class TrackingPlan(NamedTuple):
     """Which variable names are eligible for dependency tracking, in order.
 
     arg_order: the current function's parameters by position;

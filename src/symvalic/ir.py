@@ -18,8 +18,7 @@ as "@name" and resolves to the opaque bound symbol <<contract:name>>.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .symexpr import ADDRESS_BOUND, Const
 
@@ -43,15 +42,13 @@ class IRError(Exception):
     """A contract value violates an IR invariant."""
 
 
-@dataclass(frozen=True)
-class StorageDecl:
+class StorageDecl(NamedTuple):
     name: str
     slot: int
     kind: str  # "scalar" | "mapping"
 
 
-@dataclass(frozen=True)
-class LiteralUse:
+class LiteralUse(NamedTuple):
     """A literal as written in the surface text, with usage context."""
 
     value: int
@@ -59,8 +56,7 @@ class LiteralUse:
     hex_form: bool
 
 
-@dataclass(eq=True)
-class Statement:
+class Statement(NamedTuple):
     sid: int
     op: str
     operands: Tuple[Operand, ...] = ()
@@ -68,13 +64,12 @@ class Statement:
     binop: Optional[str] = None          # for op == BINOP (incl. "NOT")
     callee: Optional[str] = None         # signature for CALLEXTERNAL/CALLINTERNAL
     targets: Tuple[str, ...] = ()        # block ids for BRANCH/JUMP
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(eq=True)
-class BasicBlock:
+class BasicBlock(NamedTuple):
     bid: str
-    statements: list[Statement] = field(default_factory=list)
+    statements: list[Statement]
 
     @property
     def terminator(self) -> Statement:
@@ -84,13 +79,12 @@ class BasicBlock:
         return self.terminator.targets
 
 
-@dataclass(eq=True)
-class Function:
+class Function(NamedTuple):
     name: str
     visibility: str  # "public" | "internal"
     params: Tuple[Tuple[str, str], ...]  # (name, semantic type)
-    blocks: list[BasicBlock] = field(default_factory=list)
-    entry_block: str = ""
+    blocks: list[BasicBlock]
+    entry_block: str
 
     @property
     def is_constructor(self) -> bool:
@@ -146,8 +140,7 @@ def _postorder(fn: Function, roots: Iterable[str]) -> list[BasicBlock]:
     return order
 
 
-@dataclass(eq=True)
-class Contract:
+class Contract(NamedTuple):
     name: str
     storage: Tuple[StorageDecl, ...]
     functions: Tuple[Function, ...]

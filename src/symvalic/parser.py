@@ -33,8 +33,7 @@ call arguments and returned values are not address positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .ir import (
     CONSTRUCTOR_NAME, BasicBlock, Contract, Function, IRError, LiteralUse,
@@ -76,8 +75,7 @@ PUNCT = ("&&", "||", "==", "{", "}", "(", ")", "[", "]", ";", ",", ".",
          "=", "+", "-", "*", "/", "%", "<", ">", "!")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "keyword" | "number" | "punct" | "eof"
     text: str
     value: int = 0
@@ -150,8 +148,7 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ENum:
+class ENum(NamedTuple):
     value: int
     hex_form: bool = False
 
@@ -159,33 +156,29 @@ class ENum:
 Pos = Tuple[int, int]  # (line, col) of a token
 
 
-@dataclass(frozen=True)
-class EVar:
+class EVar(NamedTuple):
     name: str
     at: Pos
 
 
-@dataclass(frozen=True)
 class ESender:
-    pass
+    """msg.sender: a plain class, since a record without fields would be an
+    empty, falsy tuple."""
 
 
-@dataclass(frozen=True)
-class EIndex:
+class EIndex(NamedTuple):
     mapping: str
     key: "ExprAst"
     at: Pos  # of the mapping name
 
 
-@dataclass(frozen=True)
-class EBin:
+class EBin(NamedTuple):
     op: str  # surface operator text
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class ENot:
+class ENot(NamedTuple):
     operand: "ExprAst"
 
 
@@ -193,8 +186,7 @@ ExprAst = object
 
 
 # Each statement keeps the line and column of its first token.
-@dataclass(frozen=True)
-class SAssign:
+class SAssign(NamedTuple):
     target: str
     key: Optional[ExprAst]  # mapping subscript, if any
     value: ExprAst
@@ -202,15 +194,13 @@ class SAssign:
     col: int = 0
 
 
-@dataclass(frozen=True)
-class SRequire:
+class SRequire(NamedTuple):
     cond: ExprAst
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class SIf:
+class SIf(NamedTuple):
     cond: ExprAst
     then: Tuple
     els: Tuple  # empty when the source has no else
@@ -218,8 +208,7 @@ class SIf:
     col: int = 0
 
 
-@dataclass(frozen=True)
-class SCall:
+class SCall(NamedTuple):
     target: Optional[str]  # None for internal calls
     callee: str
     args: Tuple
@@ -228,23 +217,20 @@ class SCall:
     name_at: Pos = (0, 0)  # of the name after `call`: target, else callee
 
 
-@dataclass(frozen=True)
-class SIntrinsic:
+class SIntrinsic(NamedTuple):
     op: str  # TRANSFER | SELFDESTRUCT | DELEGATECALL
     args: Tuple
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class SReturn:
+class SReturn(NamedTuple):
     value: Optional[ExprAst]
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class FuncAst:
+class FuncAst(NamedTuple):
     name: str
     params: Tuple[Tuple[str, str], ...]
     visibility: str
@@ -253,8 +239,7 @@ class FuncAst:
     param_at: Tuple[Pos, ...]  # of each parameter name
 
 
-@dataclass(frozen=True)
-class ContractAst:
+class ContractAst(NamedTuple):
     name: str
     decls: Tuple[Tuple[str, str, Pos], ...]  # (kind keyword, name, at)
     functions: Tuple[FuncAst, ...]
@@ -539,7 +524,7 @@ class _FnLowerer:
             self.locals[pname] = ptype
 
     def new_block(self) -> BasicBlock:
-        b = BasicBlock(f"{self.fast.name}.b{len(self.blocks)}")
+        b = BasicBlock(f"{self.fast.name}.b{len(self.blocks)}", [])
         self.blocks.append(b)
         return b
 
@@ -728,6 +713,7 @@ class _FnLowerer:
 
     def lower_if(self, s: SIf):
         cond = self.lower_operand(s.cond, s.line)
+        head = self.current
         branch = self.emit("BRANCH", [cond], line=s.line)
 
         then_block = self.new_block()
@@ -747,7 +733,9 @@ class _FnLowerer:
         if not else_done:
             self.current = else_end
             self.emit("JUMP", targets=[join.bid], line=s.line)
-        branch.targets = (then_block.bid, else_block.bid)
+        # the arms' block ids are known only now; the branch still ends head
+        head.statements[-1] = branch._replace(
+            targets=(then_block.bid, else_block.bid))
         self.current = join
         if then_done and else_done:
             # join unreachable; it still needs a terminator

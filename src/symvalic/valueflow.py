@@ -51,13 +51,12 @@ import hashlib
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .deps import (
     DEFAULT_BUDGET, EMPTY, Conflict, DependencyBudget, DependencyMap,
-    SENDER_KEY, TrackingPlan, combine, restrict,
+    SENDER_KEY, TrackingPlan, combine,
 )
 from .ir import (
     TEMP_NAME, Contract, Function, Statement, flow_after, harvest_constants,
@@ -72,10 +71,7 @@ from .symexpr import (
 SENDER_INPUT = "msg.sender"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Engine limits. All bounds are >= 1; see the CLI for the flag names."""
-
+class _ConfigFields(NamedTuple):
     budget: DependencyBudget = DEFAULT_BUDGET
     arithmetic_depth_limit: int = 5
     transaction_rounds: int = 3
@@ -85,13 +81,22 @@ class AnalysisConfig:
     max_inferences: int = 200_000
     time_budget: Optional[float] = 60.0
 
-    def __post_init__(self):
+
+class AnalysisConfig(_ConfigFields):
+    """Engine limits. All bounds are >= 1; see the CLI for the flag names.
+    Raises ValueError on a depth limit or round count below 1; _replace
+    would skip that check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.arithmetic_depth_limit < 1 or self.transaction_rounds < 1:
             raise ValueError("limits must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class Inference:
+class Inference(NamedTuple):
     """Variable `var` (in `function`) may hold `value` under `deps`."""
 
     function: str
@@ -100,15 +105,13 @@ class Inference:
     deps: DependencyMap
 
 
-@dataclass(frozen=True)
-class ReachabilityFact:
+class ReachabilityFact(NamedTuple):
     function: str
     stmt: int
     deps: DependencyMap
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     """An executed external call or sensitive intrinsic."""
 
     stmt: int
@@ -119,14 +122,7 @@ class CallSite:
     arg_values: Tuple[Tuple[Tuple[Expr, DependencyMap], ...], ...]
 
 
-@dataclass
-class AnalysisResult:
-    """One contract's analysis: the facts an engine run collected, then the
-    contract's structure: function names and statement follow-order. The
-    result document (to_json_dict) prints every fact except stores, which
-    only detect_reentrancy reads, and its storage section is the committed
-    storage; it leaves the structure out."""
-
+class _ResultFields(NamedTuple):
     contract: str
     config: AnalysisConfig
     inferences: Tuple[Inference, ...]
@@ -136,11 +132,21 @@ class AnalysisResult:
     returns: Mapping[str, Tuple[Tuple[Expr, DependencyMap], ...]]
     storage: Tuple[Tuple[Expr, Expr, int], ...]  # (address, value, depth)
     truncated: bool
-    notes: Tuple[str, ...] = ()
+    notes: Tuple[str, ...]
     # structural context for clients: the names of the declared functions
     # and intra-function statement follow-order
-    functions: Tuple[str, ...] = ()
-    flow_after: Mapping[int, frozenset] = field(default_factory=dict)
+    functions: Tuple[str, ...]
+    flow_after: Mapping[int, frozenset]
+
+
+class AnalysisResult(_ResultFields):
+    """One contract's analysis: the facts an engine run collected, then the
+    contract's structure: function names and statement follow-order. The
+    result document (to_json_dict) prints every fact except stores, which
+    only detect_reentrancy reads, and its storage section is the committed
+    storage; it leaves the structure out. Unlike the other records it has
+    an instance __dict__, which holds the index stmt_reachable builds on
+    first use."""
 
     # -- queries --------------------------------------------------------
 
@@ -252,14 +258,16 @@ def seed_inputs(fn: Function, contract: Contract,
 
 SeedOverrides = Mapping[Tuple[str, str], Iterable[Union[Expr, int]]]
 
+# (local names, transaction keys) that a walk's dependency maps may bind
+Tracked = Tuple[frozenset, frozenset]
+
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Alt:
+class _Alt(NamedTuple):
     """One distinguishable way control reached the current point."""
 
     deps: DependencyMap
@@ -399,13 +407,15 @@ class _Engine:
                           for p in f.param_names[: config.budget.tx_args])
             for f in contract.functions}
 
-        # per-function tracking plans (local part); the storage-load
+        # per function, the names the budget tracks: locals in a walk of it,
+        # transaction keys in a walk entered through it. The storage-load
         # variables are the SLOADs into named locals in statement order, of
         # which the budget tracks the first storage_loads (temps are the
         # unnamed intermediate loads, e.g. inside a require condition).
         # Reassigned locals are not trackable: a name-keyed dependency must
         # denote one value per execution.
-        self.local_plans: dict[str, TrackingPlan] = {}
+        self.tracked_locals: dict[str, frozenset] = {}
+        self.tracked_tx: dict[str, frozenset] = {}
         for f in contract.functions:
             assign_counts: dict[str, int] = {}
             for s in f.statements():
@@ -415,8 +425,9 @@ class _Engine:
                           if s.op == "SLOAD" and s.result
                           and not TEMP_NAME.match(s.result)
                           and assign_counts[s.result] == 1)
-            self.local_plans[f.name] = TrackingPlan(
-                arg_order=f.param_names, storage_load_order=loads)
+            plan = TrackingPlan(f.param_names, loads, self.tx_keys[f.name])
+            self.tracked_locals[f.name] = plan.tracked_locals(config.budget)
+            self.tracked_tx[f.name] = plan.tracked_tx(config.budget)
 
         # collectors (ordered dedup)
         self.inferences: dict[Inference, None] = {}
@@ -501,12 +512,11 @@ class _Engine:
 
     def _walk(self, fn: Function, entry_env, entry_alts, entry_fn: Function,
               stack: Tuple[str, ...]):
-        plan = replace(self.local_plans[fn.name],
-                       tx_arg_order=self.tx_keys[entry_fn.name])
+        tracked = (self.tracked_locals[fn.name], self.tracked_tx[entry_fn.name])
         for pname, _ in fn.params:
             for val in entry_env[pname]:
                 for alt in entry_alts:
-                    self._record_inference(fn.name, plan, pname, val.expr,
+                    self._record_inference(fn.name, tracked, pname, val.expr,
                                            alt.deps)
         self._check_time()
         env_in: dict[str, dict[str, Tuple[_Val, ...]]] = {
@@ -524,7 +534,7 @@ class _Engine:
             for stmt in block.statements:
                 for alt in alts:
                     self._record_reach(fn.name, stmt.sid, alt.deps)
-                alts = self._exec(fn, plan, stmt, env, alts, entry_fn, stack,
+                alts = self._exec(fn, tracked, stmt, env, alts, entry_fn, stack,
                                   env_in, alts_in)
                 if not alts:
                     break
@@ -538,10 +548,13 @@ class _Engine:
 
     # -- recording ---------------------------------------------------------
 
-    def _record_inference(self, fname: str, plan: TrackingPlan, var: str,
+    def _record_inference(self, fname: str, tracked: Tracked, var: str,
                           value: Expr, deps: DependencyMap):
         assert value == normalize(value)
-        assert restrict(deps, self.cfg.budget, plan) == deps, \
+        # restrict(deps, budget, plan) == deps, without building a map
+        keep_local, keep_tx = tracked
+        assert (all(v in keep_local for v, _ in deps.local)
+                and all(v in keep_tx for v, _ in deps.transaction)), \
             f"budget violation for {var}: {deps}"
         inf = Inference(fname, var, value, deps)
         if inf not in self.inferences:
@@ -569,25 +582,25 @@ class _Engine:
         return _Val(normalize(substitute(val.expr, m)),
                     _subst_deps(val.deps, m), val.depth)
 
-    def _resolve(self, operand, env, alt: _Alt, plan: TrackingPlan):
+    def _resolve(self, operand, env, alt: _Alt, tracked: Tracked):
         """Values of one operand under alt: (expr, contribution deps, depth)."""
         if isinstance(operand, Const):
             return [(operand, EMPTY, self.limit)]
         if operand.startswith("@"):
             return [(contract_symbol(operand[1:]), EMPTY, self.limit)]
         out = []
-        tracked = operand in plan.tracked_locals(self.cfg.budget)
+        bind = operand in tracked[0]
         for val in env.get(operand, ()):
             v = self._subst_val(val, alt)
             d = v.deps
-            if tracked:
+            if bind:
                 d = combine(d, DependencyMap(((operand, v.expr),), ()))
                 if isinstance(d, Conflict):
                     continue
             out.append((v.expr, d, v.depth))
         return out
 
-    def _combos(self, operands, env, alts, plan: TrackingPlan):
+    def _combos(self, operands, env, alts, tracked: Tracked):
         """All compatible assignments of values to the distinct operand vars,
         for each alternative in turn.
 
@@ -609,15 +622,15 @@ class _Engine:
             levels = by_subst.get(alt.subst)
             if levels is None:
                 levels = by_subst[alt.subst] = self._levels(distinct, env,
-                                                            alt, plan)
+                                                            alt, tracked)
             for picks, d in _join(levels, 0, alt.deps, ()):
                 yield (alt, [picks[i][0] for i in positions], d,
                        [picks[i][2] for i in positions])
 
-    def _levels(self, distinct, env, alt: _Alt, plan: TrackingPlan):
+    def _levels(self, distinct, env, alt: _Alt, tracked: Tracked):
         levels = []
         for op in distinct:
-            cands = self._resolve(op, env, alt, plan)
+            cands = self._resolve(op, env, alt, tracked)
             levels.append((cands, _DepIndex([c[1] for c in cands])))
         return levels
 
@@ -632,15 +645,15 @@ class _Engine:
 
     # -- statement execution -------------------------------------------------
 
-    def _exec(self, fn: Function, plan: TrackingPlan, stmt: Statement, env,
+    def _exec(self, fn: Function, tracked: Tracked, stmt: Statement, env,
               alts: list[_Alt], entry_fn: Function, stack, env_in, alts_in
               ) -> list[_Alt]:
         op = stmt.op
         if op == "REQUIRE":
-            return self._gate(stmt.operands[0], env, alts, plan, want_true=True)
+            return self._gate(stmt.operands[0], env, alts, tracked, want_true=True)
         if op == "BRANCH":
-            then_alts = self._gate(stmt.operands[0], env, alts, plan, True)
-            else_alts = self._gate(stmt.operands[0], env, alts, plan, False)
+            then_alts = self._gate(stmt.operands[0], env, alts, tracked, True)
+            else_alts = self._gate(stmt.operands[0], env, alts, tracked, False)
             then_bid, else_bid = stmt.targets
             self._flow_edge(env, then_alts, then_bid, env_in, alts_in, tag=True)
             self._flow_edge(env, else_alts, else_bid, env_in, alts_in, tag=True)
@@ -650,13 +663,13 @@ class _Engine:
                             tag=False)
             return []
         if op == "RETURN":
-            self._exec_return(fn, plan, stmt, env, alts)
+            self._exec_return(fn, tracked, stmt, env, alts)
             return []
         if op == "CONST":
             lit = stmt.operands[0]
             produced = [_Val(normalize(lit), alt.deps, self.limit)
                         for alt in alts]
-            self._finish_assign(fn, plan, stmt, env, produced)
+            self._finish_assign(fn, tracked, stmt, env, produced)
             return alts
         if op == "CALLER":
             produced = []
@@ -664,55 +677,55 @@ class _Engine:
                 sender = alt.deps.sender()
                 if sender is not None:
                     produced.append(_Val(sender, alt.deps, self.limit))
-            self._finish_assign(fn, plan, stmt, env, produced)
+            self._finish_assign(fn, tracked, stmt, env, produced)
             return alts
         if op == "BINOP":
-            self._exec_binop(fn, plan, stmt, env, alts)
+            self._exec_binop(fn, tracked, stmt, env, alts)
             return alts
         if op in ("SHA3", "CONCAT"):
             produced = []
             for _, vals, d, depths in self._combos(stmt.operands, env, alts,
-                                                   plan):
+                                                   tracked):
                 e = Sha3(vals[0]) if op == "SHA3" else Concat(vals[0], vals[1])
                 produced.append(_Val(normalize(e), d, min(depths)))
-            self._finish_assign(fn, plan, stmt, env, produced)
+            self._finish_assign(fn, tracked, stmt, env, produced)
             return alts
         if op == "SLOAD":
-            self._exec_sload(fn, plan, stmt, env, alts)
+            self._exec_sload(fn, tracked, stmt, env, alts)
             return alts
         if op == "SSTORE":
-            self._exec_sstore(fn, plan, stmt, env, alts)
+            self._exec_sstore(fn, tracked, stmt, env, alts)
             return alts
         if op in ("CALLEXTERNAL", "TRANSFER", "SELFDESTRUCT", "DELEGATECALL"):
-            self._exec_external(fn, plan, stmt, env, alts)
+            self._exec_external(fn, tracked, stmt, env, alts)
             return alts if op != "SELFDESTRUCT" else []
         if op == "CALLINTERNAL":
-            self._exec_internal(fn, plan, stmt, env, alts, entry_fn, stack)
+            self._exec_internal(fn, tracked, stmt, env, alts, entry_fn, stack)
             return alts
         raise AssertionError(op)
 
-    def _finish_assign(self, fn, plan, stmt, env, produced: list[_Val]):
+    def _finish_assign(self, fn, tracked, stmt, env, produced: list[_Val]):
         if stmt.result is None:
             return
         self._put_env(env, stmt.result, produced)
         for v in env[stmt.result]:
-            self._record_inference(fn.name, plan, stmt.result, v.expr, v.deps)
+            self._record_inference(fn.name, tracked, stmt.result, v.expr, v.deps)
 
-    def _exec_binop(self, fn, plan, stmt, env, alts):
+    def _exec_binop(self, fn, tracked, stmt, env, alts):
         binop = stmt.binop
         arith = binop in ARITH_OPS
         produced = []
-        for _, vals, d, depths in self._combos(stmt.operands, env, alts, plan):
+        for _, vals, d, depths in self._combos(stmt.operands, env, alts, tracked):
             depth = min(depths)
             if arith and depth == 0:
                 continue  # storage-cycle lineage exhausted
             e = Not(vals[0]) if binop == "NOT" else BinOp(binop, vals[0], vals[1])
             produced.append(_Val(normalize(e), d, depth))
-        self._finish_assign(fn, plan, stmt, env, produced)
+        self._finish_assign(fn, tracked, stmt, env, produced)
 
-    def _exec_sload(self, fn, plan, stmt, env, alts):
+    def _exec_sload(self, fn, tracked, stmt, env, alts):
         produced = []
-        for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
+        for _, vals, d, _ in self._combos(stmt.operands, env, alts, tracked):
             key = vals[0]
             self.reads.add(key)
             cell = self.storage.get(key)
@@ -722,10 +735,10 @@ class _Engine:
                 continue
             for value, depth in cell.items():
                 produced.append(_Val(value, d, depth))
-        self._finish_assign(fn, plan, stmt, env, produced)
+        self._finish_assign(fn, tracked, stmt, env, produced)
 
-    def _exec_sstore(self, fn, plan, stmt, env, alts):
-        for _, vals, _, depths in self._combos(stmt.operands, env, alts, plan):
+    def _exec_sstore(self, fn, tracked, stmt, env, alts):
+        for _, vals, _, depths in self._combos(stmt.operands, env, alts, tracked):
             key, value = vals[0], vals[1]
             self.stores.setdefault((fn.name, stmt.sid), None)
             stored_depth = depths[1] - 1
@@ -735,20 +748,20 @@ class _Engine:
             if value not in cell or cell[value] < stored_depth:
                 cell[value] = stored_depth
 
-    def _exec_return(self, fn, plan, stmt, env, alts):
+    def _exec_return(self, fn, tracked, stmt, env, alts):
         if not stmt.operands:
             return
         rows = self.returns.setdefault(fn.name, {})
-        for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
+        for _, vals, d, _ in self._combos(stmt.operands, env, alts, tracked):
             rows.setdefault((vals[0], d), None)
 
-    def _exec_external(self, fn, plan, stmt, env, alts):
+    def _exec_external(self, fn, tracked, stmt, env, alts):
         if stmt.op == "CALLEXTERNAL":
             kind, n_args = "external", len(stmt.operands) - 1
         else:
             kind, n_args = "intrinsic", len(stmt.operands)
         row = self._call_row(stmt, fn.name, kind, n_args)
-        for _, vals, d, _ in self._combos(stmt.operands, env, alts, plan):
+        for _, vals, d, _ in self._combos(stmt.operands, env, alts, tracked):
             if kind == "external":
                 row["target"].setdefault((vals[0], d), None)
                 args = vals[1:]
@@ -757,19 +770,19 @@ class _Engine:
             for i, a in enumerate(args):
                 row["args"][i].setdefault((a, d), None)
 
-    def _exec_internal(self, fn, plan, stmt, env, alts, entry_fn, stack):
+    def _exec_internal(self, fn, tracked, stmt, env, alts, entry_fn, stack):
         callee = self.contract.function(stmt.callee)
         if callee is None or callee.name in stack:
             self.notes.append(f"internal call to {stmt.callee} skipped")
             return
         for alt, vals, d, depths in self._combos(stmt.operands, env, alts,
-                                                 plan):
+                                                 tracked):
             # entry-point arguments pinned on this path migrate into the
             # transaction dependencies under qualified keys
             tx = dict(d.transaction)
             if fn.name == entry_fn.name:
                 for p, qualified in zip(entry_fn.param_names,
-                                        plan.tx_arg_order):
+                                        self.tx_keys[entry_fn.name]):
                     bound = d.local_map.get(p)
                     if bound is not None:
                         tx.setdefault(qualified, bound)
@@ -794,9 +807,10 @@ class _Engine:
 
     # -- gating (REQUIRE and branch arms) -------------------------------------
 
-    def _gate(self, cond_operand, env, alts, plan, want_true: bool) -> list[_Alt]:
+    def _gate(self, cond_operand, env, alts, tracked,
+              want_true: bool) -> list[_Alt]:
         out: list[_Alt] = []
-        for alt, (cv,), d, _ in self._combos((cond_operand,), env, alts, plan):
+        for alt, (cv,), d, _ in self._combos((cond_operand,), env, alts, tracked):
             target = cv if want_true else normalize(Not(cv))
             out.extend(self._admit(alt, d, target))
         return self._cap_alts(out)

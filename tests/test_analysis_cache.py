@@ -1,7 +1,6 @@
 """The analysis cache: the expression reader, full-result round trips,
 fallback on every kind of bad cache, engine-run counts, determinism."""
 
-import dataclasses
 import json
 import random
 import shutil
@@ -93,9 +92,6 @@ def rendered(x):
     equality of Expr ignores hex_hint, printing does not."""
     if isinstance(x, (Expr, DependencyMap)):
         return x.render()
-    if dataclasses.is_dataclass(x):
-        return tuple(rendered(getattr(x, f.name))
-                     for f in dataclasses.fields(x))
     if isinstance(x, dict):
         return tuple((rendered(k), rendered(v)) for k, v in x.items())
     if isinstance(x, frozenset):
@@ -130,8 +126,8 @@ def test_full_result_round_trip(tmp_path):
         facts = load(path, key)
         assert facts is not None, contract.name
         cached = assemble(contract, config, facts)
-        for f in dataclasses.fields(fresh):
-            assert getattr(cached, f.name) == getattr(fresh, f.name), f.name
+        for f in fresh._fields:
+            assert getattr(cached, f) == getattr(fresh, f), f
         assert rendered(cached) == rendered(fresh)
         assert cached.to_json_dict() == fresh.to_json_dict()
         assert dumps(cached, key) == path.read_text()
@@ -154,7 +150,7 @@ def test_equal_maps_that_print_differently_stay_apart(tmp_path):
     hexed = DependencyMap((("to", Const(66, hex_hint=True)),), ())
     assert dec == hexed and dec.render() != hexed.render()
     fresh = analyze(contract, config)
-    result = dataclasses.replace(fresh, inferences=fresh.inferences + tuple(
+    result = fresh._replace(inferences=fresh.inferences + tuple(
         Inference("deposit", var, Const(1), d)
         for var, d in (("a", dec), ("b", hexed), ("c", dec))))
     path = tmp_path / "Safe.analysis.json"
@@ -212,7 +208,7 @@ def test_key_covers_the_text_and_every_config_field():
                "arithmetic_depth_limit": 4, "transaction_rounds": 2,
                "max_values_per_var": 65, "max_alts_per_block": 255,
                "max_inferences": 1000, "time_budget": None}
-    assert set(changes) == {f.name for f in dataclasses.fields(AnalysisConfig)}
+    assert set(changes) == set(AnalysisConfig._fields)
     keys = {cache_key(text, AnalysisConfig(**{name: value}))
             for name, value in changes.items()}
     assert len(keys) == len(changes) and base not in keys
@@ -420,8 +416,10 @@ def test_scan_and_analyze_leave_the_cache_unimported(tmp_path):
     code = ("import sys\nfrom symvalic.cli import main\n"
             f"main(['scan', {str(FIXTURES / 'safe.svc')!r}])\n"
             f"main(['analyze', {str(FIXTURES / 'safe.svc')!r}])\n"
-            "print('symvalic.analysis_cache' in sys.modules, file=sys.stderr)")
+            "for name in ('symvalic.analysis_cache', 'dataclasses', 'inspect'):\n"
+            "    print(name, name in sys.modules, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=package_env())
     assert proc.returncode == 0
-    assert proc.stderr == "False\n"
+    assert proc.stderr == ("symvalic.analysis_cache False\n"
+                           "dataclasses False\ninspect False\n")

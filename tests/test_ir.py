@@ -254,8 +254,8 @@ def test_topo_blocks_rejects_a_cycle():
     c = parse("contract T { function f(uint a) public {"
               " if (a < 3) { x = 1; } } }")
     fn = c.functions[0]
-    fn.blocks[-1].statements[-1].targets = (fn.entry_block,)
-    fn.blocks[-1].statements[-1].op = "JUMP"
+    stmts = fn.blocks[-1].statements
+    stmts[-1] = stmts[-1]._replace(targets=(fn.entry_block,), op="JUMP")
     with pytest.raises(IRError, match="cycle"):
         validate(c)
 

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symvalic.deps import Conflict, DependencyMap, TrackingPlan, combine
+from symvalic.deps import Conflict, DependencyMap, combine
 from symvalic.parser import parse
 from symvalic.symexpr import Const, OWNER, Sym, UNPRIVILEGED_USER
 from symvalic.valueflow import (
@@ -22,7 +22,7 @@ ENV_VARS = ("a", "b", "c")
 # "a" and "b" are tracked arguments; "missing" has no values; "@tok" is an
 # undeclared contract identifier
 OPERANDS = ENV_VARS + ("missing", "@tok", Const(3))
-PLAN = TrackingPlan(arg_order=("a", "b"))
+TRACKED = (frozenset({"a", "b"}), frozenset({"sender"}))
 
 
 def engine() -> _Engine:
@@ -73,9 +73,9 @@ def test_join_matches_product_and_prune(seed):
     # duplicated operands take one value at every position
     operands = [rng.choice(OPERANDS) for _ in range(rng.randint(0, 3))]
     e = engine()
-    got = list(e._combos(operands, env, alts, PLAN))
+    got = list(e._combos(operands, env, alts, TRACKED))
     want = list(product_combos(
-        lambda op, alt: e._resolve(op, env, alt, PLAN), operands, alts))
+        lambda op, alt: e._resolve(op, env, alt, TRACKED), operands, alts))
     assert got == want
     assert printed(got) == printed(want)
 
@@ -179,6 +179,6 @@ def test_combination_loops_check_the_deadline():
     env = {"a": (_Val(Const(1), DependencyMap(), 5),)}
     alts = [_Alt(DependencyMap((), (("sender", OWNER),)))]
     with pytest.raises(_Timeout):
-        next(e._combos(["a"], env, alts, PLAN))
+        next(e._combos(["a"], env, alts, TRACKED))
     with pytest.raises(_Timeout):
         e._flow_edge(env, alts, "b1", {}, {}, tag=True)

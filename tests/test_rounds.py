@@ -2,7 +2,6 @@
 again only if the last commit changed a storage cell its last run read,
 and the result equals that of running every entry in every round."""
 
-import dataclasses
 import random
 
 import pytest
@@ -20,8 +19,8 @@ def assert_same_as_every_round(contract, config=AnalysisConfig()):
     want = analyze_every_round(contract, config)
     # every in-memory field in order: inferences, reachability, calls,
     # stores, returns, storage, notes, ...
-    for f in dataclasses.fields(got):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for f in got._fields:
+        assert getattr(got, f) == getattr(want, f), f
     assert got.to_json_dict() == want.to_json_dict()
     assert run_detectors(got) == run_detectors(want)
     return got

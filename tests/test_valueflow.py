@@ -301,6 +301,28 @@ def test_resource_cap_flags_truncated(safe_contract):
     assert any("resource cap" in n for n in r.notes)
 
 
+@pytest.mark.parametrize("record, field", [
+    (DependencyBudget, "local_args"), (DependencyBudget, "storage_loads"),
+    (DependencyBudget, "tx_args"), (AnalysisConfig, "arithmetic_depth_limit"),
+    (AnalysisConfig, "transaction_rounds")])
+def test_constructors_reject_a_bound_of_zero(record, field):
+    with pytest.raises(ValueError):
+        record(**{field: 0})
+    values = list(record())
+    values[record._fields.index(field)] = 0
+    with pytest.raises(ValueError):
+        record(*values)
+
+
+def test_config_round_trips_through_pickle():
+    config = AnalysisConfig(budget=DependencyBudget(2, 3, 4), seed=9,
+                            time_budget=None)
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config
+    assert type(copy) is AnalysisConfig
+    assert type(copy.budget) is DependencyBudget
+
+
 def test_values_always_normalized_and_budgeted(safe_contract):
     from symvalic.symexpr import normalize
     r = analyze(safe_contract)
