@@ -12,8 +12,11 @@ Commands:
 The corpus commands load and analyze the corpus through
 corpus.analyze_corpus, which takes a contract's analysis from its cache
 file when the file's key (source text, engine settings, package source)
-matches, and otherwise runs the engine; see analysis_cache. This module
-handles arguments, report writing and exit codes.
+matches, and otherwise runs the engine; see analysis_cache. For
+corpus-build it also writes each out/<Contract>.result.json, in the
+process that made the result: a pool worker when the engine runs on
+more than one contract at --jobs above 1, this process otherwise. This
+module handles arguments, the reports on stdout and exit codes.
 
 Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
 analysis error (values nested deeper than symexpr.MAX_EXPR_DEPTH among
@@ -278,23 +281,16 @@ def cmd_corpus_build(args) -> int:
     config = config_from_args(args)
     try:
         results, errors = corpus_mod.analyze_corpus(
-            args.dir, config, args.jobs, write_cache=True)
+            args.dir, config, args.jobs, write_outputs=True)
         corpus_mod.remove_stale_outputs(args.dir, results)
     except OSError as err:  # no corpus, or out cannot be made or cleaned
         return _io_failed(err)
     out = corpus_mod.corpus_out_dir(args.dir)
-    index = []
-    for name in sorted(results):
-        result = results[name]
-        doc = result.to_json_dict()
-        path = out / f"{name}.result.json"
-        try:
-            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        except OSError as err:
-            errors[path] = diagnostic(path, err)
-            continue
-        index.append({"contract": name, "truncated": result.truncated,
-                      "inferences": len(doc["inferences"])})
+    # a contract whose report could not be written leaves the index
+    index = [{"contract": name, "truncated": result.truncated,
+              "inferences": len(result.inferences)}
+             for name, result in results.items()
+             if corpus_mod.report_path(out, name) not in errors]
     _report_errors(errors)
     _emit({"schema": "symvalic-corpus-index/1", "contracts": index},
           args.format,

@@ -4,8 +4,10 @@ recursive re-import.
 
 One pipeline serves the corpus commands and the refine API: load_corpus
 reads and parses every .svc file, and analyze_corpus analyzes the
-contracts (over a process pool, reusing matching analysis caches). Both
-report each file that fails as one diagnostic line keyed by its path.
+contracts: it reads each matching analysis cache itself and runs the
+engine, over a process pool, only for the others; for corpus-build, the
+process that makes a result writes its report. Both report each file that
+fails as one diagnostic line keyed by its path.
 
 Each analyzed contract yields one FunctionSummary per function: its
 external calls (signature, whether every path to the call requires the
@@ -335,63 +337,91 @@ def load_corpus(corpus_dir) -> Tuple[list, dict]:
     return loaded, errors
 
 
+def report_path(out_dir: Path, contract_name: str) -> Path:
+    return out_dir / f"{contract_name}.result.json"
+
+
 def _analyze_one(payload):
-    """Worker of analyze_corpus (may run in a separate process): (path,
-    result, None), or (path, None, diagnostic line) if the analysis failed,
-    so that one contract's failure never takes the pool down. A cached
-    analysis whose key matches stands in for the engine run; with
-    write_cache, a fresh result is cached."""
+    """One contract of analyze_corpus: (path, result, None), or (path,
+    None, diagnostic line) if the analysis failed, so that one contract's
+    failure never takes the pool down. Given facts (its cache matched,
+    read by the caller), it assembles them; otherwise it runs the engine,
+    and with a report path (corpus-build) caches the fresh result. With a
+    report path it then writes the result's report there, in whichever
+    process runs it: the caller for a cache hit, a pool worker for a miss
+    at jobs > 1. A report it cannot write gives (report path, result,
+    diagnostic line)."""
     from . import analysis_cache
 
-    path, text, config, cache_file, key, write_cache = payload
+    path, text, config, facts, cache_file, key, report = payload
     try:
         contract = parse(text)
-        facts = analysis_cache.load(cache_file, key)
         if facts is not None:
-            return path, assemble(contract, config, facts), None
-        result = analyze(contract, config)
-        if write_cache:
-            analysis_cache.write(cache_file, key, result)
-        return path, result, None
+            result = assemble(contract, config, facts)
+        else:
+            result = analyze(contract, config)
+            if report is not None:
+                analysis_cache.write(cache_file, key, result)
     except Exception as err:
         return path, None, diagnostic(path, err)
+    if report is not None:
+        try:
+            report.write_text(json.dumps(result.to_json_dict(), indent=2,
+                                         sort_keys=True) + "\n")
+        except OSError as err:
+            return report, result, diagnostic(report, err)
+    return path, result, None
 
 
 def analyze_corpus(corpus_dir, config: AnalysisConfig, jobs: int = 1,
-                   write_cache: bool = False) -> Tuple[dict, dict]:
+                   write_outputs: bool = False) -> Tuple[dict, dict]:
     """(results by contract name, diagnostic lines by file path) for every
-    .svc file in the directory, over jobs worker processes. A contract's
-    cache in the out directory stands in for its analysis when the key
-    matches; with write_cache, every fresh result is cached there. OSError,
-    with nothing written, if the directory cannot be listed."""
+    .svc file in the directory. A contract's cache in the out directory
+    stands in for its analysis when the key matches, read in this process;
+    only the contracts whose cache does not match run the engine, over up
+    to jobs worker processes. With write_outputs (corpus-build), each
+    fresh result is cached there, and every result's report
+    (report_path) is written by the process that made the result; a
+    report that cannot be written is a diagnostic keyed by its path, and
+    its contract stays among the results. OSError, with nothing written,
+    if the directory cannot be listed."""
     # imported here: scan and analyze never use the cache
     from . import analysis_cache
 
     loaded, errors = load_corpus(corpus_dir)
     out = corpus_out_dir(corpus_dir)
-    if write_cache:
+    if write_outputs:
         out.mkdir(parents=True, exist_ok=True)
-    payloads = [(path, text, config,
-                 analysis_cache.cache_path(out, contract.name),
-                 analysis_cache.cache_key(text, config), write_cache)
-                for path, text, contract in loaded]
-    del loaded  # the workers parse the text again; free the contracts
-    if jobs > 1 and len(payloads) > 1:
+    rows, misses = [], []
+    for path, text, contract in loaded:
+        cache_file = analysis_cache.cache_path(out, contract.name)
+        key = analysis_cache.cache_key(text, config)
+        facts = analysis_cache.load(cache_file, key)
+        payload = (path, text, config, facts, cache_file, key,
+                   report_path(out, contract.name) if write_outputs else None)
+        if facts is None:
+            misses.append(payload)
+        else:
+            rows.append(_analyze_one(payload))
+    del loaded  # the analysis parses the text again; free the contracts
+    if jobs > 1 and len(misses) > 1:
         # imported here: the pool machinery costs every process start-up
         from concurrent.futures import ProcessPoolExecutor
         # a fork pool starts all max_workers processes at the first submit
-        workers = min(jobs, len(payloads))
+        workers = min(jobs, len(misses))
+        # multiprocessing.Pool.map's default chunk size
+        chunksize = -(-len(misses) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_analyze_one, payloads))
+            rows += pool.map(_analyze_one, misses, chunksize=chunksize)
     else:
-        rows = [_analyze_one(p) for p in payloads]
+        rows += map(_analyze_one, misses)
     results = {}
     for path, result, error in rows:
-        if error is None:
+        if result is not None:
             results[result.contract] = result
-        else:
+        if error is not None:
             errors[path] = error
-    return dict(sorted(results.items())), errors
+    return dict(sorted(results.items())), dict(sorted(errors.items()))
 
 
 def remove_stale_outputs(corpus_dir, contracts) -> None:

@@ -129,12 +129,14 @@ CombineResult = Union[DependencyMap, Conflict]
 
 def _merge_side(a: Tuple[Entry, ...], b: Tuple[Entry, ...], scope: str):
     """Sorted merge of two canonical entry tuples. A variable on both sides
-    keeps a's value; the first clash in b's order is the Conflict."""
+    keeps a's value; the first clash in b's order is the Conflict. a itself
+    when b adds no variable."""
     if not b:
         return a
     if not a:
         return b
     merged = []
+    added = False
     i, n = 0, len(a)
     for var, value in b:
         while i < n and a[i][0] < var:
@@ -147,6 +149,9 @@ def _merge_side(a: Tuple[Entry, ...], b: Tuple[Entry, ...], scope: str):
             i += 1
         else:
             merged.append((var, value))
+            added = True
+    if not added:
+        return a
     merged.extend(a[i:])
     return tuple(merged)
 

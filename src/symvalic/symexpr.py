@@ -402,19 +402,27 @@ def contains_sym(e: Expr, sym: Sym) -> bool:
 
 
 def substitute(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
-    """Replace symbols per mapping. Result is not normalized."""
+    """Replace symbols per mapping. Result is not normalized. A node none
+    of whose children changed comes back as itself, not as a copy."""
     if not mapping:
         return e
     if isinstance(e, Sym):
         return mapping.get(e, e)
     if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Not):
-        return Not(substitute(e.operand, mapping))
-    if isinstance(e, Sha3):
-        return Sha3(substitute(e.operand, mapping))
+        left = substitute(e.left, mapping)
+        right = substitute(e.right, mapping)
+        if left is e.left and right is e.right:
+            return e
+        return BinOp(e.op, left, right)
+    if isinstance(e, _Unary):
+        operand = substitute(e.operand, mapping)
+        return e if operand is e.operand else e.__class__(operand)
     if isinstance(e, Concat):
-        return Concat(substitute(e.left, mapping), substitute(e.right, mapping))
+        left = substitute(e.left, mapping)
+        right = substitute(e.right, mapping)
+        if left is e.left and right is e.right:
+            return e
+        return Concat(left, right)
     return e
 
 

@@ -579,8 +579,11 @@ class _Engine:
         if not alt.subst:
             return val
         m = dict(alt.subst)
-        return _Val(normalize(substitute(val.expr, m)),
-                    _subst_deps(val.deps, m), val.depth)
+        expr = normalize(substitute(val.expr, m))
+        deps = _subst_deps(val.deps, m)
+        if expr is val.expr and deps is val.deps:
+            return val
+        return _Val(expr, deps, val.depth)
 
     def _resolve(self, operand, env, alt: _Alt, tracked: Tracked):
         """Values of one operand under alt: (expr, contribution deps, depth)."""
@@ -935,11 +938,14 @@ def assemble(contract: Contract, config: AnalysisConfig,
 
 
 def _subst_deps(d: DependencyMap, m: dict) -> DependencyMap:
-    """d with the solver assignment m substituted into its values."""
-    return DependencyMap(
-        tuple((v, normalize(substitute(x, m))) for v, x in d.local),
-        tuple((v, normalize(substitute(x, m))) for v, x in d.transaction),
-    )
+    """d with the solver assignment m substituted into its values; d itself
+    when every value comes back as the identical object."""
+    local = tuple((v, normalize(substitute(x, m))) for v, x in d.local)
+    tx = tuple((v, normalize(substitute(x, m))) for v, x in d.transaction)
+    if all(new[1] is old[1] for new, old in zip(local, d.local)) and all(
+            new[1] is old[1] for new, old in zip(tx, d.transaction)):
+        return d
+    return DependencyMap(local, tx)
 
 
 def _conjunction(pc: frozenset) -> Expr:

@@ -244,12 +244,82 @@ def test_corpus_infer_removes_the_rounds_of_an_earlier_run(capsys, tmp_path):
     assert (code, json.loads(out)["warnings"]) == (0, [])
 
 
+def reports(corpus: Path) -> dict:
+    """The bytes of every out/*.result.json by file name."""
+    return {p.name: p.read_bytes()
+            for p in sorted((corpus / "out").glob("*.result.json"))}
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """The source paths sent to each ProcessPoolExecutor the corpus
+    commands make, one list per pool; the work runs in this process."""
+    import concurrent.futures
+
+    log = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.sent = []
+            log.append(self.sent)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            self.sent.extend(item[0] for item in items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return log
+
+
 def test_jobs_parallel_output_identical(capsys, tmp_path):
     corpus = write_swap_corpus(tmp_path / "corpus", benign=4)
     code1, out1, _ = run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")
+    reports1 = reports(corpus)
     shutil.rmtree(corpus / "out")
     code2, out2, _ = run_cli(capsys, "corpus-build", str(corpus), "--jobs", "2")
-    assert (code1, out1) == (code2, out2)
+    assert len(reports1) == 5
+    assert (code1, out1, reports1) == (code2, out2, reports(corpus))
+
+
+@pytest.mark.parametrize("command", ["corpus-infer", "corpus-scan"])
+def test_cache_served_commands_start_no_pool(capsys, tmp_path, pool_log,
+                                             command):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=4)
+    assert run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")[0] == 0
+    parallel = run_cli(capsys, command, str(corpus), "--jobs", "2")
+    assert pool_log == []
+    assert parallel == run_cli(capsys, command, str(corpus), "--jobs", "1")
+
+
+def test_only_contracts_whose_cache_misses_go_to_the_pool(capsys, tmp_path,
+                                                          pool_log):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=4)
+    assert run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")[0] == 0
+    edited = sorted(corpus.glob("*.svc"))[1:3]
+    for path in edited:
+        path.write_text(path.read_text() + "\n")
+    code, out, _ = run_cli(capsys, "corpus-build", str(corpus), "--jobs", "2")
+    assert code == 0 and len(json.loads(out)["contracts"]) == 5
+    assert pool_log == [edited]
+
+
+def test_a_build_from_the_caches_restores_the_reports(capsys, tmp_path,
+                                                      pool_log):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=4)
+    first = run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1")
+    built = reports(corpus)
+    for path in (corpus / "out").glob("*.result.json"):
+        path.unlink()
+    assert run_cli(capsys, "corpus-build", str(corpus), "--jobs", "2") == first
+    assert pool_log == [] and reports(corpus) == built
 
 
 def test_corpus_build_result_matches_a_lone_analysis(capsys, tmp_path):
@@ -499,7 +569,7 @@ def test_pool_never_outnumbers_the_contracts(capsys, monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -533,15 +603,20 @@ def test_missing_corpus_exits_2_with_one_line_and_creates_nothing(
         refine(missing)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_corpus_build_reports_an_unwritable_report_and_goes_on(capsys,
-                                                               tmp_path):
+                                                               tmp_path, jobs):
     corpus = write_swap_corpus(tmp_path / "corpus", benign=2)
     blocked = corpus / "out" / "SwapUser00.result.json"
     blocked.mkdir(parents=True)
-    code, out, err = run_cli(capsys, "corpus-build", str(corpus),
-                             "--jobs", "1")
-    assert code == 2
-    assert err.startswith(f"{blocked}: ") and err.count("\n") == 1
-    names = [c["contract"] for c in json.loads(out)["contracts"]]
-    assert names == ["SwapTainted", "SwapUser01"]
-    assert (corpus / "out" / "SwapUser01.result.json").is_file()
+    # the second build takes every result from the cache
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "corpus-build", str(corpus),
+                                 "--jobs", jobs)
+        assert code == 2
+        assert err.startswith(f"{blocked}: ") and err.count("\n") == 1
+        names = [c["contract"] for c in json.loads(out)["contracts"]]
+        assert names == ["SwapTainted", "SwapUser01"]
+        assert (corpus / "out" / "SwapUser01.result.json").is_file()
+        # its contract stays among the results: the cache is not stale
+        assert (corpus / "out" / "SwapUser00.analysis.json").is_file()

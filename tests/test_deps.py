@@ -186,3 +186,19 @@ def test_combine_merge_matches_dict_reference(seed):
     assert type(got) is type(want)
     assert got == want  # a Conflict names the same variable, scope, values
     assert got.render() == want.render()
+    if not isinstance(want, Conflict) and all(
+            {v for v, _ in mine} <= {v for v, _ in theirs}
+            for mine, theirs in ((b.local, a.local),
+                                 (b.transaction, a.transaction))):
+        assert got is a  # b adds no variable: no copy of a
+
+
+def test_combine_returns_a_itself_when_b_adds_no_variable():
+    a = DependencyMap((("x", Const(1)), ("y", Const(2))), (("sender", OWNER),))
+    b = DependencyMap((("y", Const(2, hex_hint=True)),), (("sender", OWNER),))
+    assert combine(a, b) is a
+    # the first clash in b's order is the Conflict, also after a variable
+    # that b adds
+    c = DependencyMap((("w", Const(0)), ("x", Const(3)), ("y", Const(4))), ())
+    assert combine(a, c) == Conflict("x", "local", Const(1), Const(3))
+

@@ -10,7 +10,8 @@ from symvalic.deps import Conflict, DependencyMap, combine
 from symvalic.parser import parse
 from symvalic.symexpr import Const, OWNER, Sym, UNPRIVILEGED_USER
 from symvalic.valueflow import (
-    AnalysisConfig, _Alt, _Engine, _Timeout, _Val, _trim, analyze,
+    AnalysisConfig, _Alt, _Engine, _Timeout, _Val, _subst_deps, _trim,
+    analyze,
 )
 
 from helpers import product_combos
@@ -106,6 +107,20 @@ def test_tagged_edge_matches_pairwise_combination(seed):
             for k, vals in got.items()} == \
         {k: [(v.expr.render(), v.deps.render()) for v in vals]
          for k, vals in want.items()}
+
+
+def test_substitution_that_changes_nothing_returns_its_input():
+    e = engine()
+    deps = DependencyMap((("a", FREE), ("b", Const(1, hex_hint=True))),
+                         (("sender", OWNER),))
+    val = _Val(FREE, deps, 3)
+    untouched = _Alt(deps, subst=((Sym("t", False), Const(9)),))
+    assert _subst_deps(deps, dict(untouched.subst)) is deps
+    assert e._subst_val(val, untouched) is val
+    solved = _Alt(deps, subst=((FREE, Const(9)),))
+    got = e._subst_val(val, solved)
+    assert (got.expr, got.depth) == (Const(9), 3)
+    assert got.deps.render() == "<{a -> 9, b -> 0x1} ; {sender -> <<owner>>}>"
 
 
 def test_trim_keeps_every_sender_round_robin():

@@ -24,6 +24,17 @@ def add(a, b):
     return BinOp("ADD", a, b)
 
 
+def test_substitute_returns_unchanged_nodes_themselves():
+    e = add(Not(Sha3(Concat(X, Const(1)))), BinOp("MUL", Y, Const(2)))
+    assert substitute(e, {Sym("z", False): Const(5)}) is e
+    got = substitute(e, {Y: Const(5)})
+    assert got == add(e.left, BinOp("MUL", Const(5), Const(2)))
+    assert got.left is e.left  # the subtree without Y is shared, not copied
+    got = substitute(e, {X: Y})
+    assert got.left.operand.operand == Concat(Y, Const(1))
+    assert got.right is e.right
+
+
 def test_constant_folding_chain():
     # 200 * 90 / 100 == 180, the deposit computation
     e = BinOp("DIV", BinOp("MUL", Const(200), Const(90)), Const(100))
