@@ -1,10 +1,11 @@
 """Contract intermediate language: storage layout, functions, three-address
 statements, and basic-block control flow.
 
-The surface language (.svc files) is lowered here by the parser: every
-mapping access m[k] becomes SLOAD(SHA3(CONCAT(k, slot(m)))) (symmetrically
-for stores), msg.sender becomes a CALLER statement, and expressions are
-flattened into single-operation statements over fresh temps.
+The parser emits these statements as it reads the surface language (.svc
+files); there is no separate lowering walk. Every mapping access m[k]
+becomes SLOAD(SHA3(CONCAT(k, slot(m)))) (symmetrically for stores),
+msg.sender becomes a CALLER statement, and expressions are flattened into
+single-operation statements over fresh temps.
 
 Temps (t0, t1, ...) are single-assignment. Named locals are mutable cells;
 the value-flow engine resolves them flow-sensitively, so no phi nodes are
@@ -165,7 +166,7 @@ def harvest_constants(contract: Contract) -> Tuple[frozenset, frozenset]:
     """(numeric constants, address-like constants) from the program text.
 
     Address-like: fits in 160 bits and appears in an address position, as
-    lowering records it in `literal_uses`: a mapping key, the first argument
+    the parser records it in `literal_uses`: a mapping key, the first argument
     of transfer/selfdestruct/delegatecall, a side of an `==` with an
     address-typed side, or the value assigned to address-typed storage or
     to an address-typed local.

@@ -39,6 +39,11 @@ def unguarded_contract():
     return fixture_contract("unguarded_selfdestruct.svc")
 
 
+# a parse error at 3:12, the second declaration's name
+DUPLICATE_FUNCTION = ("contract Dup {\n  function f() public { }\n"
+                      "  function f() public { }\n}\n")
+
+
 # --- generated corpora -----------------------------------------------------
 
 

@@ -18,7 +18,8 @@ from symvalic.symexpr import MAX_EXPR_DEPTH
 from symvalic.valueflow import AnalysisConfig, analyze
 
 from conftest import (
-    FIXTURES, gate_source, write_reentrancy_corpus, write_swap_corpus,
+    DUPLICATE_FUNCTION, FIXTURES, gate_source, write_reentrancy_corpus,
+    write_swap_corpus,
 )
 from helpers import nested
 
@@ -402,6 +403,17 @@ def test_deep_nesting_scan_exits_2_without_traceback(tmp_path):
     assert proc.stderr.startswith(f"{deep}:3:")
     assert proc.stderr.rstrip("\n").endswith("nesting too deep")
     assert proc.stderr.count("\n") == 1
+
+
+def test_duplicate_function_name_scan_exits_2_with_one_line(tmp_path):
+    dup = tmp_path / "dup.svc"
+    dup.write_text(DUPLICATE_FUNCTION)
+    proc = subprocess.run(
+        [sys.executable, "-m", "symvalic.cli", "scan", str(dup)],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{dup}:3:12: duplicate function name f\n"
 
 
 def test_corpus_build_reports_deep_nesting_and_goes_on(capsys, tmp_path):

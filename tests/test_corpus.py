@@ -15,7 +15,7 @@ from symvalic.cli import main
 from symvalic.parser import parse
 from symvalic.valueflow import analyze
 
-from conftest import write_swap_corpus
+from conftest import DUPLICATE_FUNCTION, write_swap_corpus
 
 
 def summaries_of(src, facts=None):
@@ -239,6 +239,7 @@ def test_refine_reports_what_corpus_infer_prints(capsys, monkeypatch,
     (corpus / "swapuser00copy.svc").write_text(
         (corpus / "swapuser00.svc").read_text())
     (corpus / "undecodable.svc").write_bytes(b"contract \xff { }")
+    (corpus / "dup.svc").write_text(DUPLICATE_FUNCTION)
     (corpus / "fails.svc").write_text(
         "contract Fails { function f() public { return 1; } }")
     code = main(["corpus-infer", str(corpus), "--jobs", "1"])
@@ -248,7 +249,8 @@ def test_refine_reports_what_corpus_infer_prints(capsys, monkeypatch,
     lines = [outcome.errors[path] for path in sorted(outcome.errors)]
     assert lines == captured.err.splitlines()
     assert [path.name for path in sorted(outcome.errors)] == [
-        "broken.svc", "fails.svc", "swapuser00copy.svc", "undecodable.svc"]
+        "broken.svc", "dup.svc", "fails.svc", "swapuser00copy.svc",
+        "undecodable.svc"]
     assert outcome.facts.sensitive_args
     assert json.loads(captured.out) == facts_json(
         outcome.facts, len(outcome.facts_rounds), Thresholds())

@@ -1,11 +1,13 @@
 """Surface parsing, lowering, IR invariants, constant harvesting."""
 
+import json
 import random
 
 import pytest
 
+from symvalic.cli import main
 from symvalic.ir import IRError, flow_after, harvest_constants, validate
-from symvalic.parser import ParseError, parse
+from symvalic.parser import ParseError, parse, tokenize
 from symvalic.symexpr import Const
 
 from conftest import FIXTURES, fixture_contract
@@ -87,11 +89,80 @@ def test_storage_slots_in_declaration_order():
      "1:19: 't0' is reserved for lowering temps"),
     ("contract T { function f(uint t1) public { } }",
      "1:30: 't1' is reserved for lowering temps"),
+    ("contract T {\n  function f() public { }\n  function f() public { }\n}",
+     "3:12: duplicate function name f"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError) as err:
         parse(source)
     assert fragment.lower() in str(err.value).lower()
+
+
+@pytest.mark.parametrize("source,expected", [
+    # a lowering error before a syntax error is the one reported
+    ("contract T {\n  function f() public {\n    x = zz;\n    y = 1;\n"
+     "    z = ;\n  }\n}", "3:9: reference to undeclared name zz"),
+    # internal calls are checked after the last function, in call order
+    ("contract T {\n  function f() public { call g(); }\n"
+     "  function h() public { call f(1); }\n}",
+     "2:30: internal call to unknown function g"),
+    ("contract T {\n  function f() public { call g(); }\n"
+     "  function h() public { x = zz; }\n}",
+     "3:29: reference to undeclared name zz"),
+], ids=["undeclared-before-syntax", "calls-in-order", "calls-after-last"])
+def test_first_error_in_source_order_is_reported(source, expected):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == expected
+
+
+def tok(kind, text, line, col, value=0, hex_form=False):
+    return (kind, text, value, hex_form, line, col)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("a\tb\r\nc", [tok("ident", "a", 1, 1), tok("ident", "b", 1, 3),
+                    tok("ident", "c", 2, 1), tok("eof", "", 2, 2)]),
+    ("x // note\ny", [tok("ident", "x", 1, 1), tok("ident", "y", 2, 1),
+                      tok("eof", "", 2, 2)]),
+    # a comment does not advance the column, so neither does the eof
+    ("x  // note", [tok("ident", "x", 1, 1), tok("eof", "", 1, 4)]),
+    ("0x1f 0X1F 12abc", [tok("number", "0x1f", 1, 1, 31, True),
+                         tok("number", "0X1F", 1, 6, 31, True),
+                         tok("number", "12", 1, 11, 12),
+                         tok("ident", "abc", 1, 13), tok("eof", "", 1, 16)]),
+    ("a\u00e91 \u00e9 msg", [tok("ident", "a\u00e91", 1, 1),
+                             tok("ident", "\u00e9", 1, 5),
+                             tok("keyword", "msg", 1, 7),
+                             tok("eof", "", 1, 10)]),
+    ("a&&b||c==d=e", [tok("ident", "a", 1, 1), tok("punct", "&&", 1, 2),
+                      tok("ident", "b", 1, 4), tok("punct", "||", 1, 5),
+                      tok("ident", "c", 1, 7), tok("punct", "==", 1, 8),
+                      tok("ident", "d", 1, 10), tok("punct", "=", 1, 11),
+                      tok("ident", "e", 1, 12), tok("eof", "", 1, 13)]),
+    ("a/b//c", [tok("ident", "a", 1, 1), tok("punct", "/", 1, 2),
+                tok("ident", "b", 1, 3), tok("eof", "", 1, 4)]),
+], ids=["whitespace", "comment", "comment-at-eof", "numbers", "unicode-ident",
+        "operators", "slash-vs-comment"])
+def test_tokenize(source, expected):
+    assert [tuple(t) for t in tokenize(source)] == expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("x = 0x;", "1:5: malformed hex literal"),
+    (f"x = {2 ** 256};", "1:5: literal exceeds 256 bits"),
+    ("x = 1\u00b2;", "1:6: unexpected character '\u00b2'"),
+    ("x = \u0663;", "1:5: unexpected character '\u0663'"),
+    ("x\n a\xa0b", "2:3: unexpected character '\\xa0'"),
+    ("x\x0b", "1:2: unexpected character '\\x0b'"),
+    ("a & b", "1:3: unexpected character '&'"),
+    ("a | b", "1:3: unexpected character '|'"),
+], ids=["bare-0x", "2**256", "superscript-two", "arabic-indic-three", "nbsp",
+        "vertical-tab", "ampersand", "bar"])
+def test_tokenize_errors(source, expected):
+    with pytest.raises(ParseError) as err:
+        tokenize(source)
+    assert str(err.value) == expected
 
 
 def test_parse_error_carries_location():
@@ -271,11 +342,25 @@ def test_long_if_chain_parses():
 @pytest.mark.parametrize("body", [
     "x = " + "(" * 3000 + "a" + ")" * 3000 + ";",
     "x = " + "!" * 3000 + "a;",
-    "x = " + " + ".join(["a"] * 2000) + ";",
     "if (a < 3) { " * 400 + "x = 2;" + " }" * 400,
-], ids=["parens", "negations", "sum", "ifs"])
+], ids=["parens", "negations", "ifs"])
 def test_deep_nesting_is_a_parse_error(body):
     # where the parser gives up depends on the depth of the caller's stack
     with pytest.raises(ParseError, match="nesting too deep") as err:
         parse("contract T { function f(uint a) public {\n" + body + "\n} }")
     assert err.value.line == 2
+
+
+def test_flat_chain_parses_at_any_length(capsys, tmp_path):
+    # a left-associative chain is read in a loop, not by recursion
+    source = ("contract T { function f(uint a) public {\n x = "
+              + " + ".join(["a"] * 2000) + ";\n} }")
+    binops = [s for s in stmts(parse(source), "f") if s.op == "BINOP"]
+    assert len(binops) == 1999
+    assert (binops[0].result, binops[0].operands) == ("t0", ("a", "a"))
+    assert (binops[-1].result, binops[-1].operands) == ("x", ("t1997", "a"))
+    assert {s.binop for s in binops} == {"ADD"}
+    chain = tmp_path / "chain.svc"
+    chain.write_text(source)
+    assert main(["scan", str(chain)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
