@@ -20,7 +20,8 @@ module handles arguments, the reports on stdout and exit codes.
 
 Exit status: 0 no warnings, 1 warnings emitted, 2 usage, parse or
 analysis error (values nested deeper than symexpr.MAX_EXPR_DEPTH among
-them), an unlistable corpus or an unwritable output, 3 analysis resource
+them), an unlistable corpus, an unwritable output or a stdout that
+refuses the report (a closed pipe, a full device), 3 analysis resource
 cap hit on any input. Count flags take integers >= 1 and fraction
 flags numbers in [0, 1]; SYMVALIC_SEED must be an integer. Reports go to
 stdout, diagnostics to stderr, one line per failed input or output
@@ -145,12 +146,28 @@ def thresholds_from_args(args) -> Thresholds:
     return Thresholds(args.min_samples, args.untainted_frac, args.guarded_frac)
 
 
-def _emit(doc: dict, fmt: str, text_lines):
+def _render(doc: dict, fmt: str, text_lines) -> str:
+    """A report: the JSON document, or its lines with --format text."""
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in text_lines(doc):
-            print(line)
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(line + "\n" for line in text_lines(doc))
+
+
+def _emit(report: str) -> bool:
+    """Write a report to stdout and flush it. False, after one diagnostic
+    line, if stdout refuses it (a closed pipe, a full device); stdout's
+    descriptor then points at os.devnull, so that the interpreter's final
+    flush of what is left in the buffer cannot fail again."""
+    try:
+        sys.stdout.write(report)
+        sys.stdout.flush()
+    except OSError as err:  # BrokenPipeError among them
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(diagnostic("<stdout>", err), file=sys.stderr)
+        return False
+    return True
 
 
 def _warning_lines(doc: dict):
@@ -235,7 +252,12 @@ def cmd_analyze(args) -> int:
     result = _analyze_file(args.file, contract, config_from_args(args))
     if result is None:
         return EXIT_USAGE
-    _emit(result.to_json_dict(), args.format, _result_lines)
+    if args.format == "json":
+        report = result.to_json_text() + "\n"
+    else:
+        report = _render(result.to_json_dict(), "text", _result_lines)
+    if not _emit(report):
+        return EXIT_USAGE
     return EXIT_RESOURCE if result.truncated else EXIT_OK
 
 
@@ -252,7 +274,9 @@ def cmd_scan(args) -> int:
     if result is None:
         return EXIT_USAGE
     warnings = run_detectors(result, facts)
-    _emit(warnings_json(warnings), args.format, _warning_lines)
+    if not _emit(_render(warnings_json(warnings), args.format,
+                         _warning_lines)):
+        return EXIT_USAGE
     if result.truncated:
         return EXIT_RESOURCE
     return EXIT_WARNINGS if warnings else EXIT_OK
@@ -292,10 +316,12 @@ def cmd_corpus_build(args) -> int:
              for name, result in results.items()
              if corpus_mod.report_path(out, name) not in errors]
     _report_errors(errors)
-    _emit({"schema": "symvalic-corpus-index/1", "contracts": index},
-          args.format,
-          lambda d: (f"{c['contract']}: {c['inferences']} inferences"
-                     for c in d["contracts"]))
+    if not _emit(_render(
+            {"schema": "symvalic-corpus-index/1", "contracts": index},
+            args.format,
+            lambda d: (f"{c['contract']}: {c['inferences']} inferences"
+                       for c in d["contracts"]))):
+        return EXIT_USAGE
     truncated = any(r.truncated for r in results.values())
     return _corpus_exit(errors, truncated, warnings=False)
 
@@ -313,8 +339,9 @@ def cmd_corpus_infer(args) -> int:
     except OSError as err:  # no corpus, or a facts round cannot be written
         return _io_failed(err)
     final_round = len(outcome.facts_rounds)
-    _emit(facts_json(outcome.facts, final_round, thresholds), args.format,
-          _facts_lines)
+    if not _emit(_render(facts_json(outcome.facts, final_round, thresholds),
+                         args.format, _facts_lines)):
+        return EXIT_USAGE
     truncated = any(r.truncated for r in outcome.results.values())
     return _corpus_exit(errors, truncated, warnings=False)
 
@@ -340,7 +367,9 @@ def cmd_corpus_scan(args) -> int:
     all_warnings = []
     for name in sorted(results):
         all_warnings.extend(anomalies(results[name], facts))
-    _emit(warnings_json(all_warnings), args.format, _warning_lines)
+    if not _emit(_render(warnings_json(all_warnings), args.format,
+                         _warning_lines)):
+        return EXIT_USAGE
     truncated = any(r.truncated for r in results.values())
     return _corpus_exit(errors, truncated, warnings=bool(all_warnings))
 

@@ -366,8 +366,7 @@ def _analyze_one(payload):
         return path, None, diagnostic(path, err)
     if report is not None:
         try:
-            report.write_text(json.dumps(result.to_json_dict(), indent=2,
-                                         sort_keys=True) + "\n")
+            report.write_text(result.to_json_text() + "\n")
         except OSError as err:
             return report, result, diagnostic(report, err)
     return path, result, None

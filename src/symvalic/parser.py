@@ -103,6 +103,10 @@ _TOKEN = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
+# the decimal digits of 2^256: a literal with more significant digits
+# exceeds 256 bits
+WORD_DIGITS = len(str(WORD))
+
 
 class Token(NamedTuple):
     kind: str  # "ident" | "keyword" | "number" | "punct" | "eof"
@@ -134,7 +138,15 @@ def tokenize(text: str) -> list[Token]:
             hex_form = word[1:2] in ("x", "X")
             if hex_form and len(word) == 2:
                 raise ParseError("malformed hex literal", line, col)
-            value = int(word, 16 if hex_form else 10)
+            if hex_form:
+                value = int(word, 16)
+            else:
+                # checked before int(), which refuses strings of more than
+                # 4,300 digits, leading zeros included
+                digits = word.lstrip("0")
+                if len(digits) > WORD_DIGITS:
+                    raise ParseError("literal exceeds 256 bits", line, col)
+                value = int(digits or "0")
             if value >= WORD:
                 raise ParseError("literal exceeds 256 bits", line, col)
             toks.append(Token("number", word, value, hex_form, line, col))

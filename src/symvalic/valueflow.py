@@ -49,9 +49,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 import time
-from functools import cached_property
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _str
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .deps import (
@@ -142,11 +145,12 @@ class _ResultFields(NamedTuple):
 class AnalysisResult(_ResultFields):
     """One contract's analysis: the facts an engine run collected, then the
     contract's structure: function names and statement follow-order. The
-    result document (to_json_dict) prints every fact except stores, which
-    only detect_reentrancy reads, and its storage section is the committed
-    storage; it leaves the structure out. Unlike the other records it has
-    an instance __dict__, which holds the index stmt_reachable builds on
-    first use."""
+    result document is defined by to_json_text, which writes it straight
+    from the records (to_json_dict parses that text back). It prints every
+    fact except stores, which only detect_reentrancy reads, and its storage
+    section is the committed storage; it leaves the structure out. Unlike
+    the other records it has an instance __dict__, which holds the index
+    stmt_reachable builds on first use."""
 
     # -- queries --------------------------------------------------------
 
@@ -186,8 +190,13 @@ class AnalysisResult(_ResultFields):
     def return_values(self, function: str) -> frozenset:
         return frozenset(v for v, _ in self.returns.get(function, ()))
 
+    def to_json_text(self) -> str:
+        """The result document, which this method defines: the bytes of
+        json.dumps(doc, indent=2, sort_keys=True), with no final newline."""
+        return _result_text(self)
+
     def to_json_dict(self) -> dict:
-        return _result_json(self)
+        return json.loads(self.to_json_text())
 
 
 def _deps_match(d: DependencyMap, local, tx) -> bool:
@@ -988,70 +997,129 @@ def analyze(contract: Contract, config: Optional[AnalysisConfig] = None,
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (schema symvalic-result/1)
+# The result document (schema symvalic-result/1)
 # ---------------------------------------------------------------------------
 
 RESULT_SCHEMA_ID = "symvalic-result/1"
 
-
-def deps_json(d: DependencyMap) -> dict:
-    return {
-        "local": {var: e.render() for var, e in d.local},
-        "tx": {var: e.render() for var, e in d.transaction},
-    }
+_first3 = itemgetter(0, 1, 2)
+_first5 = itemgetter(0, 1, 2, 3, 4)
+_int = int.__repr__  # as json.dumps writes an int
 
 
-def _values_json(values: Tuple[Tuple[Expr, DependencyMap], ...]) -> list:
-    rows = [{"value": v.render(), **deps_json(d)} for v, d in values]
-    rows.sort(key=lambda r: (r["value"], str(r["local"]), str(r["tx"])))
-    return rows
+def _pad(level: int) -> str:
+    return "\n" + "  " * level
 
 
-def _result_json(r: AnalysisResult) -> dict:
-    inferences = [
-        {"function": i.function, "var": i.var, "value": i.value.render(),
-         **deps_json(i.deps)}
-        for i in r.inferences
-    ]
-    inferences.sort(key=lambda row: (row["function"], row["var"], row["value"],
-                                     str(row["local"]), str(row["tx"])))
-    reach = [
-        {"function": f.function, "stmt": f.stmt, **deps_json(f.deps)}
-        for f in r.reachability
-    ]
-    reach.sort(key=lambda row: (row["stmt"], str(row["local"]), str(row["tx"])))
-    calls = [
-        {
-            "stmt": c.stmt, "function": c.function, "callee": c.callee,
-            "kind": c.kind,
-            "target": _values_json(c.target_values),
-            "args": [_values_json(pos) for pos in c.arg_values],
-        }
-        for c in r.calls
-    ]
+def _block(level: int, items: list, brackets: str = "[]") -> str:
+    """A JSON array nested `level` deep of already written items, or with
+    brackets "{}" an object of already written '"key": value' members."""
+    if not items:
+        return brackets
+    inner = _pad(level + 1)
+    return (brackets[0] + inner + ("," + inner).join(items) + _pad(level)
+            + brackets[1])
+
+
+@lru_cache(maxsize=None)
+def _layout(level: int, keys: Tuple[str, ...]) -> str:
+    """A str.format template of a JSON object nested `level` deep whose
+    members are keys (ASCII, sorted), with one slot for each value."""
+    inner = _pad(level + 1)
+    return ("{{" + inner + ("," + inner).join(f'"{key}": {{}}' for key in keys)
+            + _pad(level) + "}}")
+
+
+def _result_text(r: AnalysisResult) -> str:
+    """The result document exactly as json.dumps(doc, indent=2,
+    sort_keys=True) lays it out, written straight from the records. Rows
+    are sorted by their fields, with a dependency map compared by
+    Python's str() of its local and tx dicts."""
+    # id(DependencyMap) -> (str(local), str(tx), {level: (local text, tx
+    # text)}, (local, tx)); the maps outlive the call, so ids are not reused
+    maps: dict = {}
+
+    def deps(d: DependencyMap) -> tuple:
+        entry = maps.get(id(d))
+        if entry is None:
+            # dicts, so that a repeated variable collapses as in a dict
+            local = {var: e.render() for var, e in d.local}
+            tx = {var: e.render() for var, e in d.transaction}
+            entry = maps[id(d)] = (str(local), str(tx), {}, (local, tx))
+        return entry
+
+    def deps_text(entry: tuple, level: int) -> tuple:
+        """The local and tx objects of a map nested `level` deep."""
+        texts = entry[2].get(level)
+        if texts is None:
+            texts = entry[2][level] = tuple(
+                _block(level, [_str(var) + ": " + _str(value)
+                               for var, value in sorted(side.items())], "{}")
+                for side in entry[3])
+        return texts
+
+    def values(rows, level: int) -> str:
+        keyed = []
+        for v, d in rows:
+            entry = deps(d)
+            keyed.append((v.render(), entry[0], entry[1], entry))
+        keyed.sort(key=_first3)
+        row = _layout(level + 1, ("local", "tx", "value")).format
+        return _block(level, [row(*deps_text(entry, level + 2), _str(v))
+                              for v, _, _, entry in keyed])
+
+    keyed = []
+    for i in r.inferences:
+        entry = deps(i.deps)
+        keyed.append((i.function, i.var, i.value.render(), entry[0],
+                      entry[1], entry))
+    keyed.sort(key=_first5)
+    row = _layout(2, ("function", "local", "tx", "value", "var")).format
+    inferences = _block(1, [
+        row(_str(fname), *deps_text(entry, 3), _str(value), _str(var))
+        for fname, var, value, _, _, entry in keyed])
+
+    keyed = []
+    for f in r.reachability:
+        entry = deps(f.deps)
+        keyed.append((f.stmt, entry[0], entry[1], f.function, entry))
+    keyed.sort(key=_first3)
+    row = _layout(2, ("function", "local", "stmt", "tx")).format
+    reach = []
+    for stmt, _, _, fname, entry in keyed:
+        local, tx = deps_text(entry, 3)
+        reach.append(row(_str(fname), local, _int(stmt), tx))
+
+    row = _layout(2, ("args", "callee", "function", "kind", "stmt",
+                      "target")).format
+    calls = [row(_block(3, [values(pos, 4) for pos in c.arg_values]),
+                 _str(c.callee), _str(c.function), _str(c.kind),
+                 _int(c.stmt), values(c.target_values, 3))
+             for c in r.calls]
+
+    row = _layout(2, ("address", "depth", "value")).format
+    storage = [row(_str(a.render()), _int(depth), _str(v.render()))
+               for a, v, depth in r.storage]
+
     cfg = r.config
-    return {
-        "schema": RESULT_SCHEMA_ID,
-        "contract": r.contract,
-        "truncated": r.truncated,
-        "config": {
-            "depArgs": cfg.budget.local_args,
-            "depStorageLoads": cfg.budget.storage_loads,
-            "depTxArgs": cfg.budget.tx_args,
-            "arithDepth": cfg.arithmetic_depth_limit,
-            "txRounds": cfg.transaction_rounds,
-            "seed": cfg.seed,
-        },
-        "inferences": inferences,
-        "reachability": reach,
-        "externalCalls": calls,
-        "returns": {
-            fname: _values_json(rows)
-            for fname, rows in sorted(r.returns.items())
-        },
-        "storage": [
-            {"address": a.render(), "value": v.render(), "depth": depth}
-            for a, v, depth in r.storage
-        ],
-        "notes": list(r.notes),
-    }
+    config = _layout(1, ("arithDepth", "depArgs", "depStorageLoads",
+                         "depTxArgs", "seed", "txRounds")).format(*map(_int, (
+        cfg.arithmetic_depth_limit, cfg.budget.local_args,
+        cfg.budget.storage_loads, cfg.budget.tx_args, cfg.seed,
+        cfg.transaction_rounds)))
+    return _layout(0, (
+        "config", "contract", "externalCalls", "inferences", "notes",
+        "reachability", "returns", "schema", "storage", "truncated",
+    )).format(
+        config,
+        _str(r.contract),
+        _block(1, calls),
+        inferences,
+        _block(1, [_str(note) for note in r.notes]),
+        _block(1, reach),
+        _block(1, [_str(fname) + ": " + values(r.returns[fname], 2)
+                   for fname in sorted(r.returns)], "{}"),
+        _str(RESULT_SCHEMA_ID),
+        _block(1, storage),
+        "true" if r.truncated else "false",
+    )

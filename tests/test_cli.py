@@ -1,5 +1,6 @@
 """CLI commands, exit-status contract, schemas, output determinism."""
 
+import errno
 import json
 import os
 import shutil
@@ -414,6 +415,39 @@ def test_duplicate_function_name_scan_exits_2_with_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"{dup}:3:12: duplicate function name f\n"
+
+
+STDOUT_CASES = [["scan"], ["analyze"], ["analyze", "--format", "text"]]
+
+
+@pytest.mark.parametrize("argv", STDOUT_CASES,
+                         ids=["scan", "analyze", "analyze-text"])
+def test_a_closed_stdout_exits_2_with_one_line(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symvalic.cli", *argv,
+         str(FIXTURES / "unguarded_selfdestruct.svc")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+    proc.stdout.close()  # the reader is gone before the report is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith(f"<stdout>: [Errno {errno.EPIPE}] ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", STDOUT_CASES,
+                         ids=["scan", "analyze", "analyze-text"])
+def test_a_full_stdout_exits_2_with_one_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symvalic.cli", *argv,
+             str(FIXTURES / "unguarded_selfdestruct.svc")],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env=package_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"<stdout>: [Errno {errno.ENOSPC}] ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_corpus_build_reports_deep_nesting_and_goes_on(capsys, tmp_path):

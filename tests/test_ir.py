@@ -142,8 +142,16 @@ def tok(kind, text, line, col, value=0, hex_form=False):
                       tok("ident", "e", 1, 12), tok("eof", "", 1, 13)]),
     ("a/b//c", [tok("ident", "a", 1, 1), tok("punct", "/", 1, 2),
                 tok("ident", "b", 1, 3), tok("eof", "", 1, 4)]),
+    # past int()'s 4,300-digit limit, but the value fits: zeros are padding
+    ("0" * 4400 + "1", [tok("number", "0" * 4400 + "1", 1, 1, 1),
+                        tok("eof", "", 1, 4402)]),
+    ("00 0" + str(2 ** 256 - 1), [tok("number", "00", 1, 1, 0),
+                                  tok("number", "0" + str(2 ** 256 - 1), 1, 4,
+                                      2 ** 256 - 1),
+                                  tok("eof", "", 1, 83)]),
 ], ids=["whitespace", "comment", "comment-at-eof", "numbers", "unicode-ident",
-        "operators", "slash-vs-comment"])
+        "operators", "slash-vs-comment", "zero-padded-4401-digits",
+        "zero-padded-max"])
 def test_tokenize(source, expected):
     assert [tuple(t) for t in tokenize(source)] == expected
 
@@ -151,14 +159,16 @@ def test_tokenize(source, expected):
 @pytest.mark.parametrize("source,expected", [
     ("x = 0x;", "1:5: malformed hex literal"),
     (f"x = {2 ** 256};", "1:5: literal exceeds 256 bits"),
+    ("x = 1" + "0" * 4400 + ";", "1:5: literal exceeds 256 bits"),
+    ("x = 0" + "9" * 79 + ";", "1:5: literal exceeds 256 bits"),
     ("x = 1\u00b2;", "1:6: unexpected character '\u00b2'"),
     ("x = \u0663;", "1:5: unexpected character '\u0663'"),
     ("x\n a\xa0b", "2:3: unexpected character '\\xa0'"),
     ("x\x0b", "1:2: unexpected character '\\x0b'"),
     ("a & b", "1:3: unexpected character '&'"),
     ("a | b", "1:3: unexpected character '|'"),
-], ids=["bare-0x", "2**256", "superscript-two", "arabic-indic-three", "nbsp",
-        "vertical-tab", "ampersand", "bar"])
+], ids=["bare-0x", "2**256", "4401-digits", "79-digits", "superscript-two",
+        "arabic-indic-three", "nbsp", "vertical-tab", "ampersand", "bar"])
 def test_tokenize_errors(source, expected):
     with pytest.raises(ParseError) as err:
         tokenize(source)
