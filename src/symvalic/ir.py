@@ -247,3 +247,20 @@ def flow_after(fn: Function) -> dict[int, frozenset]:
             later = later | {s.sid}
         from_start[block.bid] = later
     return out
+
+
+def live_in(fn: Function) -> dict[str, frozenset]:
+    """Block id -> the variables that some path from the block's head reads
+    before assigning them, for every block of fn (unreachable blocks
+    included), in one backward pass that visits each block after its
+    successors. An assignment kills, since it replaces the variable's
+    values outright; "@name" operands are contract symbols, not variables."""
+    out: dict[str, frozenset] = {}
+    for block in _postorder(fn, [b.bid for b in fn.blocks]):
+        live = set().union(*(out[bid] for bid in block.successors()))
+        for s in reversed(block.statements):
+            live.discard(s.result)
+            live.update(op for op in s.operands
+                        if isinstance(op, str) and not op.startswith("@"))
+        out[block.bid] = frozenset(live)
+    return out

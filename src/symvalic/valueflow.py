@@ -37,7 +37,11 @@ they share one set of indexed values. Branch edges tag the flowing
 environment with the surviving arm alternatives, matched through one
 index over all of them: each value is substituted once per distinct
 substitution and meets only the alternatives that carry it, so values
-that took the other arm conflict and die where the arms meet. When a
+that took the other arm conflict and die where the arms meet. Only the
+variables live at an edge's target (some path from its head reads them
+before assigning them, ir.live_in) cross the edge: the values of the
+others are never read again, so they are neither tagged, merged nor
+trimmed. When a
 value or alternative bound is hit, survivors are picked round-robin
 across sender bindings, so the untrusted caller is never trimmed away
 wholesale. Storage writes are buffered during a round and committed (with
@@ -63,6 +67,7 @@ from .deps import (
 )
 from .ir import (
     TEMP_NAME, Contract, Function, Statement, flow_after, harvest_constants,
+    live_in,
 )
 from .symexpr import (
     ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Hashed, Not, OWNER,
@@ -397,6 +402,12 @@ def _trim(items: list, limit: int) -> list:
                     return [items[i] for i in sorted(chosen)]
 
 
+def _live_env(env, live: frozenset) -> dict:
+    """The entries of env whose variable is in live, in env's order (the
+    order in which an edge notes its trims)."""
+    return {var: vals for var, vals in env.items() if var in live}
+
+
 class _Engine:
     def __init__(self, contract: Contract, config: AnalysisConfig,
                  entry_seeds: Optional[SeedOverrides]):
@@ -410,6 +421,7 @@ class _Engine:
         self.deadline = (time.monotonic() + config.time_budget
                          if config.time_budget else None)
         self.topo = {f.name: f.topo_blocks() for f in contract.functions}
+        self.live_in = {f.name: live_in(f) for f in contract.functions}
         # qualified transaction keys of each entry point's tracked arguments
         self.tx_keys = {
             f.name: tuple(f"{f.name}.{p}"
@@ -666,13 +678,15 @@ class _Engine:
         if op == "BRANCH":
             then_alts = self._gate(stmt.operands[0], env, alts, tracked, True)
             else_alts = self._gate(stmt.operands[0], env, alts, tracked, False)
-            then_bid, else_bid = stmt.targets
-            self._flow_edge(env, then_alts, then_bid, env_in, alts_in, tag=True)
-            self._flow_edge(env, else_alts, else_bid, env_in, alts_in, tag=True)
+            live = self.live_in[fn.name]
+            for arm_alts, bid in zip((then_alts, else_alts), stmt.targets):
+                self._flow_edge(_live_env(env, live[bid]), arm_alts, bid,
+                                env_in, alts_in, tag=True)
             return []
         if op == "JUMP":
-            self._flow_edge(env, alts, stmt.targets[0], env_in, alts_in,
-                            tag=False)
+            bid = stmt.targets[0]
+            self._flow_edge(_live_env(env, self.live_in[fn.name][bid]), alts,
+                            bid, env_in, alts_in, tag=False)
             return []
         if op == "RETURN":
             self._exec_return(fn, tracked, stmt, env, alts)

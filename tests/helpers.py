@@ -194,6 +194,66 @@ def analyze_every_round(contract: Contract, config: AnalysisConfig
                     EveryRoundEngine(contract, config, None).run())
 
 
+class EveryVariableLiveEngine(_Engine):
+    """The engine with every variable of a function live at each of its
+    blocks, so that every variable crosses every CFG edge. The reference
+    for the pruned edges, which must produce the same result in the same
+    order, notes apart."""
+
+    def __init__(self, contract, config, entry_seeds):
+        super().__init__(contract, config, entry_seeds)
+        self.live_in = {f.name: dict.fromkeys(self.live_in[f.name],
+                                              variables_of(f))
+                        for f in contract.functions}
+
+
+def analyze_every_variable_live(contract: Contract, config: AnalysisConfig
+                                ) -> AnalysisResult:
+    return assemble(contract, config,
+                    EveryVariableLiveEngine(contract, config, None).run())
+
+
+def _reads(s) -> list:
+    return [op for op in s.operands
+            if isinstance(op, str) and not op.startswith("@")]
+
+
+def variables_of(fn: Function) -> frozenset:
+    """Every variable fn names: its parameters, the names it reads and the
+    names it assigns. "@name" operands are contract symbols."""
+    names = set(fn.param_names)
+    for s in fn.statements():
+        names.update(_reads(s))
+        if s.result is not None:
+            names.add(s.result)
+    return frozenset(names)
+
+
+def variables_live_at(fn: Function, bid: str) -> frozenset:
+    """The variables that some path from the head of block bid reads before
+    assigning them, found by a fresh forward search per variable; the
+    reference for ir.live_in, which computes every block's set in one
+    backward pass. A statement reads its operands before it assigns."""
+    live = set()
+    for var in variables_of(fn):
+        work, seen = [bid], set()
+        while work and var not in live:
+            b = work.pop()
+            if b in seen:
+                continue
+            seen.add(b)
+            block = fn.block(b)
+            for s in block.statements:
+                if var in _reads(s):
+                    live.add(var)
+                    break
+                if s.result == var:
+                    break
+            else:
+                work.extend(block.successors())
+    return frozenset(live)
+
+
 def statements_after(fn: Function, sid: int) -> frozenset:
     """Statement ids reachable after sid on some intra-function CFG path,
     found by a fresh search from sid's block; the reference for

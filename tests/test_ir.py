@@ -6,12 +6,18 @@ import random
 import pytest
 
 from symvalic.cli import main
-from symvalic.ir import IRError, flow_after, harvest_constants, validate
+from symvalic.ir import (
+    IRError, flow_after, harvest_constants, live_in, validate,
+)
 from symvalic.parser import ParseError, parse, tokenize
 from symvalic.symexpr import Const
 
 from conftest import FIXTURES, fixture_contract
-from helpers import gen_oracle_contract, statements_after
+from helpers import (
+    gen_oracle_contract, gen_rounds_contract, gen_storage_contract,
+    statements_after, variables_live_at,
+)
+from test_join import branchy_like
 
 
 def stmts(contract, fn):
@@ -329,6 +335,70 @@ def test_flow_after_matches_per_statement_search():
             assert sorted(after) == sorted(sids)
             for sid in sids:
                 assert after[sid] == statements_after(fn, sid), (c.name, sid)
+
+
+# b0 ends in the branch on t0 = a < 3; b1 and b2 are the arms, b3 the join
+ARMS = parse("contract T { function f(uint a) public {"
+             " x = a; if (a < 3) { y = 1; x = x + 1; }"
+             " else { y = 2; call tok.ping(a); } return x + y; } }")
+
+
+def live(fn, index: int) -> frozenset:
+    return live_in(fn)[fn.blocks[index].bid]
+
+
+def test_live_in_drops_the_branch_temp():
+    fn = ARMS.functions[0]
+    assert fn.blocks[0].terminator.operands == ("t0",)
+    assert "t0" not in live(fn, 1) | live(fn, 2)
+
+
+def test_live_in_carries_a_local_read_after_the_join_through_both_arms():
+    fn = ARMS.functions[0]
+    assert live(fn, 3) == {"x", "y"}
+    assert "x" in live(fn, 1) and "x" in live(fn, 2)
+
+
+def test_live_in_kills_a_local_assigned_in_both_arms_before_a_read():
+    fn = ARMS.functions[0]
+    assert [b.statements[0].result for b in fn.blocks[1:3]] == ["y", "y"]
+    assert "y" not in live(fn, 0) | live(fn, 1) | live(fn, 2)
+
+
+def test_live_in_never_holds_a_contract_symbol():
+    fn = ARMS.functions[0]
+    assert fn.blocks[2].statements[1].operands == ("@tok", "a")
+    assert live(fn, 2) == {"a", "x"}
+    assert not any(name.startswith("@")
+                   for names in live_in(fn).values() for name in names)
+
+
+def test_live_in_reads_before_it_assigns():
+    fn = ARMS.functions[0]
+    bump = fn.blocks[1].statements[1]
+    assert (bump.result, bump.operands[0]) == ("x", "x")
+    assert live(fn, 1) == {"x"}
+    # x = a assigns x before any read, so only a is live at the entry
+    assert live(fn, 0) == {"a"}
+
+
+def live_contracts():
+    yield from flow_contracts()
+    rng = random.Random(5)
+    for i in range(20):
+        yield parse(gen_storage_contract(rng, i)[0])
+        yield parse(gen_rounds_contract(rng, i))
+    for arms in (1, 5, 12):
+        yield parse(branchy_like(arms))
+
+
+def test_live_in_matches_per_variable_search():
+    for c in live_contracts():
+        for fn in c.functions:
+            got = live_in(fn)
+            assert sorted(got) == sorted(b.bid for b in fn.blocks)
+            for bid, names in got.items():
+                assert names == variables_live_at(fn, bid), (c.name, bid)
 
 
 def test_topo_blocks_rejects_a_cycle():

@@ -176,7 +176,7 @@ def branchy_like(arms: int) -> str:
 
 
 def test_time_budget_enforced_inside_combination_loops():
-    # Unbounded, this takes about 5 s on a 2-core x86-64 VM (CPython 3.11).
+    # Unbounded, this takes about 2 s on a 2-core x86-64 VM (CPython 3.11).
     # There, product-and-prune with the deadline checked only between
     # blocks ran for 26 s under a 0.5 s budget: single blocks outlasted it.
     contract = parse(branchy_like(30))
