@@ -1,7 +1,7 @@
 """The analysis cache: one engine run's facts as JSON, keyed by its inputs.
 
 `corpus-build` writes `out/<Contract>.analysis.json` (schema
-symvalic-analysis/2) beside each report, and every corpus command reads it
+symvalic-analysis/3) beside each report, and every corpus command reads it
 back instead of running the engine again: analysis results do not depend
 on corpus facts, so one run serves build, infer and scan.
 
@@ -10,11 +10,21 @@ the bytes of this package's .py files, the source text and every
 AnalysisConfig field. A cache whose key differs is ignored, and so is one
 that is unreadable, malformed, truncated or nested too deeply: the caller
 then analyzes as if there were none. A truncated result is never written,
-since where it stops depends on wall time. The file is plain JSON, read
-without eval or pickle: the engine's facts in engine order (stores as
-[function, stmt] rows), every expression as its render() text (read back
-by symexpr.read_expr), and a table of the distinct dependency maps, each
-as ordered [var, value] pairs, that rows refer to by index.
+since where it stops depends on wall time.
+
+The file is plain JSON, read without eval or pickle: the engine's facts in
+engine order (stores as [function, stmt] rows), whose expressions and
+dependency maps are indexes into two tables.
+  exprs  each distinct expression once, children before parents, in first
+         use over the records: [value, hex_hint] for a constant, [name,
+         bound] for a symbol, [op, child, ...] for an operator, its
+         children indexes of earlier rows. A row is what prints the
+         expression and how: 0x2a and 42 get a row each, and so do a free
+         and a bound symbol of one name.
+  deps   each distinct dependency map as [local, transaction], each side
+         its [var, expr] pairs in canonical order.
+The reader rebuilds exprs in one forward pass through the node
+constructors, which enforce MAX_EXPR_DEPTH.
 """
 
 from __future__ import annotations
@@ -26,12 +36,23 @@ from pathlib import Path
 from typing import Optional
 
 from .deps import DependencyMap
-from .symexpr import Expr, read_expr
+from .symexpr import BINOPS, BinOp, Concat, Const, Expr, Not, Sha3, Sym
 from .valueflow import (
     AnalysisConfig, AnalysisResult, CallSite, Inference, ReachabilityFact,
 )
 
-SCHEMA_ID = "symvalic-analysis/2"
+SCHEMA_ID = "symvalic-analysis/3"
+# a document is a tree built by dumps: no need to check it for cycles
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+# expression rows: the node class of a leaf's first field; the name of
+# each operator class but BinOp (whose op names it); the constructor and
+# arity of each operator name
+_LEAVES = {int: Const, str: Sym}
+_NAMES = {Not: "NOT", Sha3: "SHA3", Concat: "CONCAT"}
+_OPS = {"NOT": (Not, 1), "SHA3": (Sha3, 1), "CONCAT": (Concat, 2),
+        **{op: (functools.partial(BinOp, op), 2) for op in BINOPS}}
+_NO_OP = (None, -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,29 +82,41 @@ def cache_path(out_dir: Path, contract_name: str) -> Path:
 
 
 def dumps(result: AnalysisResult, key: str) -> str:
-    """The cache document of a result. Rows name a dependency map by its
-    index in the document's table of distinct printed maps: maps that are
-    equal but print differently (0x2a and 42) get entries of their own."""
-    table: dict[tuple, int] = {}  # printed map -> index
-    by_id: dict[int, int] = {}    # id of a map in result -> index
+    """The cache document of a result. Equal expressions and maps that
+    print differently (0x2a and 42) get table rows of their own."""
+    exprs: dict[tuple, int] = {}  # (class, *row) -> index
+    expr_ids: dict[int, int] = {}  # id of an operator node -> index
+    deps: dict[tuple, int] = {}   # (local, transaction) row -> index
+    dep_ids: dict[int, int] = {}
 
-    def ref(d: DependencyMap) -> int:
-        i = by_id.get(id(d))
+    def ref(e: Expr) -> int:
+        cls = e.__class__
+        if cls is Const:
+            return exprs.setdefault((cls, e.value, e.hex_hint), len(exprs))
+        if cls is Sym:
+            return exprs.setdefault((cls, e.name, e.bound), len(exprs))
+        i = expr_ids.get(id(e))
         if i is None:
-            form = (tuple((v, e.render()) for v, e in d.local),
-                    tuple((v, e.render()) for v, e in d.transaction))
-            i = by_id[id(d)] = table.setdefault(form, len(table))
+            key = ((cls, e.op, ref(e.left), ref(e.right)) if cls is BinOp
+                   else (cls, _NAMES[cls], *map(ref, e.children())))
+            i = expr_ids[id(e)] = exprs.setdefault(key, len(exprs))
+        return i
+
+    def ref_deps(d: DependencyMap) -> int:
+        i = dep_ids.get(id(d))
+        if i is None:
+            row = (tuple([(v, ref(e)) for v, e in d.local]),
+                   tuple([(v, ref(e)) for v, e in d.transaction]))
+            i = dep_ids[id(d)] = deps.setdefault(row, len(deps))
         return i
 
     def values(rows) -> list:
-        return [[v.render(), ref(d)] for v, d in rows]
+        return [[ref(v), ref_deps(d)] for v, d in rows]
 
-    doc = {
-        "schema": SCHEMA_ID,
-        "key": key,
-        "inferences": [[i.function, i.var, i.value.render(), ref(i.deps)]
+    records = {
+        "inferences": [[i.function, i.var, ref(i.value), ref_deps(i.deps)]
                        for i in result.inferences],
-        "reachability": [[f.function, f.stmt, ref(f.deps)]
+        "reachability": [[f.function, f.stmt, ref_deps(f.deps)]
                          for f in result.reachability],
         "calls": [[c.stmt, c.function, c.callee, c.kind,
                    values(c.target_values),
@@ -91,13 +124,13 @@ def dumps(result: AnalysisResult, key: str) -> str:
                   for c in result.calls],
         "stores": [list(row) for row in result.stores],
         "returns": [[f, values(rows)] for f, rows in result.returns.items()],
-        "storage": [[a.render(), v.render(), depth]
-                    for a, v, depth in result.storage],
+        "storage": [[ref(a), ref(v), depth] for a, v, depth in result.storage],
         "truncated": result.truncated,
         "notes": list(result.notes),
     }
-    doc["deps"] = list(table)
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    doc = {"schema": SCHEMA_ID, "key": key,
+           "exprs": [row[1:] for row in exprs], "deps": list(deps), **records}
+    return _ENCODER.encode(doc) + "\n"
 
 
 def write(path: Path, key: str, result: AnalysisResult):
@@ -132,39 +165,89 @@ def _facts(doc: dict) -> dict:
     """Raises ValueError (or LookupError) on any shape mismatch."""
     if doc["truncated"] is not False:
         raise ValueError("truncated result")
-    table = [_read_deps(x) for x in _list(doc["deps"])]
-
-    def deps(i) -> DependencyMap:
-        if type(i) is not int or i < 0:
-            raise ValueError("expected a dependency map index")
-        return table[i]
+    exprs = _expr_table(doc["exprs"])
+    maps = [_read_deps(x, exprs) for x in _list(doc["deps"])]
 
     def values(rows) -> tuple:
-        return tuple((_expr(v), deps(d)) for v, d in _rows(rows, 2))
+        return tuple((_at(exprs, v), _at(maps, d)) for v, d in _rows(rows, 2))
 
-    returns = {}
-    for fname, rows in _rows(doc["returns"], 2):
-        returns[_str(fname)] = values(rows)
+    # inferences and reachability facts are most of a cache: their rows are
+    # checked inline
+    inferences = []
+    for fn, var, value, d in _rows(doc["inferences"], 4):
+        if (type(fn) is not str or type(var) is not str or type(value)
+                is not int or type(d) is not int or value < 0 or d < 0):
+            raise ValueError("malformed inference")
+        inferences.append(Inference(fn, var, exprs[value], maps[d]))
+    reachability = []
+    for fn, stmt, d in _rows(doc["reachability"], 3):
+        if (type(fn) is not str or type(stmt) is not int
+                or type(d) is not int or d < 0):
+            raise ValueError("malformed reachability fact")
+        reachability.append(ReachabilityFact(fn, stmt, maps[d]))
     return dict(
-        inferences=tuple(
-            Inference(_str(fn), _str(var), _expr(value), deps(d))
-            for fn, var, value, d in _rows(doc["inferences"], 4)),
-        reachability=tuple(
-            ReachabilityFact(_str(fn), _int(stmt), deps(d))
-            for fn, stmt, d in _rows(doc["reachability"], 3)),
+        inferences=tuple(inferences),
+        reachability=tuple(reachability),
         calls=tuple(
-            CallSite(_int(stmt), _str(fn), _str(callee), _str(kind),
-                     values(target), tuple(values(pos) for pos in _list(args)))
+            CallSite(_typed(stmt, int), _typed(fn, str), _typed(callee, str),
+                     _typed(kind, str), values(target),
+                     tuple(values(pos) for pos in _list(args)))
             for stmt, fn, callee, kind, target, args
             in _rows(doc["calls"], 6)),
-        stores=tuple((_str(fn), _int(stmt))
+        stores=tuple((_typed(fn, str), _typed(stmt, int))
                      for fn, stmt in _rows(doc["stores"], 2)),
-        returns=returns,
-        storage=tuple((_expr(a), _expr(v), _int(depth))
+        returns={_typed(fname, str): values(rows)
+                 for fname, rows in _rows(doc["returns"], 2)},
+        storage=tuple((_at(exprs, a), _at(exprs, v), _typed(depth, int))
                       for a, v, depth in _rows(doc["storage"], 3)),
         truncated=False,
-        notes=tuple(_str(note) for note in _list(doc["notes"])),
+        notes=tuple(_typed(note, str) for note in _list(doc["notes"])),
     )
+
+
+def _expr_table(rows) -> list:
+    """The expressions of the table rows, each built from earlier ones by
+    its node's constructor, which rejects a constant out of range and a
+    tree deeper than MAX_EXPR_DEPTH."""
+    table: list[Expr] = []
+    for row in _list(rows):
+        if type(row) is not list or len(row) < 2:
+            raise ValueError("expected an expression row")
+        head = row[0]
+        if len(row) == 2 and type(row[1]) is bool:
+            table.append(_LEAVES[type(head)](head, row[1]))
+            continue
+        make, arity = _OPS.get(head, _NO_OP) if type(head) is str else _NO_OP
+        if len(row) != arity + 1:
+            raise ValueError("unknown operator or wrong operand count")
+        table.append(make(*[_at(table, i) for i in row[1:]]))
+    return table
+
+
+def _read_deps(x, exprs: list) -> DependencyMap:
+    if type(x) is not list or len(x) != 2:
+        raise ValueError("expected [local, transaction]")
+    return DependencyMap(_read_side(x[0], exprs), _read_side(x[1], exprs))
+
+
+def _read_side(pairs, exprs: list) -> tuple:
+    """[var, expression index] pairs, the vars strictly ascending."""
+    out: list = []
+    for pair in _list(pairs):
+        if (type(pair) is not list or len(pair) != 2
+                or type(pair[0]) is not str or type(pair[1]) is not int
+                or pair[1] < 0 or out and not out[-1][0] < pair[0]):
+            raise ValueError("malformed or unordered dependency map")
+        out.append((pair[0], exprs[pair[1]]))
+    return tuple(out)
+
+
+def _at(table: list, i):
+    """table[i]; an index past the end, as of an operand that is not an
+    earlier row, is an IndexError."""
+    if type(i) is not int or i < 0:
+        raise ValueError("expected an index")
+    return table[i]
 
 
 def _list(x) -> list:
@@ -181,31 +264,7 @@ def _rows(x, width: int) -> list:
     return x
 
 
-def _str(x) -> str:
-    if type(x) is not str:
-        raise ValueError("expected a string")
+def _typed(x, kind: type):
+    if type(x) is not kind:
+        raise ValueError(f"expected {kind.__name__}")
     return x
-
-
-def _int(x) -> int:
-    if type(x) is not int:
-        raise ValueError("expected an integer")
-    return x
-
-
-def _expr(x) -> Expr:
-    return read_expr(_str(x))
-
-
-def _read_side(pairs) -> tuple:
-    out = tuple((_str(var), _expr(value)) for var, value in _rows(pairs, 2))
-    for (a, _), (b, _) in zip(out, out[1:]):
-        if not a < b:
-            raise ValueError("dependency map not in canonical order")
-    return out
-
-
-def _read_deps(x) -> DependencyMap:
-    if type(x) is not list or len(x) != 2:
-        raise ValueError("expected [local, transaction]")
-    return DependencyMap(_read_side(x[0]), _read_side(x[1]))

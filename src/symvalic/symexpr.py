@@ -15,8 +15,6 @@ The reasoner exposes:
   eval_concrete(e, ...) -- reference 256-bit evaluator (test oracle)
 
 All four are pure; normalize is memoized but observationally pure.
-read_expr(text) is the inverse of Expr.render(), for reading printed
-results back (the analysis cache).
 
 Every node stores its hash and its depth when it is built, so hashing a
 value costs the same however large its tree (the engine keys dicts and sets
@@ -308,74 +306,6 @@ FREE_IDENTITY_SYMBOLS = (OWNER_UNIQUE, USER_UNIQUE)
 def contract_symbol(name: str) -> Sym:
     """Opaque bound symbol for an external contract referenced by name."""
     return Sym(f"<<contract:{name}>>", bound=True)
-
-
-# ---------------------------------------------------------------------------
-# read: the inverse of render
-# ---------------------------------------------------------------------------
-
-_NODES = {"NOT": Not, "SHA3": Sha3, "CONCAT": Concat}
-_ARITY = {**dict.fromkeys(BINOPS, 2), "NOT": 1, "SHA3": 1, "CONCAT": 2}
-_FREE_NAMES = {s.name: s for s in FREE_IDENTITY_SYMBOLS}
-_read_cache: dict[str, Expr] = {}
-_tokens = None
-
-
-def read_expr(text: str) -> Expr:
-    """The expression whose render() is text, memoized per string.
-
-    Decimal and 0x-hex constants keep their printing (hex_hint). A symbol
-    is bound unless it is one of the free identity symbols. Text that no
-    expression renders to, or nested beyond MAX_EXPR_DEPTH, raises
-    ValueError; deeper text is rejected unread.
-    """
-    e = _read_cache.get(text)
-    if e is None:
-        e = _read_cache[text] = _read(text)
-    return e
-
-
-def _read(text: str) -> Expr:
-    global _tokens
-    if _tokens is None:  # compiled on first use, not at import
-        import re
-        _tokens = re.compile(r"([^(), ]+)(\()?|(, )|(\))|(.)", re.S)
-    frames: list = []  # open operators: (name, operands read so far)
-    value = None       # the term just read, not yet placed in a frame
-    for token in _tokens.finditer(text):
-        word, opened, sep, close, _ = token.groups()
-        if word and value is None:
-            if not opened:
-                value = _read_leaf(word)
-            elif word in _ARITY and len(frames) < MAX_EXPR_DEPTH:
-                frames.append((word, []))
-            else:
-                raise ValueError(f"unknown or too deeply nested {word}(")
-        elif (sep or close) and value is not None and frames:
-            name, args = frames[-1]
-            args.append(value)
-            value = None
-            if close and len(args) == _ARITY[name]:
-                frames.pop()
-                node = _NODES.get(name)
-                value = node(*args) if node else BinOp(name, *args)
-            elif close or len(args) == _ARITY[name]:
-                raise ValueError(f"wrong operand count for {name}")
-        else:
-            raise ValueError(f"malformed expression: {text[:80]!r}")
-    if value is None or frames:
-        raise ValueError(f"incomplete expression: {text[:80]!r}")
-    return value
-
-
-def _read_leaf(word: str) -> Expr:
-    if word[0].isdigit():
-        hint = word.startswith("0x")
-        c = Const(int(word, 16 if hint else 10), hex_hint=hint)
-        if c.render() != word:
-            raise ValueError(f"not a canonical constant: {word[:80]!r}")
-        return c
-    return _FREE_NAMES.get(word) or Sym(word, bound=True)
 
 
 def expr_key(e: Expr) -> tuple:

@@ -91,16 +91,20 @@ class _ConfigFields(NamedTuple):
 
 
 class AnalysisConfig(_ConfigFields):
-    """Engine limits. All bounds are >= 1; see the CLI for the flag names.
-    Raises ValueError on a depth limit or round count below 1; _replace
-    would skip that check."""
+    """Engine limits. All bounds are >= 1 and time_budget is None (no
+    deadline) or > 0; see the CLI for the flag names. Raises ValueError on
+    any other value (NaN among them); _replace would skip that check."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.arithmetic_depth_limit < 1 or self.transaction_rounds < 1:
+        if min(self.arithmetic_depth_limit, self.transaction_rounds,
+               self.max_values_per_var, self.max_alts_per_block,
+               self.max_inferences) < 1:
             raise ValueError("limits must be >= 1")
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError("time budget must be > 0")
         return self
 
 

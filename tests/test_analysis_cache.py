@@ -1,4 +1,4 @@
-"""The analysis cache: the expression reader, full-result round trips,
+"""The analysis cache: the expression table, full-result round trips,
 fallback on every kind of bad cache, engine-run counts, determinism."""
 
 import json
@@ -18,8 +18,8 @@ from symvalic.corpus import Thresholds, anomalies, refine_contracts, summarize
 from symvalic.deps import DependencyBudget, DependencyMap
 from symvalic.parser import parse
 from symvalic.symexpr import (
-    BinOp, Concat, Const, Expr, Not, OWNER, OWNER_UNIQUE, Sha3,
-    UNPRIVILEGED_USER, USER_UNIQUE, contract_symbol, normalize, read_expr,
+    BinOp, Concat, Const, Expr, Not, OWNER, OWNER_UNIQUE, Sha3, Sym,
+    UNPRIVILEGED_USER, USER_UNIQUE, contract_symbol, normalize,
 )
 from symvalic.valueflow import AnalysisConfig, Inference, analyze, assemble
 
@@ -27,9 +27,11 @@ from conftest import FIXTURES, write_reentrancy_corpus, write_swap_corpus
 from helpers import gen_arith, gen_bool, gen_oracle_contract, gen_rounds_contract
 from test_cli import package_env
 
-# every symbol the engine makes: the reader restores `bound` from the name
-ENGINE_SYMS = [OWNER, UNPRIVILEGED_USER, OWNER_UNIQUE, USER_UNIQUE,
-               contract_symbol("Token")]
+# every symbol the engine makes, and symbols that the cache must not take
+# for an operator or mistake for bound or free
+SYMS = [OWNER, UNPRIVILEGED_USER, OWNER_UNIQUE, USER_UNIQUE,
+        contract_symbol("Token"), Sym("zed", False), Sym("ADD", True),
+        Sym("NOT", False)]
 
 
 def hint_constants(rng: random.Random, e: Expr) -> Expr:
@@ -50,38 +52,76 @@ def hint_constants(rng: random.Random, e: Expr) -> Expr:
 @st.composite
 def engine_exprs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    syms = rng.sample(ENGINE_SYMS, rng.randint(1, len(ENGINE_SYMS)))
+    syms = rng.sample(SYMS, rng.randint(1, len(SYMS)))
     e = (gen_arith(rng, syms, 4) if rng.random() < 0.5
          else gen_bool(rng, syms, 3))
     return hint_constants(rng, e)
 
 
+def shape(e: Expr) -> list:
+    """Every node of e with its printed form and, for a symbol, `bound`."""
+    return [(type(n), n.render(), getattr(n, "bound", None)) for n in e.walk()]
+
+
+@pytest.fixture(scope="module")
+def safe_result():
+    return analyze(parse((FIXTURES / "safe.svc").read_text()))
+
+
+def cached_copy(path, result):
+    """The facts of result after a write and a load at path."""
+    write(path, "key", result)
+    return load(path, "key")
+
+
+def holding(result, values):
+    """result with no facts but one inference for each value, under a map
+    that holds every value."""
+    d = DependencyMap(tuple((f"a{i}", v) for i, v in enumerate(values)), ())
+    return result._replace(
+        inferences=tuple(Inference("deposit", "x", v, d) for v in values),
+        reachability=(), calls=(), returns={}, storage=())
+
+
 @settings(max_examples=300, deadline=None)
 @given(engine_exprs())
-def test_read_inverts_render(e):
-    for form in (e, normalize(e)):
-        text = form.render()
-        assert read_expr(text) == form
-        assert read_expr(text).render() == text
+def test_table_round_trip(tmp_path_factory, safe_result, e):
+    values = [e, normalize(e)]
+    facts = cached_copy(tmp_path_factory.mktemp("table") / "c.json",
+                        holding(safe_result, values))
+    back = [i.value for i in facts["inferences"]]
+    assert back == values
+    assert [shape(x) for x in back] == [shape(x) for x in values]
+    assert [shape(x) for _, x in facts["inferences"][0].deps.local] == \
+        [shape(x) for x in values]
 
 
-def test_read_keeps_hex_hint_and_binding():
-    assert read_expr("0x2a").render() == "0x2a"
-    assert read_expr("42").render() == "42"
-    assert read_expr("<<owner>>").bound
-    assert read_expr("<<contract:Token>>").bound
-    assert not read_expr("<<user-unique-value>>").bound
-    assert read_expr("SHA3(CONCAT(<<owner>>, 0x0))") == Sha3(
-        Concat(OWNER, Const(0)))
+@pytest.mark.parametrize("row", [
+    ["FOO", 0], ["NOT", 1], ["NOT", 2], ["NOT", -1], ["NOT", 0.0],
+    ["NOT", "0"], ["ADD", 0], ["ADD", 0, 0, 0], ["NOT", 0, 0], ["CONCAT", 0],
+    [1.5, False], [True, False], [None, True], [[], True], ["x", 1], ["x"],
+    [], "x", 0, [1 << 256, False], [-1, False], [0, 0],
+], ids=repr)
+def test_table_rejects_a_malformed_row(tmp_path, safe_result, row):
+    # row 0 is the constant 1; the row under test is row 1
+    result = holding(safe_result, [Const(1)])
+    path = tmp_path / "c.json"
+    assert cached_copy(path, result) is not None
+    doc = json.loads(path.read_text())
+    assert doc["exprs"] == [[1, False]]
+    doc["exprs"].append(row)
+    path.write_text(json.dumps(doc))
+    assert load(path, "key") is None
 
 
-@pytest.mark.parametrize("text", [
-    "", "ADD(1)", "ADD(1, 2", "ADD(1,2)", "ADD(1, 2))", "NOT(1, 2)", "FOO(1)",
-    "007", "0x0A", "1 2", str(1 << 256), "NOT(" * 100_000 + "1" + ")" * 100_000,
-], ids=lambda text: text if len(text) < 20 else f"{text[:8]}...{len(text)}")
-def test_read_rejects_what_render_never_prints(text):
-    with pytest.raises(ValueError):
-        read_expr(text)
+def test_table_rejects_a_chain_past_the_depth_bound(tmp_path, safe_result):
+    path = tmp_path / "c.json"
+    write(path, "key", holding(safe_result, [Const(1)]))
+    doc = json.loads(path.read_text())
+    for chain in (255, 256):
+        doc["exprs"] = [[1, False]] + [["NOT", i] for i in range(chain)]
+        path.write_text(json.dumps(doc))
+        assert (load(path, "key") is None) == (chain == 256)
 
 
 # --- full-result round trips ---------------------------------------------------
@@ -143,20 +183,24 @@ def test_full_result_round_trip(tmp_path):
 
 
 def test_equal_maps_that_print_differently_stay_apart(tmp_path):
-    # Const equality ignores hex_hint, so the two maps are equal
+    # Const equality ignores hex_hint, so the maps of 66 and 0x42 are equal
+    # and print apart; a free and a bound zed print alike and differ
     contract = parse((FIXTURES / "safe.svc").read_text())
     config = AnalysisConfig()
-    dec = DependencyMap((("to", Const(66)),), ())
-    hexed = DependencyMap((("to", Const(66, hex_hint=True)),), ())
-    assert dec == hexed and dec.render() != hexed.render()
     fresh = analyze(contract, config)
-    result = fresh._replace(inferences=fresh.inferences + tuple(
-        Inference("deposit", var, Const(1), d)
-        for var, d in (("a", dec), ("b", hexed), ("c", dec))))
     path = tmp_path / "Safe.analysis.json"
-    write(path, "key", result)
-    cached = assemble(contract, config, load(path, "key"))
-    assert rendered(cached) == rendered(result)
+    for a, b in ((Const(66), Const(66, hex_hint=True)),
+                 (Sym("zed", False), Sym("zed", True))):
+        da = DependencyMap((("to", a),), ())
+        db = DependencyMap((("to", b),), ())
+        assert (da == db) != (da.render() == db.render())
+        result = fresh._replace(inferences=fresh.inferences + tuple(
+            Inference("deposit", var, value, d)
+            for var, value, d in (("a", a, da), ("b", b, db), ("c", a, da))))
+        write(path, "key", result)
+        cached = assemble(contract, config, load(path, "key"))
+        assert cached.inferences == result.inferences
+        assert rendered(cached) == rendered(result)
 
 
 JUNK = (None, True, 0, -1, 1.5, "", "ADD(1", "<<owner>>", [], {}, [[]],
@@ -259,11 +303,10 @@ def rewrite(update):
     return fault
 
 
-def set_first_inference_value(value):
+def append_expr_rows(rows_at):
+    """A fault that appends rows_at(n) to an expression table of n rows."""
     def update(doc):
-        if doc["inferences"]:
-            doc["inferences"][0][2] = value
-        doc["reachability"] = []
+        doc["exprs"] += rows_at(len(doc["exprs"]))
     return rewrite(update)
 
 
@@ -288,9 +331,10 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 CACHE_FAULTS = {
     "invalid-json": lambda text: text[: len(text) // 2],
     "wrong-schema": rewrite(wrong_schema),
-    "malformed-expression": set_first_inference_value("ADD(1"),
-    "deep-expression": set_first_inference_value(
-        "NOT(" * 100_000 + "1" + ")" * 100_000),
+    # a row naming itself, not an earlier row; a chain of 300 NOTs over 1
+    "malformed-expression": append_expr_rows(lambda n: [["NOT", n]]),
+    "deep-expression": append_expr_rows(
+        lambda n: [[1, False]] + [["NOT", n + i] for i in range(300)]),
     "deep-json": lambda text: text.replace('"deps":[', '"deps":[' + DEEP_JSON
                                            + ",", 1),
     "wrong-type": rewrite(stmt_as_string),

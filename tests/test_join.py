@@ -136,6 +136,33 @@ def test_trim_keeps_every_sender_round_robin():
     assert _trim(items, 2) == [owners[0], users[0]]
 
 
+def test_alternative_bound_trims_an_entry_block_round_robin():
+    # the address constant 0x42 is a third sender beside owner and user
+    contract = parse("""contract Pay {
+    mapping balanceOf;
+
+    function pay(address to, uint amount) public {
+        balanceOf[0x42] = amount;
+        balanceOf[to] = amount;
+    }
+}""")
+
+    def senders(result) -> dict:
+        by_stmt: dict = {}
+        for f in result.reachability:
+            by_stmt.setdefault(f.stmt, set()).add(f.deps.sender().render())
+        return by_stmt
+
+    full = senders(analyze(contract))
+    r = analyze(contract, AnalysisConfig(max_alts_per_block=2))
+    assert "alternative bound trimmed a block" in r.notes
+    assert not r.truncated
+    assert full and all(s == {"<<owner>>", "<<unprivileged-user>>", "0x42"}
+                        for s in full.values())
+    assert senders(r) == {stmt: {"<<owner>>", "<<unprivileged-user>>"}
+                          for stmt in full}
+
+
 def branchy_like(arms: int) -> str:
     """A Big-like contract: an unguarded transfer after `arms` chained
     ifs over mapping and scalar storage and uint parameters."""

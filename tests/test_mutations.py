@@ -1,15 +1,23 @@
-"""Token-level mutations of the fixtures through the CLI: every input ends
-in a document, or in one diagnostic line and exit 2, never a traceback."""
+"""Mutations of the fixtures. Token-level ones through the CLI: every input
+ends in a document, or in one diagnostic line and exit 2, never a
+traceback. Statement-level ones through the API: a mutant fails only to
+parse, and its analysis survives a trip through the analysis cache."""
 
+import copy
 import json
 import random
 import re
+from typing import NamedTuple, Optional
 
+from symvalic.analysis_cache import load, write
 from symvalic.cli import main
-from symvalic.parser import KEYWORDS
+from symvalic.clients import run_detectors
+from symvalic.parser import KEYWORDS, ParseError, parse
+from symvalic.valueflow import AnalysisConfig, analyze, assemble
 
 from conftest import FIXTURES
 from test_acceptance import Stopwatch
+from test_join import branchy_like
 
 # the surface tokens, comments and malformed hex literals among them
 TOKEN = re.compile(r"//[^\n]*|0[xX]\w*|\w+|&&|\|\||==|\S")
@@ -94,3 +102,138 @@ def test_token_mutations_end_in_a_document_or_one_line(capsys, tmp_path):
                 codes.append(assert_one_outcome(capsys, [command, str(path)]))
         # about one mutant in eight parses and reaches the engine
         assert len(codes) - codes.count(2) >= 2 * MUTATIONS // 10
+
+
+# --- statement-level mutations ---------------------------------------------------
+
+
+class If(NamedTuple):
+    head: list              # the tokens of `if (cond)`
+    then: list              # statements
+    orelse: Optional[list]  # statements, or None without an else
+
+
+def statements(toks: list, i: int) -> tuple:
+    """The statements of the body that opens at toks[i] (each a token list
+    or an If), and the index after the body's closing brace."""
+    out: list = []
+    i += 1
+    while toks[i] != "}":
+        if toks[i] == "if":
+            j = toks.index("{", i)
+            then, k = statements(toks, j)
+            orelse = None
+            if toks[k] == "else":
+                orelse, k = statements(toks, k + 1)
+            out.append(If(toks[i:j], then, orelse))
+            i = k
+        else:
+            j = toks.index(";", i) + 1
+            out.append(toks[i:j])
+            i = j
+    return out, i + 1
+
+
+def split(text: str) -> list:
+    """The tokens of text outside function bodies, and each function body
+    as its statements (a list), in order."""
+    toks = [t for t in TOKEN.findall(text) if not t.startswith("//")]
+    parts: list = []
+    i = 0
+    while i < len(toks):
+        if toks[i] == "{" and toks[i - 1] in ("public", "internal"):
+            body, i = statements(toks, i)
+            parts.append(body)
+        else:
+            parts.append(toks[i])
+            i += 1
+    return parts
+
+
+def flat(stmts: list):
+    for s in stmts:
+        if isinstance(s, If):
+            yield from s.head
+            yield from ("{", *flat(s.then), "}")
+            if s.orelse is not None:
+                yield from ("else", "{", *flat(s.orelse), "}")
+        else:
+            yield from s
+
+
+def join(parts: list) -> str:
+    return " ".join(t for p in parts
+                    for t in (("{", *flat(p), "}") if isinstance(p, list)
+                              else (p,)))
+
+
+def bodies(stmts: list):
+    """stmts and every statement list nested in it."""
+    yield stmts
+    for s in stmts:
+        if isinstance(s, If):
+            yield from bodies(s.then)
+            if s.orelse is not None:
+                yield from bodies(s.orelse)
+
+
+def mutate_statements(rng: random.Random, parts: list) -> list:
+    """A copy of parts after one or two deletions, duplications or swaps
+    of whole statements in one body, or swaps of an if's arms."""
+    parts = copy.deepcopy(parts)
+    for _ in range(rng.choice((1, 1, 2))):
+        lists = [b for p in parts if isinstance(p, list) for b in bodies(p)
+                 if b]
+        if not lists:
+            break
+        body = rng.choice(lists)
+        i = rng.randrange(len(body))
+        kind = rng.randrange(4)
+        ifs = [k for k, s in enumerate(body) if isinstance(s, If)]
+        if kind == 0:
+            del body[i]
+        elif kind == 1:
+            body.insert(i, copy.deepcopy(body[i]))
+        elif kind == 2:
+            j = rng.randrange(len(body))
+            body[i], body[j] = body[j], body[i]
+        elif ifs:
+            k = rng.choice(ifs)
+            body[k] = If(body[k].head, body[k].orelse or [], body[k].then)
+    return parts
+
+
+def test_statement_mutations_parse_or_fail_to_parse_and_cache_exactly(
+        tmp_path):
+    with Stopwatch(60.0, f"{MUTATIONS} statement mutations"):
+        texts = [p.read_text() for p in sorted(FIXTURES.glob("*.svc"))]
+        sources = [split(text) for text in texts + [branchy_like(5)]]
+        assert [parse(join(s)).name for s in sources[:-1]] == \
+            [parse(text).name for text in texts]
+        rng = random.Random(19)
+        config = AnalysisConfig()
+        path = tmp_path / "mutant.analysis.json"
+        parsed, checked = 0, {}
+        for _ in range(MUTATIONS):
+            text = join(mutate_statements(rng, rng.choice(sources)))
+            try:
+                contract = parse(text)
+            except ParseError:
+                continue
+            parsed += 1
+            if text in checked:
+                continue
+            fresh = analyze(contract, config)
+            checked[text] = not fresh.truncated
+            if fresh.truncated:
+                continue
+            write(path, "key", fresh)
+            cached = assemble(contract, config, load(path, "key"))
+            # equal fields in order (Sym equality takes in `bound`), and
+            # the same printed forms
+            assert tuple(cached) == tuple(fresh), text
+            assert cached.to_json_text() == fresh.to_json_text(), text
+            assert run_detectors(cached) == run_detectors(fresh), text
+        # about five mutants in six parse; duplicates are checked once
+        assert parsed >= 8 * MUTATIONS // 10
+        assert sum(checked.values()) >= MUTATIONS // 10

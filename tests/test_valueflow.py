@@ -1,5 +1,6 @@
 """Engine semantics: seeding, propagation, path sensitivity, storage rounds."""
 
+import copy
 import os
 import pickle
 import random
@@ -11,10 +12,9 @@ import pytest
 from symvalic.deps import DependencyBudget, DependencyMap
 from symvalic.parser import parse
 from symvalic.symexpr import (
-    Const, Expr, OWNER, OWNER_UNIQUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
-    read_expr,
+    Const, OWNER, OWNER_UNIQUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
 )
-from symvalic.valueflow import AnalysisConfig, _Val, analyze, seed_inputs
+from symvalic.valueflow import AnalysisConfig, analyze, seed_inputs
 
 from conftest import FIXTURES, gate_source
 from helpers import (
@@ -304,14 +304,27 @@ def test_resource_cap_flags_truncated(safe_contract):
 @pytest.mark.parametrize("record, field", [
     (DependencyBudget, "local_args"), (DependencyBudget, "storage_loads"),
     (DependencyBudget, "tx_args"), (AnalysisConfig, "arithmetic_depth_limit"),
-    (AnalysisConfig, "transaction_rounds")])
+    (AnalysisConfig, "transaction_rounds"),
+    (AnalysisConfig, "max_values_per_var"),
+    (AnalysisConfig, "max_alts_per_block"),
+    (AnalysisConfig, "max_inferences")])
 def test_constructors_reject_a_bound_of_zero(record, field):
+    # a zero value or alternative bound would make _trim count forever
     with pytest.raises(ValueError):
         record(**{field: 0})
     values = list(record())
     values[record._fields.index(field)] = 0
     with pytest.raises(ValueError):
         record(*values)
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+def test_config_rejects_a_time_budget_that_is_not_positive(budget):
+    # 0.0 used to set no deadline at all, and NaN one never reached
+    with pytest.raises(ValueError):
+        AnalysisConfig(time_budget=budget)
+    assert AnalysisConfig(time_budget=1e-9).time_budget == 1e-9
+    assert AnalysisConfig(time_budget=None).time_budget is None
 
 
 def test_config_round_trips_through_pickle():
@@ -474,16 +487,6 @@ sys.stdout.buffer.write(pickle.dumps((hash(OWNER.name), result, deps, vals)))
 """
 
 
-def local_copy(x):
-    """An equal value built in this process from x's printed parts."""
-    if isinstance(x, Expr):
-        return read_expr(x.render())
-    if isinstance(x, DependencyMap):
-        return DependencyMap(*(tuple((var, local_copy(e)) for var, e in side)
-                               for side in (x.local, x.transaction)))
-    return _Val(local_copy(x.expr), local_copy(x.deps), x.depth)
-
-
 def test_unpickled_values_hash_as_local_ones_under_another_hash_seed():
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     proc = subprocess.run(
@@ -497,7 +500,7 @@ def test_unpickled_values_hash_as_local_ones_under_another_hash_seed():
     assert OWNER in values and len(values) > 20
     table = {}
     for x in values:
-        mine = local_copy(x)
+        mine = copy.deepcopy(x)  # rebuilt here through its __reduce__
         assert mine == x and hash(mine) == hash(x)
         table[mine] = x
     assert all(table[x] == x for x in values)
