@@ -6,9 +6,8 @@ from .deps import (
 from .ir import Contract, Function, Statement, harvest_constants, validate
 from .parser import ParseError, parse
 from .symexpr import (
-    BinOp, Concat, Const, Expr, Not, OWNER, OWNER_UNIQUE, Sha3, Sym,
-    UNPRIVILEGED_USER, USER_UNIQUE, eval_concrete, implies, normalize,
-    value_for_var,
+    ARITY, Const, Expr, OWNER, OWNER_UNIQUE, Op, Sym, UNPRIVILEGED_USER,
+    USER_UNIQUE, eval_concrete, implies, normalize, value_for_var,
 )
 from .valueflow import (
     AnalysisConfig, AnalysisResult, Inference, ReachabilityFact, analyze,
@@ -18,10 +17,10 @@ from .valueflow import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "AnalysisResult", "BinOp", "Concat", "Conflict",
-    "Const", "Contract", "DependencyBudget", "DependencyMap", "Expr",
-    "Function", "Inference", "Not", "OWNER", "OWNER_UNIQUE", "ParseError",
-    "ReachabilityFact", "Sha3", "Statement", "Sym", "TrackingPlan",
+    "ARITY", "AnalysisConfig", "AnalysisResult", "Conflict", "Const",
+    "Contract", "DependencyBudget", "DependencyMap", "Expr", "Function",
+    "Inference", "OWNER", "OWNER_UNIQUE", "Op", "ParseError",
+    "ReachabilityFact", "Statement", "Sym", "TrackingPlan",
     "UNPRIVILEGED_USER", "USER_UNIQUE", "analyze", "combine", "eval_concrete",
     "harvest_constants", "implies", "normalize", "parse", "restrict",
     "seed_inputs", "validate", "value_for_var",

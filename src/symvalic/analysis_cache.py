@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from .deps import DependencyMap
-from .symexpr import BINOPS, BinOp, Concat, Const, Expr, Not, Sha3, Sym
+from .symexpr import Const, Expr, Op, Sym
 from .valueflow import (
     AnalysisConfig, AnalysisResult, CallSite, Inference, ReachabilityFact,
 )
@@ -45,14 +45,8 @@ SCHEMA_ID = "symvalic-analysis/3"
 # a document is a tree built by dumps: no need to check it for cycles
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
-# expression rows: the node class of a leaf's first field; the name of
-# each operator class but BinOp (whose op names it); the constructor and
-# arity of each operator name
+# expression rows: the node class of a leaf's first field
 _LEAVES = {int: Const, str: Sym}
-_NAMES = {Not: "NOT", Sha3: "SHA3", Concat: "CONCAT"}
-_OPS = {"NOT": (Not, 1), "SHA3": (Sha3, 1), "CONCAT": (Concat, 2),
-        **{op: (functools.partial(BinOp, op), 2) for op in BINOPS}}
-_NO_OP = (None, -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,7 +79,7 @@ def dumps(result: AnalysisResult, key: str) -> str:
     """The cache document of a result. Equal expressions and maps that
     print differently (0x2a and 42) get table rows of their own."""
     exprs: dict[tuple, int] = {}  # (class, *row) -> index
-    expr_ids: dict[int, int] = {}  # id of an operator node -> index
+    expr_ids: dict[int, int] = {}  # id of an Op node -> index
     deps: dict[tuple, int] = {}   # (local, transaction) row -> index
     dep_ids: dict[int, int] = {}
 
@@ -97,8 +91,7 @@ def dumps(result: AnalysisResult, key: str) -> str:
             return exprs.setdefault((cls, e.name, e.bound), len(exprs))
         i = expr_ids.get(id(e))
         if i is None:
-            key = ((cls, e.op, ref(e.left), ref(e.right)) if cls is BinOp
-                   else (cls, _NAMES[cls], *map(ref, e.children())))
+            key = (cls, e.op, *map(ref, e.args))
             i = expr_ids[id(e)] = exprs.setdefault(key, len(exprs))
         return i
 
@@ -207,8 +200,9 @@ def _facts(doc: dict) -> dict:
 
 def _expr_table(rows) -> list:
     """The expressions of the table rows, each built from earlier ones by
-    its node's constructor, which rejects a constant out of range and a
-    tree deeper than MAX_EXPR_DEPTH."""
+    its node's constructor, which rejects a constant out of range, an
+    unknown operator, a wrong operand count and a tree deeper than
+    MAX_EXPR_DEPTH."""
     table: list[Expr] = []
     for row in _list(rows):
         if type(row) is not list or len(row) < 2:
@@ -217,10 +211,9 @@ def _expr_table(rows) -> list:
         if len(row) == 2 and type(row[1]) is bool:
             table.append(_LEAVES[type(head)](head, row[1]))
             continue
-        make, arity = _OPS.get(head, _NO_OP) if type(head) is str else _NO_OP
-        if len(row) != arity + 1:
-            raise ValueError("unknown operator or wrong operand count")
-        table.append(make(*[_at(table, i) for i in row[1:]]))
+        if type(head) is not str:
+            raise ValueError("expected an operator name")
+        table.append(Op(head, *[_at(table, i) for i in row[1:]]))
     return table
 
 

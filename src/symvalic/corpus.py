@@ -32,6 +32,7 @@ Corpus directory layout:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Tuple
 
@@ -524,18 +525,22 @@ def read_facts(path) -> DomainFacts:
     return facts_from_json(json.loads(Path(path).read_text()))
 
 
+# the names write_facts_rounds gives: one per round number, in ASCII
+# decimal without a leading zero
+_ROUND_NAME = re.compile(r"facts\.round-([1-9][0-9]*)\.json")
+
+
 def latest_facts_path(corpus_dir) -> Optional[Path]:
-    """The newest facts round in the corpus out directory, if any."""
+    """The newest facts round in the corpus out directory, if any. Only
+    names that write_facts_rounds writes count, so no two files claim one
+    round and the pick never depends on the directory's order."""
     out = corpus_out_dir(corpus_dir)
     best_path = None
-    best_round = -1
+    best_round = 0
     for path in out.glob("facts.round-*.json"):
-        try:
-            round_no = int(path.stem.rsplit("-", 1)[1])
-        except ValueError:
-            continue
-        if round_no > best_round:
-            best_round = round_no
+        m = _ROUND_NAME.fullmatch(path.name)
+        if m and int(m[1]) > best_round:
+            best_round = int(m[1])
             best_path = path
     return best_path
 

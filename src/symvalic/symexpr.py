@@ -1,11 +1,12 @@
 """Symbolic expression algebra and the three reasoner predicates.
 
-Expressions are immutable trees over 256-bit unsigned wraparound arithmetic.
-A value is either a concrete constant, a symbolic variable (bound or free),
-a binary/unary operation, or one of the two storage-addressing constructors
-SHA3 and CONCAT. SHA3 is kept uninterpreted and assumed injective on byte
-images; a CONCAT is the juxtaposition of its operands' byte images, and
-as a number its low word.
+Expressions are immutable trees over 256-bit unsigned wraparound arithmetic,
+of three node kinds: a concrete constant (Const), a symbolic variable, bound
+or free (Sym), and an operator applied to its operands (Op). ARITY names
+every operator and its operand count: the binary operators of BINOPS, NOT,
+and the two storage-addressing operators SHA3 and CONCAT. SHA3 is kept
+uninterpreted and assumed injective on byte images; a CONCAT is the
+juxtaposition of its operands' byte images, and as a number its low word.
 
 The reasoner exposes:
 
@@ -40,20 +41,18 @@ CMP_OPS = ("LT", "GT", "EQ")
 LOGIC_OPS = ("AND", "OR")
 BINOPS = ARITH_OPS + CMP_OPS + LOGIC_OPS
 ASSOCIATIVE = {"ADD", "MUL", "AND", "OR"}
+# every operator's name and operand count
+ARITY = {**dict.fromkeys(BINOPS, 2), "NOT": 1, "SHA3": 1, "CONCAT": 2}
 
 
 # The deepest tree a node may root, counting a leaf as 1. Building a
-# deeper node raises ValueError (see Expr). Every walk over a tree recurses
+# deeper node raises ValueError (see Op). Every walk over a tree recurses
 # once per level or more: render, sort_key, normalize, pickling, equality of
 # two separately built equal trees. At this bound each of them still works
 # when called 250 frames deep under Python's default recursion limit, which
 # leaves room for the engine's own stack (internal calls nest); at 500,
 # pickling, equality and normalize exhaust the limit from a shallow stack.
 MAX_EXPR_DEPTH = 256
-
-
-def _too_deep():
-    raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
 
 
 class Hashed:
@@ -90,22 +89,21 @@ class Expr(Hashed):
     """
 
     __slots__ = ()
-    depth = 1  # a leaf's; composite nodes store theirs
+    depth = 1  # a leaf's; operator nodes store theirs
+    op = None  # a leaf's; an operator node's is its name
+    args: tuple = ()  # a leaf's; an operator node's are its operands
 
     def render(self) -> str:
         """Canonical printed form, e.g. SHA3(CONCAT(<<owner>>, 0x0))."""
         raise NotImplementedError
 
     def sort_key(self) -> tuple:
-        """Total order: Const < Sym < composite, then structural."""
+        """Total order: Const < Sym < Op, then structural."""
         raise NotImplementedError
-
-    def children(self) -> tuple["Expr", ...]:
-        return ()
 
     def walk(self) -> Iterator["Expr"]:
         yield self
-        for c in self.children():
+        for c in self.args:
             yield from c.walk()
 
     def __str__(self) -> str:
@@ -172,123 +170,60 @@ class Sym(Expr):
         return (1, self.name)
 
 
-class BinOp(Expr):
-    __slots__ = ("op", "left", "right", "depth", "_hash")
+class Op(Expr):
+    """An operator applied to its operands, e.g. Op("ADD", x, y) or
+    Op("SHA3", x): op is a key of ARITY and args holds ARITY[op]
+    expressions. The constructor is the one place that knows which
+    operators exist and how many operands (one or two) each takes. The
+    methods spell out both counts: a comprehension over args would take a
+    stack frame a level, halving how deep a stack can walk a tree."""
 
-    def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in BINOPS:
-            raise ValueError(f"unknown binop {op}")
-        depth = (left.depth if left.depth > right.depth else right.depth) + 1
+    __slots__ = ("op", "args", "depth", "_hash")
+
+    def __init__(self, op: str, *args: Expr):
+        if ARITY.get(op) != len(args):
+            raise ValueError(f"no operator {op} of {len(args)} operands")
+        if len(args) == 2:
+            left, right = args
+            depth = (left.depth if left.depth > right.depth
+                     else right.depth) + 1
+            h = hash((op, left._hash, right._hash))
+        else:
+            depth = args[0].depth + 1
+            h = hash((op, args[0]._hash))
         if depth > MAX_EXPR_DEPTH:
-            _too_deep()
+            raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
         self.op = op
-        self.left = left
-        self.right = right
+        self.args = args
         self.depth = depth
-        self._hash = hash((op, left._hash, right._hash))
+        self._hash = h
 
     __hash__ = Expr.__hash__
 
     def __eq__(self, other):
         if self is other:
             return True
-        if other.__class__ is not BinOp:
+        if other.__class__ is not Op:
             return NotImplemented
-        return (self._hash == other._hash and self.op == other.op
-                and self.left == other.left and self.right == other.right)
+        if self._hash != other._hash or self.op != other.op:
+            return False
+        x, y = self.args, other.args
+        return x[0] == y[0] and (len(x) == 1 or x[1] == y[1])
 
     def __reduce__(self):
-        return BinOp, (self.op, self.left, self.right)
+        return Op, (self.op, *self.args)
 
     def render(self) -> str:
-        return f"{self.op}({self.left.render()}, {self.right.render()})"
+        x = self.args
+        if len(x) == 2:
+            return f"{self.op}({x[0].render()}, {x[1].render()})"
+        return f"{self.op}({x[0].render()})"
 
     def sort_key(self) -> tuple:
-        return (2, self.op, self.left.sort_key(), self.right.sort_key())
-
-    def children(self):
-        return (self.left, self.right)
-
-
-class _Unary(Expr):
-    """NOT(x) or SHA3(x): a named operation on one operand."""
-
-    __slots__ = ("operand", "depth", "_hash")
-    NAME = ""
-
-    def __init__(self, operand: Expr):
-        depth = operand.depth + 1
-        if depth > MAX_EXPR_DEPTH:
-            _too_deep()
-        self.operand = operand
-        self.depth = depth
-        self._hash = hash((self.NAME, operand._hash))
-
-    __hash__ = Expr.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self.operand == other.operand
-
-    def __reduce__(self):
-        return self.__class__, (self.operand,)
-
-    def render(self) -> str:
-        return f"{self.NAME}({self.operand.render()})"
-
-    def sort_key(self) -> tuple:
-        return (2, self.NAME, self.operand.sort_key())
-
-    def children(self):
-        return (self.operand,)
-
-
-class Not(_Unary):
-    __slots__ = ()
-    NAME = "NOT"
-
-
-class Sha3(_Unary):
-    __slots__ = ()
-    NAME = "SHA3"
-
-
-class Concat(Expr):
-    __slots__ = ("left", "right", "depth", "_hash")
-
-    def __init__(self, left: Expr, right: Expr):
-        depth = (left.depth if left.depth > right.depth else right.depth) + 1
-        if depth > MAX_EXPR_DEPTH:
-            _too_deep()
-        self.left = left
-        self.right = right
-        self.depth = depth
-        self._hash = hash(("CONCAT", left._hash, right._hash))
-
-    __hash__ = Expr.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Concat:
-            return NotImplemented
-        return (self._hash == other._hash and self.left == other.left
-                and self.right == other.right)
-
-    def __reduce__(self):
-        return Concat, (self.left, self.right)
-
-    def render(self) -> str:
-        return f"CONCAT({self.left.render()}, {self.right.render()})"
-
-    def sort_key(self) -> tuple:
-        return (2, "CONCAT", self.left.sort_key(), self.right.sort_key())
-
-    def children(self):
-        return (self.left, self.right)
+        x = self.args
+        if len(x) == 2:
+            return (2, self.op, x[0].sort_key(), x[1].sort_key())
+        return (2, self.op, x[0].sort_key())
 
 
 TRUE = Const(1)
@@ -336,24 +271,16 @@ def substitute(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
     of whose children changed comes back as itself, not as a copy."""
     if not mapping:
         return e
-    if isinstance(e, Sym):
-        return mapping.get(e, e)
-    if isinstance(e, BinOp):
-        left = substitute(e.left, mapping)
-        right = substitute(e.right, mapping)
-        if left is e.left and right is e.right:
-            return e
-        return BinOp(e.op, left, right)
-    if isinstance(e, _Unary):
-        operand = substitute(e.operand, mapping)
-        return e if operand is e.operand else e.__class__(operand)
-    if isinstance(e, Concat):
-        left = substitute(e.left, mapping)
-        right = substitute(e.right, mapping)
-        if left is e.left and right is e.right:
-            return e
-        return Concat(left, right)
-    return e
+    if e.op is None:
+        return mapping.get(e, e) if e.__class__ is Sym else e
+    x = e.args
+    first = substitute(x[0], mapping)
+    if len(x) == 1:
+        return e if first is x[0] else Op(e.op, first)
+    second = substitute(x[1], mapping)
+    if first is x[0] and second is x[1]:
+        return e
+    return Op(e.op, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +301,16 @@ def clear_normalize_memo() -> None:
 def normalize(e: Expr) -> Expr:
     """Minimal equivalent form under 256-bit wraparound semantics.
 
-    Guarantees: constant subterms folded (no BinOp with two Const children),
-    commutative operands canonically ordered, the standard identities applied
-    (x+0, x*1, x*0, x-x, x&&true, x&&false, !!x, x==x; a logical identity
-    whose operand may be neither 0 nor 1 keeps AND(1, x)) plus sound extras:
-    associative const gathering for ADD/MUL, GT -> swapped LT, unsigned
-    facts (x<0 is false, x%1 is 0), SHA3 injectivity peeling, and
-    disequality of distinct bound identity symbols.
+    Guarantees: constant subterms folded (no binary operator with two
+    constant operands), commutative operands canonically ordered, the
+    standard identities applied (x+0, x*1, x*0, x-x, x&&true, x&&false,
+    !!x, x==x; a logical identity whose operand may be neither 0 nor 1
+    keeps AND(1, x)) plus sound extras: associative const gathering for
+    ADD/MUL, GT -> swapped LT, unsigned facts (x<0 is false, x%1 is 0),
+    SHA3 injectivity peeling, and disequality of distinct bound identity
+    symbols.
     """
-    if isinstance(e, (Const, Sym)):
+    if e.op is None:
         return e  # leaves are their own normal form (keeps display hints)
     cached = _norm_cache.get(e)
     if cached is not None:
@@ -393,31 +321,28 @@ def normalize(e: Expr) -> Expr:
     return result
 
 
-def _normalize(e: Expr) -> Expr:
-    if isinstance(e, (Const, Sym)):
-        return e
-    if isinstance(e, Sha3):
-        return Sha3(normalize(e.operand))
-    if isinstance(e, Concat):
-        return Concat(normalize(e.left), normalize(e.right))
-    if isinstance(e, Not):
-        x = normalize(e.operand)
+def _normalize(e: Op) -> Expr:
+    op = e.op
+    args = []
+    for a in e.args:
+        args.append(normalize(a))
+    if op == "SHA3" or op == "CONCAT":
+        return Op(op, *args)
+    if op == "NOT":
+        x = args[0]
         if isinstance(x, Const):
             return FALSE if x.value != 0 else TRUE
-        if isinstance(x, Not):
-            return _as_bool(x.operand)
-        return Not(x)
-    assert isinstance(e, BinOp)
-    left = normalize(e.left)
-    right = normalize(e.right)
-    op = e.op
+        if x.op == "NOT":
+            return _as_bool(x.args[0])
+        return Op("NOT", x)
+    left, right = args
     if op == "GT":
         return _norm_binop("LT", right, left)
     return _norm_binop(op, left, right)
 
 
 def _norm_binop(op: str, left: Expr, right: Expr) -> Expr:
-    """Normalize a BinOp whose children are already normalized."""
+    """Normalize a binary operator whose operands are already normalized."""
     if op in ASSOCIATIVE:
         return _rebuild_assoc(op, left, right)
 
@@ -448,7 +373,7 @@ def _norm_binop(op: str, left: Expr, right: Expr) -> Expr:
             return folded
         if right.sort_key() < left.sort_key():
             left, right = right, left
-    return BinOp(op, left, right)
+    return Op(op, left, right)
 
 
 def _norm_eq(left: Expr, right: Expr) -> Optional[Expr]:
@@ -457,32 +382,32 @@ def _norm_eq(left: Expr, right: Expr) -> Optional[Expr]:
     if isinstance(left, Sym) and isinstance(right, Sym) and left.bound and right.bound:
         # Distinct bound identities never coincide (modeling axiom).
         return FALSE
-    if isinstance(left, Sha3) and isinstance(right, Sha3):
+    if left.op == "SHA3" and right.op == "SHA3":
         # SHA3 assumed injective: the byte images are equal, word by word;
         # images of different lengths never are. A bare CONCAT is a number
         # (its low word), so EQ(CONCAT, CONCAT) is not peeled.
-        left_words = _image_words(left.operand)
-        right_words = _image_words(right.operand)
+        left_words = _image_words(left.args[0])
+        right_words = _image_words(right.args[0])
         if len(left_words) != len(right_words):
             return FALSE
-        out: Expr = BinOp("EQ", left_words[0], right_words[0])
+        out: Expr = Op("EQ", left_words[0], right_words[0])
         for a, b in zip(left_words[1:], right_words[1:]):
-            out = BinOp("AND", out, BinOp("EQ", a, b))
+            out = Op("AND", out, Op("EQ", a, b))
         return normalize(out)
     return None
 
 
 def _image_words(e: Expr) -> list:
     """The 32-byte words whose juxtaposition is e's byte image."""
-    if isinstance(e, Concat):
-        return _image_words(e.left) + _image_words(e.right)
+    if e.op == "CONCAT":
+        return _image_words(e.args[0]) + _image_words(e.args[1])
     return [e]
 
 
 def _assoc_leaves(op: str, e: Expr) -> Iterator[Expr]:
-    if isinstance(e, BinOp) and e.op == op:
-        yield from _assoc_leaves(op, e.left)
-        yield from _assoc_leaves(op, e.right)
+    if e.op == op:
+        yield from _assoc_leaves(op, e.args[0])
+        yield from _assoc_leaves(op, e.args[1])
     else:
         yield e
 
@@ -524,7 +449,7 @@ def _rebuild_assoc(op: str, left: Expr, right: Expr) -> Expr:
     rest.sort(key=expr_key)
     out = rest[0]
     for leaf in rest[1:]:
-        out = BinOp(op, out, leaf)
+        out = Op(op, out, leaf)
     return out
 
 
@@ -532,8 +457,8 @@ def _as_word(e: Expr) -> Expr:
     """e as the result of an arithmetic identity (x+0, x*1, x-0, x/1).
     A CONCAT keeps a word operation around it: as a number it is its low
     word, but inside SHA3 or CONCAT its byte image is the juxtaposition."""
-    if isinstance(e, Concat):
-        return BinOp("ADD", e, FALSE)
+    if e.op == "CONCAT":
+        return Op("ADD", e, FALSE)
     return e
 
 
@@ -543,16 +468,14 @@ def _as_bool(e: Expr) -> Expr:
     AND(1, e) around it: the identities hold only for truth values."""
     if _is_bool(e):
         return e
-    return BinOp("AND", TRUE, e)
+    return Op("AND", TRUE, e)
 
 
 def _is_bool(e: Expr) -> bool:
     """e evaluates to 0 or 1 under every assignment."""
     if isinstance(e, Const):
         return e.value <= 1
-    if isinstance(e, BinOp):
-        return e.op in CMP_OPS or e.op in LOGIC_OPS
-    return isinstance(e, Not)
+    return e.op in CMP_OPS or e.op in LOGIC_OPS or e.op == "NOT"
 
 
 def _fold(op: str, a: int, b: int) -> int:
@@ -602,8 +525,9 @@ def implies(strong: Expr, weak: Expr) -> bool:
         return True
     if s == w:
         return True
-    if isinstance(s, BinOp) and s.op == "OR":
-        return implies(s.left, w) and implies(s.right, w)
+    if s.op == "OR":
+        left, right = s.args
+        return implies(left, w) and implies(right, w)
     have = conjuncts(s)
     if any(is_falsy_const(c) for c in have):
         return True
@@ -615,22 +539,20 @@ def _prove_one(have: tuple[Expr, ...], goal: Expr) -> bool:
         return True
     if goal in have:
         return True
-    if isinstance(goal, BinOp) and goal.op == "OR":
+    if goal.op == "OR":
         return any(_prove_one(have, d) for d in _assoc_leaves("OR", goal))
     return _prove_interval(have, goal)
 
 
 def _cmp_shape(e: Expr):
     """Decompose a comparison against a constant: (subject, 'lt'|'gt'|'eq', k)."""
-    if not isinstance(e, BinOp):
-        return None
-    if e.op == "LT":
-        if isinstance(e.right, Const) and not isinstance(e.left, Const):
-            return (e.left, "lt", e.right.value)
-        if isinstance(e.left, Const) and not isinstance(e.right, Const):
-            return (e.right, "gt", e.left.value)
-    if e.op == "EQ" and isinstance(e.left, Const) and not isinstance(e.right, Const):
-        return (e.right, "eq", e.left.value)
+    if e.op == "LT" or e.op == "EQ":
+        left, right = e.args
+        if isinstance(left, Const) and not isinstance(right, Const):
+            return (right, "gt" if e.op == "LT" else "eq", left.value)
+        if (e.op == "LT" and isinstance(right, Const)
+                and not isinstance(left, Const)):
+            return (left, "lt", right.value)
     return None
 
 
@@ -681,15 +603,15 @@ def value_for_var(var: Sym, constraint: Expr) -> tuple[Expr, ...]:
 
 
 def _equality_candidates(var: Sym, c: Expr) -> Iterator[Expr]:
-    if isinstance(c, BinOp):
-        if c.op == "EQ":
-            if c.left == var and not contains_sym(c.right, var):
-                yield c.right
-            if c.right == var and not contains_sym(c.left, var):
-                yield c.left
-        elif c.op in ("AND", "OR"):
-            yield from _equality_candidates(var, c.left)
-            yield from _equality_candidates(var, c.right)
+    if c.op == "EQ":
+        left, right = c.args
+        if left == var and not contains_sym(right, var):
+            yield right
+        if right == var and not contains_sym(left, var):
+            yield left
+    elif c.op == "AND" or c.op == "OR":
+        for a in c.args:
+            yield from _equality_candidates(var, a)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +627,8 @@ def default_hash_oracle(data: bytes) -> bytes:
 
 
 Assignment = Mapping[str, int]
+# the operators eval_concrete folds after evaluating both operands
+_EAGER_OPS = frozenset(ARITH_OPS + CMP_OPS)
 
 
 def eval_concrete(
@@ -722,38 +646,34 @@ def eval_concrete(
         return e.value
     if isinstance(e, Sym):
         return assignment[e.name] & MASK
-    if isinstance(e, BinOp):
-        if e.op == "AND":  # short-circuit; same result, total either way
-            if eval_concrete(e.left, assignment, hash_oracle) == 0:
-                return 0
-            return int(eval_concrete(e.right, assignment, hash_oracle) != 0)
-        if e.op == "OR":
-            if eval_concrete(e.left, assignment, hash_oracle) != 0:
-                return 1
-            return int(eval_concrete(e.right, assignment, hash_oracle) != 0)
-        return _fold(
-            e.op,
-            eval_concrete(e.left, assignment, hash_oracle),
-            eval_concrete(e.right, assignment, hash_oracle),
-        )
-    if isinstance(e, Not):
-        return int(eval_concrete(e.operand, assignment, hash_oracle) == 0)
-    if isinstance(e, Sha3):
-        img = _byte_image(e.operand, assignment, hash_oracle)
+    op = e.op
+    if op in _EAGER_OPS:
+        left, right = e.args
+        return _fold(op, eval_concrete(left, assignment, hash_oracle),
+                     eval_concrete(right, assignment, hash_oracle))
+    if op == "AND":  # short-circuit; same result, total either way
+        if eval_concrete(e.args[0], assignment, hash_oracle) == 0:
+            return 0
+        return int(eval_concrete(e.args[1], assignment, hash_oracle) != 0)
+    if op == "OR":
+        if eval_concrete(e.args[0], assignment, hash_oracle) != 0:
+            return 1
+        return int(eval_concrete(e.args[1], assignment, hash_oracle) != 0)
+    if op == "NOT":
+        return int(eval_concrete(e.args[0], assignment, hash_oracle) == 0)
+    if op == "SHA3":
+        img = _byte_image(e.args[0], assignment, hash_oracle)
         return int.from_bytes(hash_oracle(img), "big") & MASK
-    if isinstance(e, Concat):
-        img = _byte_image(e, assignment, hash_oracle)
-        return int.from_bytes(img, "big") & MASK
-    raise TypeError(f"not an Expr: {e!r}")
+    img = _byte_image(e, assignment, hash_oracle)  # CONCAT
+    return int.from_bytes(img, "big") & MASK
 
 
 def _byte_image(e: Expr, assignment: Assignment, hash_oracle: HashOracle) -> bytes:
-    if isinstance(e, Concat):
-        return _byte_image(e.left, assignment, hash_oracle) + _byte_image(
-            e.right, assignment, hash_oracle
-        )
-    if isinstance(e, Sha3):
-        return hash_oracle(_byte_image(e.operand, assignment, hash_oracle))
+    if e.op == "CONCAT":
+        return (_byte_image(e.args[0], assignment, hash_oracle)
+                + _byte_image(e.args[1], assignment, hash_oracle))
+    if e.op == "SHA3":
+        return hash_oracle(_byte_image(e.args[0], assignment, hash_oracle))
     return eval_concrete(e, assignment, hash_oracle).to_bytes(32, "big")
 
 

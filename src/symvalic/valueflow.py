@@ -70,8 +70,8 @@ from .ir import (
     live_in,
 )
 from .symexpr import (
-    ARITH_OPS, BinOp, Concat, Const, Expr, FALSE, Hashed, Not, OWNER,
-    OWNER_UNIQUE, Sha3, Sym, TRUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
+    ARITH_OPS, Const, Expr, FALSE, Hashed, OWNER, OWNER_UNIQUE, Op, Sym,
+    TRUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
     as_expr, clear_normalize_memo, contract_symbol, expr_key, free_syms,
     implies, normalize, substitute, value_for_var,
 )
@@ -709,16 +709,8 @@ class _Engine:
                     produced.append(_Val(sender, alt.deps, self.limit))
             self._finish_assign(fn, tracked, stmt, env, produced)
             return alts
-        if op == "BINOP":
-            self._exec_binop(fn, tracked, stmt, env, alts)
-            return alts
-        if op in ("SHA3", "CONCAT"):
-            produced = []
-            for _, vals, d, depths in self._combos(stmt.operands, env, alts,
-                                                   tracked):
-                e = Sha3(vals[0]) if op == "SHA3" else Concat(vals[0], vals[1])
-                produced.append(_Val(normalize(e), d, min(depths)))
-            self._finish_assign(fn, tracked, stmt, env, produced)
+        if op in ("BINOP", "SHA3", "CONCAT"):
+            self._exec_op(fn, tracked, stmt, env, alts)
             return alts
         if op == "SLOAD":
             self._exec_sload(fn, tracked, stmt, env, alts)
@@ -741,16 +733,15 @@ class _Engine:
         for v in env[stmt.result]:
             self._record_inference(fn.name, tracked, stmt.result, v.expr, v.deps)
 
-    def _exec_binop(self, fn, tracked, stmt, env, alts):
-        binop = stmt.binop
-        arith = binop in ARITH_OPS
+    def _exec_op(self, fn, tracked, stmt, env, alts):
+        name = stmt.binop or stmt.op
+        arith = name in ARITH_OPS
         produced = []
         for _, vals, d, depths in self._combos(stmt.operands, env, alts, tracked):
             depth = min(depths)
             if arith and depth == 0:
                 continue  # storage-cycle lineage exhausted
-            e = Not(vals[0]) if binop == "NOT" else BinOp(binop, vals[0], vals[1])
-            produced.append(_Val(normalize(e), d, depth))
+            produced.append(_Val(normalize(Op(name, *vals)), d, depth))
         self._finish_assign(fn, tracked, stmt, env, produced)
 
     def _exec_sload(self, fn, tracked, stmt, env, alts):
@@ -841,7 +832,7 @@ class _Engine:
               want_true: bool) -> list[_Alt]:
         out: list[_Alt] = []
         for alt, (cv,), d, _ in self._combos((cond_operand,), env, alts, tracked):
-            target = cv if want_true else normalize(Not(cv))
+            target = cv if want_true else normalize(Op("NOT", cv))
             out.extend(self._admit(alt, d, target))
         return self._cap_alts(out)
 
@@ -869,7 +860,7 @@ class _Engine:
                 merged[sym] = cand
                 new_subst = tuple(sorted(merged.items(),
                                          key=lambda kv: kv[0].sort_key()))
-                pc2 = alt.pc | {normalize(BinOp("EQ", sym, cand))}
+                pc2 = alt.pc | {normalize(Op("EQ", sym, cand))}
                 out.append(_Alt(_subst_deps(d, m), pc2, new_subst))
         if not out and _free_satisfiable(target):
             out.append(_Alt(d, alt.pc | {target}, alt.subst))
@@ -980,7 +971,7 @@ def _conjunction(pc: frozenset) -> Expr:
         return TRUE
     out = None
     for e in sorted(pc, key=expr_key):
-        out = e if out is None else BinOp("AND", out, e)
+        out = e if out is None else Op("AND", out, e)
     return out
 
 
@@ -989,17 +980,17 @@ def _free_satisfiable(target: Expr) -> bool:
     without committing to a particular value: disequalities and order
     comparisons, unlike equalities, admit almost every value.
     """
-    if isinstance(target, Not):
-        return bool(free_syms(target.operand))
-    if isinstance(target, BinOp):
-        if target.op == "LT":
-            return bool(free_syms(target))
-        if target.op == "OR":
-            return (_free_satisfiable(target.left)
-                    or _free_satisfiable(target.right))
-        if target.op == "AND":
-            return (_free_satisfiable(target.left)
-                    and _free_satisfiable(target.right))
+    op = target.op
+    if op == "NOT":
+        return bool(free_syms(target.args[0]))
+    if op == "LT":
+        return bool(free_syms(target))
+    if op == "OR":
+        left, right = target.args
+        return _free_satisfiable(left) or _free_satisfiable(right)
+    if op == "AND":
+        left, right = target.args
+        return _free_satisfiable(left) and _free_satisfiable(right)
     return False
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 from symvalic.deps import Conflict, DependencyMap, combine
 from symvalic.ir import Contract, Function
 from symvalic.symexpr import (
-    BinOp, Concat, Const, Expr, Not, Sha3, Sym,
+    Const, Expr, Op, Sym,
 )
 from symvalic.valueflow import (
     AnalysisConfig, AnalysisResult, _Engine, assemble,
@@ -302,33 +302,33 @@ def gen_arith(rng: random.Random, syms: list, depth: int) -> Expr:
                                  WORD - 1, WORD - 2)))
     roll = rng.random()
     if roll < 0.08:
-        return Sha3(gen_arith(rng, syms, depth - 1))
+        return Op("SHA3", gen_arith(rng, syms, depth - 1))
     if roll < 0.14:
-        return Concat(gen_arith(rng, syms, depth - 1),
-                      gen_arith(rng, syms, depth - 1))
+        return Op("CONCAT", gen_arith(rng, syms, depth - 1),
+                  gen_arith(rng, syms, depth - 1))
     if roll < 0.20:
-        return Not(gen_arith(rng, syms, depth - 1))
+        return Op("NOT", gen_arith(rng, syms, depth - 1))
     if roll < 0.30:
-        return BinOp(rng.choice(("AND", "OR")), gen_arith(rng, syms, depth - 1),
-                     gen_arith(rng, syms, depth - 1))
-    return BinOp(rng.choice(ARITH), gen_arith(rng, syms, depth - 1),
-                 gen_arith(rng, syms, depth - 1))
+        return Op(rng.choice(("AND", "OR")), gen_arith(rng, syms, depth - 1),
+                  gen_arith(rng, syms, depth - 1))
+    return Op(rng.choice(ARITH), gen_arith(rng, syms, depth - 1),
+              gen_arith(rng, syms, depth - 1))
 
 
 def gen_bool(rng: random.Random, syms: list, depth: int) -> Expr:
     """A random truth value (it evaluates to 0 or 1): a comparison, or
     AND/OR/NOT over truth values and, at times, arithmetic operands."""
     if depth <= 0 or rng.random() < 0.3:
-        return BinOp(rng.choice(CMP), gen_arith(rng, syms, 1),
-                     gen_arith(rng, syms, 1))
+        return Op(rng.choice(CMP), gen_arith(rng, syms, 1),
+                  gen_arith(rng, syms, 1))
     roll = rng.random()
     if roll < 0.25:
-        return Not(_logic_operand(rng, syms, depth - 1))
+        return Op("NOT", _logic_operand(rng, syms, depth - 1))
     if roll < 0.65:
-        return BinOp("AND", _logic_operand(rng, syms, depth - 1),
-                     _logic_operand(rng, syms, depth - 1))
-    return BinOp("OR", _logic_operand(rng, syms, depth - 1),
-                 _logic_operand(rng, syms, depth - 1))
+        return Op("AND", _logic_operand(rng, syms, depth - 1),
+                  _logic_operand(rng, syms, depth - 1))
+    return Op("OR", _logic_operand(rng, syms, depth - 1),
+              _logic_operand(rng, syms, depth - 1))
 
 
 def _logic_operand(rng: random.Random, syms: list, depth: int) -> Expr:

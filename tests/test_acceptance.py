@@ -20,7 +20,7 @@ from symvalic.corpus import anomalies, refine
 from symvalic.deps import Conflict, DependencyMap, EMPTY, combine
 from symvalic.parser import parse
 from symvalic.symexpr import (
-    BinOp, Const, OWNER, Sym, TRUE, eval_concrete, free_syms, implies,
+    Const, OWNER, Op, Sym, TRUE, eval_concrete, free_syms, implies,
     normalize, substitute, value_for_var,
 )
 from symvalic.valueflow import AnalysisConfig, analyze
@@ -155,10 +155,10 @@ def test_criterion_05_reasoner_properties():
             else:
                 # bias towards provable pairs: weaken a conjunction
                 weak = strong
-                strong = BinOp("AND", strong, gen_bool(rng, syms, 1))
+                strong = Op("AND", strong, gen_bool(rng, syms, 1))
             if implies(strong, weak):
                 checked_true += 1
-                conj = BinOp("AND", strong, weak)
+                conj = Op("AND", strong, weak)
                 bound, free = [], []
                 for node in set(conj.walk()):
                     if isinstance(node, Sym):

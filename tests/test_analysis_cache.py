@@ -18,7 +18,7 @@ from symvalic.corpus import Thresholds, anomalies, refine_contracts, summarize
 from symvalic.deps import DependencyBudget, DependencyMap
 from symvalic.parser import parse
 from symvalic.symexpr import (
-    BinOp, Concat, Const, Expr, Not, OWNER, OWNER_UNIQUE, Sha3, Sym,
+    Const, Expr, OWNER, OWNER_UNIQUE, Op, Sym,
     UNPRIVILEGED_USER, USER_UNIQUE, contract_symbol, normalize,
 )
 from symvalic.valueflow import AnalysisConfig, Inference, analyze, assemble
@@ -38,14 +38,8 @@ def hint_constants(rng: random.Random, e: Expr) -> Expr:
     """e with a random half of its constants printed in hex."""
     if isinstance(e, Const):
         return Const(e.value, hex_hint=rng.random() < 0.5)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, hint_constants(rng, e.left),
-                     hint_constants(rng, e.right))
-    if isinstance(e, Concat):
-        return Concat(hint_constants(rng, e.left),
-                      hint_constants(rng, e.right))
-    if isinstance(e, (Not, Sha3)):
-        return type(e)(hint_constants(rng, e.operand))
+    if isinstance(e, Op):
+        return Op(e.op, *[hint_constants(rng, a) for a in e.args])
     return e
 
 

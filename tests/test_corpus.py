@@ -302,6 +302,27 @@ def test_facts_json_roundtrip():
     assert facts_from_json(json.loads(json.dumps(doc))) == facts
 
 
+@pytest.mark.parametrize("stray", ["1_0", "04", "+4", " 4", "\u0664"], ids=[
+    "underscore", "leading-zero", "plus", "space", "arabic-indic-digit"])
+def test_latest_facts_ignores_names_no_round_is_written_under(tmp_path,
+                                                              stray):
+    # int() reads each stray name as round 4 or 10, past round 3
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("facts.round-3.json", f"facts.round-{stray}.json"):
+        (out / name).write_text("{}")
+    assert latest_facts_path(tmp_path) == out / "facts.round-3.json"
+
+
+def test_latest_facts_does_not_depend_on_directory_order(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "facts.round-02.json").write_text("{}")
+    assert latest_facts_path(tmp_path) is None
+    (out / "facts.round-2.json").write_text("{}")
+    assert latest_facts_path(tmp_path) == out / "facts.round-2.json"
+
+
 def test_latest_facts_reads_newest_round(reentrancy_corpus):
     refine(reentrancy_corpus, rounds=3)
     facts = read_facts(latest_facts_path(reentrancy_corpus))

@@ -9,7 +9,7 @@ from symvalic.deps import (
     Conflict, DEFAULT_BUDGET, DependencyBudget, DependencyMap, EMPTY,
     TrackingPlan, combine, restrict,
 )
-from symvalic.symexpr import BinOp, Const, OWNER, Sym
+from symvalic.symexpr import Const, OWNER, Op, Sym
 
 from helpers import combine_dict
 
@@ -49,7 +49,7 @@ def test_conflict_checked_per_scope():
 
 
 def test_equality_after_normalize():
-    a = dm({"x": BinOp("ADD", Const(2), Const(3))})
+    a = dm({"x": Op("ADD", Const(2), Const(3))})
     b = dm({"x": Const(5)})
     assert combine(a, b) == dm({"x": Const(5)})
 
