@@ -27,12 +27,32 @@ flags numbers in [0, 1]; SYMVALIC_SEED must be an integer. Reports go to
 stdout, diagnostics to stderr, one line per failed input or output
 (`path:line:col: message` for a parse error, `path: message` otherwise).
 A corpus command reports a failed contract and goes on with the others.
-Identical invocations produce byte-identical JSON.
+Identical invocations produce byte-identical JSON. A closed stdout (no
+descriptor 1) is a refused one; with stderr closed, diagnostics are
+dropped and never reach stdout.
+
+`run` is the process entry point (`python -m symvalic.cli` and the
+`symvalic` script): it flushes stdout and stderr after `main` returns and
+then ends the process at once, without the interpreter's teardown
+(module cleanup, a final collection, exit hooks), which only frees memory
+that the kernel takes back anyway. That is safe while these hold when
+`main` returns:
+  - every file written is closed: outputs go through Path.write_text,
+    analysis_cache.write among them, and no file object is kept open;
+  - no pool worker is left: corpus.analyze_corpus runs its pool in a
+    `with ProcessPoolExecutor` block, whose exit joins the workers;
+  - the package registers no exit hook (atexit), defines no finalizer
+    method (__del__) and makes no weakref finalizer, since none of them
+    would run; tests/test_cli.py checks the sources for all three.
+An exception that escapes `main` (argparse's usage errors and --help
+among them) takes the interpreter's normal exit. In-process callers use
+`main`, which returns the exit status.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -153,19 +173,33 @@ def _render(doc: dict, fmt: str, text_lines) -> str:
     return "".join(line + "\n" for line in text_lines(doc))
 
 
+def _diagnose(line: str):
+    """Write one diagnostic line to stderr. Drop it when the process has
+    no stderr, where print would send it to stdout, into the report, or
+    when stderr refuses it: the exit status still tells of the failure."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _emit(report: str) -> bool:
     """Write a report to stdout and flush it. False, after one diagnostic
-    line, if stdout refuses it (a closed pipe, a full device); stdout's
-    descriptor then points at os.devnull, so that the interpreter's final
-    flush of what is left in the buffer cannot fail again."""
+    line, if stdout refuses it (a closed pipe, a full device, no stdout
+    at all); stdout's descriptor then points at os.devnull, so that a
+    later flush of what is left in the buffer cannot fail again."""
     try:
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(report)
         sys.stdout.flush()
     except OSError as err:  # BrokenPipeError among them
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(diagnostic("<stdout>", err), file=sys.stderr)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        _diagnose(diagnostic("<stdout>", err))
         return False
     return True
 
@@ -222,7 +256,7 @@ def _parse_file(path: Path):
     try:
         return parse(path.read_text())
     except (OSError, ValueError, ParseError) as err:
-        print(diagnostic(path, err), file=sys.stderr)
+        _diagnose(diagnostic(path, err))
         return None
 
 
@@ -231,7 +265,7 @@ def _read_facts(path: Path):
     try:
         return corpus_mod.read_facts(path)
     except (OSError, ValueError) as err:
-        print(diagnostic(path, err), file=sys.stderr)
+        _diagnose(diagnostic(path, err))
         return None
 
 
@@ -241,7 +275,7 @@ def _analyze_file(path: Path, contract, config: AnalysisConfig):
     try:
         return analyze(contract, config)
     except Exception as err:
-        print(diagnostic(path, err), file=sys.stderr)
+        _diagnose(diagnostic(path, err))
         return None
 
 
@@ -284,7 +318,7 @@ def cmd_scan(args) -> int:
 
 def _report_errors(errors: dict):
     for path in sorted(errors):
-        print(errors[path], file=sys.stderr)
+        _diagnose(errors[path])
 
 
 def _corpus_exit(errors, truncated, warnings) -> int:
@@ -297,7 +331,7 @@ def _corpus_exit(errors, truncated, warnings) -> int:
 
 def _io_failed(err: OSError) -> int:
     """One diagnostic line for an unlistable corpus or unwritable output."""
-    print(diagnostic(err.filename, err), file=sys.stderr)
+    _diagnose(diagnostic(err.filename, err))
     return EXIT_USAGE
 
 
@@ -381,8 +415,7 @@ def main(argv: Optional[list] = None) -> int:
         try:
             args.seed = int(text)
         except ValueError:
-            print(f"SYMVALIC_SEED: {text!r} is not an integer",
-                  file=sys.stderr)
+            _diagnose(f"SYMVALIC_SEED: {text!r} is not an integer")
             return EXIT_USAGE
     handlers = {
         "analyze": cmd_analyze,
@@ -394,5 +427,21 @@ def main(argv: Optional[list] = None) -> int:
     return handlers[args.command](args)
 
 
+def run(argv: Optional[list] = None):
+    """Run main, flush stdout and stderr, and end the process with main's
+    exit status, skipping the interpreter's teardown (see the module
+    docstring). A stdout that refuses the final flush gives the one
+    `<stdout>: message` line and exit 2, as a refused report does."""
+    status = main(argv)
+    if sys.stdout is not None and not _emit(""):
+        status = EXIT_USAGE
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass  # nowhere left to report it
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

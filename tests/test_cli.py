@@ -3,9 +3,12 @@
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import time
+import tokenize
 
 import jsonschema
 import pytest
@@ -25,9 +28,12 @@ from conftest import (
 from helpers import nested
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def package_env(**extra) -> dict:
     """The environment for a child Python that imports this checkout."""
-    package = str(Path(__file__).resolve().parent.parent / "src")
+    package = str(ROOT / "src")
     return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         filter(None, (package, os.environ.get("PYTHONPATH")))))
 
@@ -448,6 +454,112 @@ def test_a_full_stdout_exits_2_with_one_line(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"<stdout>: [Errno {errno.ENOSPC}] ")
     assert proc.stderr.count("\n") == 1
+
+
+def run_closed(redirect: str, *argv) -> subprocess.CompletedProcess:
+    """`python -m symvalic.cli argv` started by a shell that closes one
+    descriptor first (`>&-` stdout, `2>&-` stderr), so that the
+    interpreter starts with no such stream."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m symvalic.cli "$@" {redirect}',
+         sys.executable, *map(str, argv)],
+        capture_output=True, text=True, env=package_env())
+
+
+@pytest.mark.parametrize("argv", STDOUT_CASES + [["corpus-build"]],
+                         ids=["scan", "analyze", "analyze-text",
+                              "corpus-build"])
+def test_no_stdout_at_all_exits_2_with_one_line(tmp_path, argv):
+    if argv == ["corpus-build"]:
+        target = write_swap_corpus(tmp_path / "corpus", benign=1)
+    else:
+        target = FIXTURES / "unguarded_selfdestruct.svc"
+    proc = run_closed(">&-", *argv, target)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"<stdout>: [Errno {errno.EBADF}] "
+                           f"{os.strerror(errno.EBADF)}\n")
+    if argv == ["corpus-build"]:
+        assert (target / "out" / "SwapUser00.result.json").is_file()
+
+
+def test_no_stderr_keeps_diagnostics_out_of_the_report(tmp_path):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=1)
+    (corpus / "bad.svc").write_text("contract { }")
+    proc = run_closed("2>&-", "corpus-build", corpus, "--jobs", "1")
+    assert proc.returncode == 2
+    names = [c["contract"] for c in json.loads(proc.stdout)["contracts"]]
+    assert names == ["SwapTainted", "SwapUser00"]
+
+
+def test_a_refused_stderr_drops_the_line_and_keeps_the_status(monkeypatch,
+                                                              tmp_path):
+    class RefusingStream:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stderr", RefusingStream())
+    assert main(["scan", str(tmp_path / "none.svc")]) == 2
+
+
+def test_a_report_larger_than_a_pipe_reaches_a_late_reader_whole(capsys):
+    argv = ["analyze", str(FIXTURES / "branchy004.svc")]
+    proc = subprocess.Popen([sys.executable, "-m", "symvalic.cli", *argv],
+                            stdout=subprocess.PIPE, env=package_env())
+    time.sleep(0.5)  # the child fills the pipe and waits for this reader
+    out = proc.stdout.read()
+    proc.stdout.close()
+    code, expected, _ = run_cli(capsys, *argv)
+    assert len(expected) == 410_033
+    assert (proc.wait(), out) == (code, expected.encode())
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", FIXTURES / "safe.svc"],
+    ["scan", FIXTURES / "unguarded_selfdestruct.svc"],
+    ["scan", FIXTURES / "none.svc"]], ids=["exit-0", "exit-1", "exit-2"])
+def test_the_process_ends_with_mains_status_and_output(capsys, argv):
+    argv = list(map(str, argv))
+    proc = subprocess.run([sys.executable, "-m", "symvalic.cli", *argv],
+                          capture_output=True, text=True, env=package_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys,
+                                                                  *argv)
+
+
+def test_corpus_build_leaves_no_worker_behind(capsys, tmp_path):
+    corpus = write_swap_corpus(tmp_path / "corpus", benign=3)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symvalic.cli", "corpus-build", str(corpus),
+         "--jobs", "2"],
+        stdout=subprocess.PIPE, text=True, env=package_env(),
+        start_new_session=True)
+    out, _ = proc.communicate()
+    assert proc.returncode == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the group of the child and its workers
+    built = reports(corpus)
+    shutil.rmtree(corpus / "out")
+    assert run_cli(capsys, "corpus-build", str(corpus), "--jobs", "1") == (
+        0, out, "")
+    assert len(built) == 4 and reports(corpus) == built
+
+
+def test_the_sources_leave_nothing_to_interpreter_teardown():
+    # the process ends without the teardown that runs exit hooks and
+    # finalizers; comments and docstrings may name them
+    found = []
+    for path in sorted((ROOT / "src" / "symvalic").rglob("*.py")):
+        with tokenize.open(path) as source:
+            for token in tokenize.generate_tokens(source.readline):
+                if token.type == tokenize.NAME and token.string in {
+                        "atexit", "__del__", "finalize", "Finalize"}:
+                    found.append(f"{path.name}:{token.start[0]}: "
+                                 f"{token.string}")
+    assert found == []
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject,
+                        re.M | re.S)
+    assert re.search(r'^symvalic\s*=\s*"symvalic\.cli:run"\s*$',
+                     scripts.group(1), re.M)
 
 
 def test_corpus_build_reports_deep_nesting_and_goes_on(capsys, tmp_path):
