@@ -30,7 +30,6 @@ constructors, which enforce MAX_EXPR_DEPTH.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from pathlib import Path
 from typing import Optional
@@ -39,6 +38,7 @@ from .deps import DependencyMap
 from .symexpr import Const, Expr, Op, Sym
 from .valueflow import (
     AnalysisConfig, AnalysisResult, CallSite, Inference, ReachabilityFact,
+    sha256,
 )
 
 SCHEMA_ID = "symvalic-analysis/3"
@@ -52,10 +52,10 @@ _LEAVES = {int: Const, str: Sym}
 @functools.lru_cache(maxsize=None)
 def _package_digest() -> str:
     """SHA-256 over this package's source files, read once per process."""
-    h = hashlib.sha256()
+    h = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(hashlib.sha256(path.name.encode()).digest())
-        h.update(hashlib.sha256(path.read_bytes()).digest())
+        h.update(sha256(path.name.encode()).digest())
+        h.update(sha256(path.read_bytes()).digest())
     return h.hexdigest()
 
 
@@ -63,7 +63,7 @@ def cache_key(text: str, config: AnalysisConfig) -> str:
     fields = {**config._asdict(), "budget": config.budget._asdict()}
     material = json.dumps([SCHEMA_ID, _package_digest(), text, fields],
                           sort_keys=True)
-    return hashlib.sha256(material.encode()).hexdigest()
+    return sha256(material.encode()).hexdigest()
 
 
 def cache_path(out_dir: Path, contract_name: str) -> Path:
@@ -132,7 +132,7 @@ def write(path: Path, key: str, result: AnalysisResult):
     if result.truncated:
         path.unlink(missing_ok=True)
     else:
-        path.write_text(dumps(result, key))
+        path.write_text(dumps(result, key), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def load(path: Path, key: str) -> Optional[dict]:
     valueflow.assemble takes them), or None unless path holds a well-formed
     untruncated cache with this key."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         if (type(doc) is not dict or doc.get("schema") != SCHEMA_ID
                 or doc.get("key") != key):
             return None

@@ -29,7 +29,16 @@ stdout, diagnostics to stderr, one line per failed input or output
 A corpus command reports a failed contract and goes on with the others.
 Identical invocations produce byte-identical JSON. A closed stdout (no
 descriptor 1) is a refused one; with stderr closed, diagnostics are
-dropped and never reach stdout.
+dropped and never reach stdout. Text is UTF-8 whatever the locale:
+sources, facts files and caches are read and written as UTF-8, and a
+report reaches stdout as UTF-8 bytes (JSON reports are ASCII).
+
+Start-up is part of every scan, one process per contract. The package
+imports no more than a scan needs: hashing uses the builtin SHA-256
+(see valueflow), so OpenSSL never loads; records are
+collections.namedtuple classes; the process pool is imported by the
+corpus commands that use it. build_parser adds the flags of only the
+command being run; tests/test_startup.py checks what a scan loads.
 
 `run` is the process entry point (`python -m symvalic.cli` and the
 `symvalic` script): it flushes stdout and stderr after `main` returns and
@@ -91,64 +100,68 @@ def fraction(text: str) -> float:
     return value
 
 
-def _add_engine_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dep-args", type=positive_int, default=3, metavar="N",
-                   help="tracked function arguments (default 3)")
-    p.add_argument("--dep-storage-loads", type=positive_int, default=1,
-                   metavar="N",
-                   help="tracked storage-load variables (default 1)")
-    p.add_argument("--dep-tx-args", type=positive_int, default=2, metavar="N",
-                   help="tracked transaction entry arguments (default 2)")
-    p.add_argument("--arith-depth", type=positive_int, default=5, metavar="N",
-                   help="arithmetic depth limit through storage (default 5)")
-    p.add_argument("--tx-rounds", type=positive_int, default=3, metavar="N",
-                   help="transaction rounds (default 3)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for input drawing (env SYMVALIC_SEED, then 1)")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+def _arg(*names, **keywords) -> tuple:
+    """One argument of a command, as add_argument takes it."""
+    return names, keywords
 
 
-def _add_threshold_flags(p: argparse.ArgumentParser):
-    p.add_argument("--min-samples", type=positive_int, default=10)
-    p.add_argument("--untainted-frac", type=fraction, default=0.9)
-    p.add_argument("--guarded-frac", type=fraction, default=0.9)
+_FILE = _arg("file", type=Path)
+_DIR = _arg("dir", type=Path)
+_FACTS = _arg("--facts", type=Path, default=None,
+              help="corpus facts JSON enabling the corpus-informed detectors")
+_ROUNDS = _arg("--rounds", type=positive_int, default=3)
+_JOBS = _arg("--jobs", type=positive_int, default=os.cpu_count() or 1)
+_ENGINE = (
+    _arg("--dep-args", type=positive_int, default=3, metavar="N",
+         help="tracked function arguments (default 3)"),
+    _arg("--dep-storage-loads", type=positive_int, default=1, metavar="N",
+         help="tracked storage-load variables (default 1)"),
+    _arg("--dep-tx-args", type=positive_int, default=2, metavar="N",
+         help="tracked transaction entry arguments (default 2)"),
+    _arg("--arith-depth", type=positive_int, default=5, metavar="N",
+         help="arithmetic depth limit through storage (default 5)"),
+    _arg("--tx-rounds", type=positive_int, default=3, metavar="N",
+         help="transaction rounds (default 3)"),
+    _arg("--seed", type=int, default=None,
+         help="seed for input drawing (env SYMVALIC_SEED, then 1)"),
+    _arg("--format", choices=("json", "text"), default="json"),
+)
+_THRESHOLDS = (
+    _arg("--min-samples", type=positive_int, default=10),
+    _arg("--untainted-frac", type=fraction, default=0.9),
+    _arg("--guarded-frac", type=fraction, default=0.9),
+)
+
+# each command: its help line and its arguments, in the order --help
+# lists them
+COMMANDS = {
+    "analyze": ("analyze one contract", (_FILE, *_ENGINE)),
+    "scan": ("scan one contract for vulnerabilities",
+             (_FILE, _FACTS, *_ENGINE)),
+    "corpus-build": ("analyze all .svc files in a corpus",
+                     (_DIR, _JOBS, *_ENGINE)),
+    "corpus-infer": ("infer domain facts from a corpus",
+                     (_DIR, _ROUNDS, _JOBS, *_ENGINE, *_THRESHOLDS)),
+    "corpus-scan": ("emit corpus anomalies",
+                    (_DIR, _ROUNDS, _JOBS, *_ENGINE, *_THRESHOLDS)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
+    """The parser of every command. Given the arguments it will parse, it
+    adds the flags of only the commands named among them: argparse runs
+    just the command named first, so its help, usage errors and results
+    are the same as with every command's flags, which cost start-up."""
     parser = argparse.ArgumentParser(
         prog="symvalic",
         description="Symbolic value-flow analyzer and corpus scanner")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="analyze one contract")
-    p.add_argument("file", type=Path)
-    _add_engine_flags(p)
-
-    p = sub.add_parser("scan", help="scan one contract for vulnerabilities")
-    p.add_argument("file", type=Path)
-    p.add_argument("--facts", type=Path, default=None,
-                   help="corpus facts JSON enabling the corpus-informed detectors")
-    _add_engine_flags(p)
-
-    p = sub.add_parser("corpus-build", help="analyze all .svc files in a corpus")
-    p.add_argument("dir", type=Path)
-    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
-    _add_engine_flags(p)
-
-    p = sub.add_parser("corpus-infer", help="infer domain facts from a corpus")
-    p.add_argument("dir", type=Path)
-    p.add_argument("--rounds", type=positive_int, default=3)
-    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
-    _add_engine_flags(p)
-    _add_threshold_flags(p)
-
-    p = sub.add_parser("corpus-scan", help="emit corpus anomalies")
-    p.add_argument("dir", type=Path)
-    p.add_argument("--rounds", type=positive_int, default=3)
-    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
-    _add_engine_flags(p)
-    _add_threshold_flags(p)
-
+    chosen = COMMANDS if argv is None else set(argv)
+    for name, (help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name in chosen:
+            for names, keywords in arguments:
+                p.add_argument(*names, **keywords)
     return parser
 
 
@@ -185,14 +198,21 @@ def _diagnose(line: str):
 
 
 def _emit(report: str) -> bool:
-    """Write a report to stdout and flush it. False, after one diagnostic
-    line, if stdout refuses it (a closed pipe, a full device, no stdout
-    at all); stdout's descriptor then points at os.devnull, so that a
-    later flush of what is left in the buffer cannot fail again."""
+    """Write a report to stdout as UTF-8, whatever the locale, and flush
+    it. False, after one diagnostic line, if stdout refuses it (a closed
+    pipe, a full device, no stdout at all); stdout's descriptor then
+    points at os.devnull, so that a later flush of what is left in the
+    buffer cannot fail again. A text stream without a byte buffer in
+    place of stdout (io.StringIO) takes the report as text."""
     try:
         if sys.stdout is None:  # descriptor 1 was closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        sys.stdout.write(report)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:
+            sys.stdout.write(report)
+        else:
+            sys.stdout.flush()  # text written before goes first
+            out.write(report.encode("utf-8"))
         sys.stdout.flush()
     except OSError as err:  # BrokenPipeError among them
         if sys.stdout is not None:
@@ -254,7 +274,7 @@ def _facts_lines(doc: dict):
 
 def _parse_file(path: Path):
     try:
-        return parse(path.read_text())
+        return parse(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, ParseError) as err:
         _diagnose(diagnostic(path, err))
         return None
@@ -409,7 +429,8 @@ def cmd_corpus_scan(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     if args.seed is None:
         text = os.environ.get("SYMVALIC_SEED", "1")
         try:

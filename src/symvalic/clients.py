@@ -13,7 +13,8 @@ DomainFacts also the reentrancy and untrusted-reachability detectors.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 from .deps import SENDER_KEY, DependencyMap
 from .symexpr import Expr, OWNER, UNPRIVILEGED_USER, USER_UNIQUE
@@ -29,11 +30,9 @@ UNTRUSTED_REACHABILITY = "UNTRUSTED_REACHABILITY"
 CORPUS_ANOMALY = "CORPUS_ANOMALY"
 
 
-class SensitiveOpSpec(NamedTuple):
-    """An external signature (or intrinsic) with sensitive argument slots."""
-
-    callee_signature: str
-    positions: frozenset
+# An external signature (or intrinsic) with sensitive argument slots: the
+# callee's signature, and the frozenset of its sensitive positions.
+SensitiveOpSpec = namedtuple("SensitiveOpSpec", "callee_signature positions")
 
 
 BUILTIN_SPECS = (
@@ -44,13 +43,12 @@ BUILTIN_SPECS = (
 )
 
 
-class Warning(NamedTuple):
-    contract: str
-    function: str
-    kind: str
-    stmt: int
-    witness: str       # printed value/deps that triggered the warning
-    explanation: str
+class Warning(namedtuple("Warning", "contract function kind stmt witness "
+                                   "explanation")):
+    """One detector finding; witness is the printed value and dependencies
+    that triggered it."""
+
+    __slots__ = ()
 
     def sort_key(self):
         """Total order over all fields: warnings that tie on location and

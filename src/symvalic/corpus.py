@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .clients import (
     CORPUS_ANOMALY, SensitiveOpSpec, Warning, caller_tainted,
@@ -48,18 +49,12 @@ from .valueflow import AnalysisConfig, AnalysisResult, analyze, assemble
 FACTS_SCHEMA_ID = "symvalic-facts/1"
 
 
-class ExternalCallSummary(NamedTuple):
-    stmt: int
-    signature: str
-    guarded: bool
-    arg_taint: Tuple[str, ...]  # "tainted" | "untainted" per position
-
-
-class FunctionSummary(NamedTuple):
-    contract: str
-    function: str
-    allows_reentrancy: bool
-    external_calls: Tuple[ExternalCallSummary, ...]
+# arg_taint: "tainted" or "untainted" for each argument position
+ExternalCallSummary = namedtuple("ExternalCallSummary",
+                                 "stmt signature guarded arg_taint")
+# external_calls: a tuple of ExternalCallSummary
+FunctionSummary = namedtuple(
+    "FunctionSummary", "contract function allows_reentrancy external_calls")
 
 
 def _holds_free_identity(e: Expr) -> bool:
@@ -149,13 +144,9 @@ def aggregate(summaries: Iterable[FunctionSummary]) -> CorpusStats:
     return stats
 
 
-class _ThresholdFields(NamedTuple):
-    min_samples: int = 10
-    untainted_fraction: float = 0.9
-    guarded_fraction: float = 0.9
-
-
-class Thresholds(_ThresholdFields):
+class Thresholds(namedtuple(
+        "Thresholds", "min_samples untainted_fraction guarded_fraction",
+        defaults=(10, 0.9, 0.9))):
     """Raises ValueError unless min_samples >= 1 and both fractions are in
     [0, 1]; _replace would skip that check."""
 
@@ -171,11 +162,9 @@ class Thresholds(_ThresholdFields):
         return self
 
 
-class SensitiveArgFact(NamedTuple):
-    signature: str
-    position: int
-    tainted: int
-    untainted: int
+class SensitiveArgFact(namedtuple(
+        "SensitiveArgFact", "signature position tainted untainted")):
+    __slots__ = ()
 
     @property
     def samples(self) -> int:
@@ -186,10 +175,9 @@ class SensitiveArgFact(NamedTuple):
         return self.untainted / self.samples if self.samples else 0.0
 
 
-class GuardedFact(NamedTuple):
-    signature: str
-    guarded: int
-    unguarded: int
+class GuardedFact(namedtuple("GuardedFact",
+                             "signature guarded unguarded")):
+    __slots__ = ()
 
     @property
     def samples(self) -> int:
@@ -200,15 +188,15 @@ class GuardedFact(NamedTuple):
         return self.guarded / self.samples if self.samples else 0.0
 
 
-class ReentrancyFact(NamedTuple):
-    signature: str
-    votes: int
+ReentrancyFact = namedtuple("ReentrancyFact", "signature votes")
 
 
-class DomainFacts(NamedTuple):
-    sensitive_args: Tuple[SensitiveArgFact, ...] = ()
-    usually_guarded: Tuple[GuardedFact, ...] = ()
-    reentrancy: Tuple[ReentrancyFact, ...] = ()
+class DomainFacts(namedtuple(
+        "DomainFacts", "sensitive_args usually_guarded reentrancy",
+        defaults=((), (), ()))):
+    """Tuples of SensitiveArgFact, GuardedFact and ReentrancyFact."""
+
+    __slots__ = ()
 
     @property
     def reentrancy_allowing(self) -> frozenset:
@@ -325,7 +313,7 @@ def load_corpus(corpus_dir) -> Tuple[list, dict]:
     for path in sorted(p for p in Path(corpus_dir).iterdir()
                        if p.name.endswith(".svc")):
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
             contract = parse(text)
         except (OSError, ValueError, ParseError) as err:
             errors[path] = diagnostic(path, err)
@@ -367,7 +355,7 @@ def _analyze_one(payload):
         return path, None, diagnostic(path, err)
     if report is not None:
         try:
-            report.write_text(result.to_json_text() + "\n")
+            report.write_text(result.to_json_text() + "\n", encoding="utf-8")
         except OSError as err:
             return report, result, diagnostic(report, err)
     return path, result, None
@@ -515,14 +503,15 @@ def write_facts_rounds(corpus_dir, outcome: RefineOutcome,
     for i, facts in enumerate(outcome.facts_rounds, start=1):
         path = out / f"facts.round-{i}.json"
         path.write_text(json.dumps(facts_json(facts, i, thresholds),
-                                   indent=2, sort_keys=True) + "\n")
+                                   indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
         paths.append(path)
     return paths
 
 
 def read_facts(path) -> DomainFacts:
     """The facts in a facts JSON file; OSError or ValueError otherwise."""
-    return facts_from_json(json.loads(Path(path).read_text()))
+    return facts_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # the names write_facts_rounds gives: one per round number, in ASCII

@@ -10,7 +10,8 @@ pairwise union.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from collections import namedtuple
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .symexpr import (
     ADDRESS_BOUND, Const, Expr, ExprLike, Hashed, Sym, as_expr, normalize,
@@ -108,13 +109,11 @@ def _address_typed(e: Expr) -> bool:
 EMPTY = DependencyMap()
 
 
-class Conflict(NamedTuple):
-    """Incompatible mappings for one variable. A normal result, not an error."""
+class Conflict(namedtuple("Conflict", "variable scope left right")):
+    """Incompatible mappings, left and right, for one variable of scope
+    "local" or "transaction". A normal result, not an error."""
 
-    variable: str
-    scope: str  # "local" | "transaction"
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
     def render(self) -> str:
         return (f"Conflict({self.variable}: {self.left.render()} "
@@ -175,13 +174,9 @@ def combine(a: DependencyMap, b: DependencyMap) -> CombineResult:
     return DependencyMap(local, tx)
 
 
-class _BudgetFields(NamedTuple):
-    local_args: int = 3
-    storage_loads: int = 1
-    tx_args: int = 2
-
-
-class DependencyBudget(_BudgetFields):
+class DependencyBudget(namedtuple("DependencyBudget",
+                                  "local_args storage_loads tx_args",
+                                  defaults=(3, 1, 2))):
     """The four precision bounds. Defaults follow the analysis presets:
     3 tracked function arguments, 1 storage-load variable, 2 transaction
     entry-point arguments; the sender is always tracked. Raises ValueError
@@ -199,17 +194,18 @@ class DependencyBudget(_BudgetFields):
 DEFAULT_BUDGET = DependencyBudget()
 
 
-class TrackingPlan(NamedTuple):
-    """Which variable names are eligible for dependency tracking, in order.
+class TrackingPlan(namedtuple(
+        "TrackingPlan", "arg_order storage_load_order tx_arg_order",
+        defaults=((), (), ()))):
+    """Which variable names are eligible for dependency tracking, in order,
+    each field a tuple of names.
 
     arg_order: the current function's parameters by position;
     storage_load_order: variables receiving storage loads, first-load first;
     tx_arg_order: qualified entry-point argument keys ("fn.param").
     """
 
-    arg_order: Tuple[str, ...] = ()
-    storage_load_order: Tuple[str, ...] = ()
-    tx_arg_order: Tuple[str, ...] = ()
+    __slots__ = ()
 
     def tracked_locals(self, budget: DependencyBudget) -> frozenset:
         return frozenset(self.arg_order[: budget.local_args]) | frozenset(

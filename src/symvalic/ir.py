@@ -19,7 +19,8 @@ as "@name" and resolves to the opaque bound symbol <<contract:name>>.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Optional, Tuple, Union
+from collections import namedtuple
+from typing import Iterable, Optional, Tuple
 
 from .symexpr import ADDRESS_BOUND, Const
 
@@ -36,41 +37,30 @@ TERMINATORS = ("BRANCH", "JUMP", "RETURN", "SELFDESTRUCT")
 
 CONSTRUCTOR_NAME = "constructor"
 
-Operand = Union[str, Const]
-
 
 class IRError(Exception):
     """A contract value violates an IR invariant."""
 
 
-class StorageDecl(NamedTuple):
-    name: str
-    slot: int
-    kind: str  # "scalar" | "mapping"
+# kind: "scalar" | "mapping"
+StorageDecl = namedtuple("StorageDecl", "name slot kind")
+
+# A literal as written in the surface text, with usage context.
+LiteralUse = namedtuple("LiteralUse", "value address_position hex_form")
+
+# One three-address statement: sid, an op of OPS, a tuple of operands, the
+# result variable or None, binop for op == BINOP (incl. "NOT") or None,
+# callee the signature for CALLEXTERNAL/CALLINTERNAL or None, targets a
+# tuple of block ids for BRANCH/JUMP, and the source line.
+Statement = namedtuple(
+    "Statement", "sid op operands result binop callee targets line",
+    defaults=((), None, None, None, (), 0))
 
 
-class LiteralUse(NamedTuple):
-    """A literal as written in the surface text, with usage context."""
+class BasicBlock(namedtuple("BasicBlock", "bid statements")):
+    """A block id and its list of Statements, the terminator last."""
 
-    value: int
-    address_position: bool
-    hex_form: bool
-
-
-class Statement(NamedTuple):
-    sid: int
-    op: str
-    operands: Tuple[Operand, ...] = ()
-    result: Optional[str] = None
-    binop: Optional[str] = None          # for op == BINOP (incl. "NOT")
-    callee: Optional[str] = None         # signature for CALLEXTERNAL/CALLINTERNAL
-    targets: Tuple[str, ...] = ()        # block ids for BRANCH/JUMP
-    line: int = 0
-
-
-class BasicBlock(NamedTuple):
-    bid: str
-    statements: list[Statement]
+    __slots__ = ()
 
     @property
     def terminator(self) -> Statement:
@@ -80,12 +70,12 @@ class BasicBlock(NamedTuple):
         return self.terminator.targets
 
 
-class Function(NamedTuple):
-    name: str
-    visibility: str  # "public" | "internal"
-    params: Tuple[Tuple[str, str], ...]  # (name, semantic type)
-    blocks: list[BasicBlock]
-    entry_block: str
+class Function(namedtuple("Function",
+                          "name visibility params blocks entry_block")):
+    """visibility is "public" or "internal", params a tuple of (name,
+    semantic type) pairs, blocks a list of BasicBlocks."""
+
+    __slots__ = ()
 
     @property
     def is_constructor(self) -> bool:
@@ -141,11 +131,13 @@ def _postorder(fn: Function, roots: Iterable[str]) -> list[BasicBlock]:
     return order
 
 
-class Contract(NamedTuple):
-    name: str
-    storage: Tuple[StorageDecl, ...]
-    functions: Tuple[Function, ...]
-    literal_uses: Tuple[LiteralUse, ...] = ()
+class Contract(namedtuple("Contract",
+                          "name storage functions literal_uses",
+                          defaults=((),))):
+    """storage, functions and literal_uses are tuples of StorageDecl,
+    Function and LiteralUse."""
+
+    __slots__ = ()
 
     def function(self, name: str) -> Optional[Function]:
         for f in self.functions:

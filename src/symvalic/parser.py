@@ -51,7 +51,8 @@ descent (parentheses, `!`, `if`) gives `nesting too deep`.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 from .ir import (
     CONSTRUCTOR_NAME, TERMINATORS, BasicBlock, Contract, Function, IRError,
@@ -108,13 +109,10 @@ _TOKEN = re.compile(r"""
 WORD_DIGITS = len(str(WORD))
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "keyword" | "number" | "punct" | "eof"
-    text: str
-    value: int = 0
-    hex_form: bool = False
-    line: int = 0
-    col: int = 0
+# kind: "ident" | "keyword" | "number" | "punct" | "eof"; value and
+# hex_form describe a number
+Token = namedtuple("Token", "kind text value hex_form line col",
+                   defaults=(0, False, 0, 0))
 
 
 def tokenize(text: str) -> list[Token]:
@@ -167,14 +165,11 @@ def tokenize(text: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-class _Value(NamedTuple):
-    """An expression read but not yet emitted."""
-
-    op: str  # an IR op, or LOCAL: the value of the local operands[0]
-    operands: tuple
-    binop: Optional[str] = None
-    type: str = "uint256"  # shallow semantic type
-    lit: Optional[int] = None  # a bare literal's index in literal_uses
+# An expression read but not yet emitted: op is an IR op, or LOCAL (the
+# value of the local operands[0]); type its shallow semantic type; lit a
+# bare literal's index in literal_uses, else None.
+_Value = namedtuple("_Value", "op operands binop type lit",
+                    defaults=(None, "uint256", None))
 
 
 # surface operator -> (precedence, BINOP name); higher binds tighter

@@ -27,7 +27,6 @@ normalize, pickling, equality) must finish within Python's stack.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 WORD_BITS = 256
@@ -447,10 +446,25 @@ def _rebuild_assoc(op: str, left: Expr, right: Expr) -> Expr:
     if len(rest) == 1:
         return _as_word(rest[0]) if op in ("ADD", "MUL") else _as_bool(rest[0])
     rest.sort(key=expr_key)
+    depth = rest[0].depth
+    for leaf in rest[1:]:
+        depth = (depth if depth > leaf.depth else leaf.depth) + 1
+    if depth > MAX_EXPR_DEPTH:
+        return _balanced(op, rest)
     out = rest[0]
     for leaf in rest[1:]:
         out = Op(op, out, leaf)
     return out
+
+
+def _balanced(op: str, leaves: list) -> Expr:
+    """The chain of leaves, in order, as a balanced tree: the form of a
+    chain too deep to build left-deep. Its leaves come out of
+    _assoc_leaves in the same order, so it normalizes to itself."""
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return Op(op, _balanced(op, leaves[:half]), _balanced(op, leaves[half:]))
 
 
 def _as_word(e: Expr) -> Expr:
@@ -623,6 +637,9 @@ HashOracle = Callable[[bytes], bytes]
 
 def default_hash_oracle(data: bytes) -> bytes:
     """Fixed cryptographic hash standing in for Keccak-256."""
+    # imported here: hashlib loads OpenSSL (_hashlib), which would cost
+    # every process start-up, and only eval_concrete hashes
+    import hashlib
     return hashlib.sha3_256(data).digest()
 
 

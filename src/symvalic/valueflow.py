@@ -51,19 +51,27 @@ round boundary.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
 import time
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _str
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
+
+try:  # SHA-256 without OpenSSL, whose loading (_hashlib) costs start-up
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .deps import (
-    DEFAULT_BUDGET, EMPTY, Conflict, DependencyBudget, DependencyMap,
-    SENDER_KEY, TrackingPlan, combine,
+    DEFAULT_BUDGET, EMPTY, Conflict, DependencyMap, SENDER_KEY, TrackingPlan,
+    combine,
 )
 from .ir import (
     TEMP_NAME, Contract, Function, Statement, flow_after, harvest_constants,
@@ -79,18 +87,11 @@ from .symexpr import (
 SENDER_INPUT = "msg.sender"
 
 
-class _ConfigFields(NamedTuple):
-    budget: DependencyBudget = DEFAULT_BUDGET
-    arithmetic_depth_limit: int = 5
-    transaction_rounds: int = 3
-    seed: int = 1
-    max_values_per_var: int = 64
-    max_alts_per_block: int = 256
-    max_inferences: int = 200_000
-    time_budget: Optional[float] = 60.0
-
-
-class AnalysisConfig(_ConfigFields):
+class AnalysisConfig(namedtuple(
+        "AnalysisConfig",
+        "budget arithmetic_depth_limit transaction_rounds seed "
+        "max_values_per_var max_alts_per_block max_inferences time_budget",
+        defaults=(DEFAULT_BUDGET, 5, 3, 1, 64, 256, 200_000, 60.0))):
     """Engine limits. All bounds are >= 1 and time_budget is None (no
     deadline) or > 0; see the CLI for the flag names. Raises ValueError on
     any other value (NaN among them); _replace would skip that check."""
@@ -108,50 +109,23 @@ class AnalysisConfig(_ConfigFields):
         return self
 
 
-class Inference(NamedTuple):
-    """Variable `var` (in `function`) may hold `value` under `deps`."""
+# Variable `var` (in `function`) may hold `value` under `deps`.
+Inference = namedtuple("Inference", "function var value deps")
 
-    function: str
-    var: str
-    value: Expr
-    deps: DependencyMap
+ReachabilityFact = namedtuple("ReachabilityFact", "function stmt deps")
 
-
-class ReachabilityFact(NamedTuple):
-    function: str
-    stmt: int
-    deps: DependencyMap
+# An executed external call or sensitive intrinsic. callee is a signature:
+# the callee's name, or TRANSFER/SELFDESTRUCT/...; kind is "external" or
+# "intrinsic"; target_values a tuple of (value, deps) pairs, and
+# arg_values one such tuple per argument position.
+CallSite = namedtuple(
+    "CallSite", "stmt function callee kind target_values arg_values")
 
 
-class CallSite(NamedTuple):
-    """An executed external call or sensitive intrinsic."""
-
-    stmt: int
-    function: str
-    callee: str          # signature: callee name, or TRANSFER/SELFDESTRUCT/...
-    kind: str            # "external" | "intrinsic"
-    target_values: Tuple[Tuple[Expr, DependencyMap], ...]
-    arg_values: Tuple[Tuple[Tuple[Expr, DependencyMap], ...], ...]
-
-
-class _ResultFields(NamedTuple):
-    contract: str
-    config: AnalysisConfig
-    inferences: Tuple[Inference, ...]
-    reachability: Tuple[ReachabilityFact, ...]
-    calls: Tuple[CallSite, ...]
-    stores: Tuple[Tuple[str, int], ...]  # (function, stmt) of SSTOREs run
-    returns: Mapping[str, Tuple[Tuple[Expr, DependencyMap], ...]]
-    storage: Tuple[Tuple[Expr, Expr, int], ...]  # (address, value, depth)
-    truncated: bool
-    notes: Tuple[str, ...]
-    # structural context for clients: the names of the declared functions
-    # and intra-function statement follow-order
-    functions: Tuple[str, ...]
-    flow_after: Mapping[int, frozenset]
-
-
-class AnalysisResult(_ResultFields):
+class AnalysisResult(namedtuple(
+        "AnalysisResult",
+        "contract config inferences reachability calls stores returns "
+        "storage truncated notes functions flow_after")):
     """One contract's analysis: the facts an engine run collected, then the
     contract's structure: function names and statement follow-order. The
     result document is defined by to_json_text, which writes it straight
@@ -159,7 +133,14 @@ class AnalysisResult(_ResultFields):
     fact except stores, which only detect_reentrancy reads, and its storage
     section is the committed storage; it leaves the structure out. Unlike
     the other records it has an instance __dict__, which holds the index
-    stmt_reachable builds on first use."""
+    stmt_reachable builds on first use.
+
+    The facts: tuples of Inference, ReachabilityFact and CallSite; stores,
+    the (function, stmt) of each SSTORE run; returns, a mapping from a
+    function name to its tuple of (value, deps) pairs; storage, (address,
+    value, depth) triples; truncated; and notes, a tuple of strings. The
+    structure: functions, the declared function names, and flow_after, a
+    mapping from a statement id to a frozenset of statement ids."""
 
     # -- queries --------------------------------------------------------
 
@@ -231,7 +212,7 @@ def _deps_match(d: DependencyMap, local, tx) -> bool:
 
 def _derived_rng(seed: int, *scope: str) -> random.Random:
     material = f"{seed}|" + "|".join(scope)
-    digest = hashlib.sha256(material.encode()).digest()
+    digest = sha256(material.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 # Bounds of the two seeded draws from the program text: up to 3 small
@@ -285,12 +266,10 @@ Tracked = Tuple[frozenset, frozenset]
 # ---------------------------------------------------------------------------
 
 
-class _Alt(NamedTuple):
-    """One distinguishable way control reached the current point."""
-
-    deps: DependencyMap
-    pc: frozenset = frozenset()              # assumed-true normalized exprs
-    subst: Tuple[Tuple[Sym, Expr], ...] = ()  # solver-chosen assignments
+# One distinguishable way control reached the current point: its deps, pc
+# the frozenset of assumed-true normalized exprs, and subst the tuple of
+# solver-chosen (Sym, Expr) assignments.
+_Alt = namedtuple("_Alt", "deps pc subst", defaults=(frozenset(), ()))
 
 
 class _Val(Hashed):

@@ -456,6 +456,56 @@ def test_a_full_stdout_exits_2_with_one_line(argv):
     assert proc.stderr.count("\n") == 1
 
 
+# an interpreter whose locale codec is ASCII: no UTF-8 mode and no
+# coercion of the C locale to a UTF-8 one
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def write_utf8_inputs(directory: Path) -> dict:
+    """A source, a corpus and a facts file that hold UTF-8 text."""
+    source = (FIXTURES / "safe.svc").read_text(encoding="utf-8").replace(
+        "contract Safe", "contract Café")
+    corpus = write_swap_corpus(directory / "corpus", benign=2)
+    (corpus / "cafe.svc").write_bytes(source.encode("utf-8"))
+    facts = directory / "facts.json"
+    facts.write_bytes(json.dumps({
+        "schema": "symvalic-facts/1", "round": 1,
+        "thresholds": {"minSamples": 1, "untaintedFraction": 0.9,
+                       "guardedFraction": 0.9},
+        "sensitiveArgs": [], "usuallyGuarded": [],
+        "reentrancyAllowing": [{"signature": "café.ping", "votes": 2}],
+    }, ensure_ascii=False).encode("utf-8"))
+    return {"source": corpus / "cafe.svc", "corpus": corpus, "facts": facts,
+            "ascii-source": FIXTURES / "safe.svc"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "source"], ["analyze", "--format", "text", "source"],
+    ["scan", "--facts", "facts", "ascii-source"],
+    ["corpus-infer", "--jobs", "1", "corpus"],
+], ids=["scan", "analyze-text", "scan-facts", "corpus-infer"])
+def test_utf8_inputs_read_alike_in_an_ascii_locale(tmp_path, argv):
+    inputs = write_utf8_inputs(tmp_path)
+    argv = [str(inputs.get(arg, arg)) for arg in argv]
+    runs = [subprocess.run([sys.executable, "-m", "symvalic.cli", *argv],
+                           capture_output=True, env=package_env(**extra))
+            for extra in ({"PYTHONUTF8": "1"}, ASCII_LOCALE)]
+    assert runs[0].returncode == 0 and runs[0].stderr == b""
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [
+        (0, runs[0].stdout, b"")] * 2
+
+
+def test_a_text_report_is_utf8_whatever_stdout_encodes(tmp_path):
+    source = write_utf8_inputs(tmp_path)["source"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "symvalic.cli", "analyze", "--format", "text",
+         str(source)], capture_output=True,
+        env=package_env(PYTHONIOENCODING="ascii"))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith("contract Café (truncated: False)\n"
+                                  .encode("utf-8"))
+
+
 def run_closed(redirect: str, *argv) -> subprocess.CompletedProcess:
     """`python -m symvalic.cli argv` started by a shell that closes one
     descriptor first (`>&-` stdout, `2>&-` stderr), so that the

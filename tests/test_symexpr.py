@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import symvalic
 from symvalic.symexpr import (
-    ARITY, BINOPS, MAX_EXPR_DEPTH, Const, Expr, FALSE, OWNER, OWNER_UNIQUE,
-    Op, Sym, TRUE, UNPRIVILEGED_USER, WORD,
+    ARITY, ASSOCIATIVE, BINOPS, MAX_EXPR_DEPTH, Const, Expr, FALSE, OWNER,
+    OWNER_UNIQUE, Op, Sym, TRUE, UNPRIVILEGED_USER, WORD,
     clear_normalize_memo, eval_concrete, free_syms, implies, normalize,
     substitute, value_for_var,
 )
@@ -469,3 +469,43 @@ def test_cache_of_a_value_at_the_depth_bound_loads_from_a_deep_stack(
     assert facts["inferences"] == result.inferences
     assert facts["storage"] == result.storage
     assert facts["inferences"][0].value.render() == e.render()
+
+
+def balanced(op: str, leaves: list) -> Expr:
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return Op(op, balanced(op, leaves[:half]), balanced(op, leaves[half:]))
+
+
+def left_deep(op: str, leaves: list) -> Expr:
+    out = leaves[0]
+    for leaf in leaves[1:]:
+        out = Op(op, out, leaf)
+    return out
+
+
+@pytest.mark.parametrize("op", sorted(ASSOCIATIVE))
+def test_a_shallow_chain_too_long_to_nest_left_deep_normalizes(op):
+    # the 300 terms would nest 300 deep as a left-deep chain
+    syms = [Sym(f"s{i:03d}", bound=True) for i in range(300)]
+    e = balanced(op, syms[::-1])
+    assert e.depth == 10
+    clear_normalize_memo()
+    n = normalize(e)
+    assert n.render() == balanced(op, syms).render()
+    clear_normalize_memo()
+    assert normalize(n).render() == n.render()
+    rng = random.Random(300)
+    for _ in range(5):
+        env = {s.name: rng.choice((0, 1, rng.randrange(WORD))) for s in syms}
+        assert eval_concrete(n, env) == eval_concrete(e, env)
+
+
+@pytest.mark.parametrize("terms", [255, MAX_EXPR_DEPTH])
+def test_a_chain_that_fits_keeps_its_left_deep_form(terms):
+    syms = [Sym(f"s{i:03d}", bound=True) for i in range(terms)]
+    clear_normalize_memo()
+    n = normalize(balanced("ADD", syms[::-1]))
+    assert n.depth == terms
+    assert n.render() == left_deep("ADD", syms).render()
