@@ -32,8 +32,8 @@ from __future__ import annotations
 import functools
 import json
 from pathlib import Path
-from typing import Optional
 
+from .corpus import output_stem
 from .deps import DependencyMap
 from .symexpr import Const, Expr, Op, Sym
 from .valueflow import (
@@ -67,7 +67,7 @@ def cache_key(text: str, config: AnalysisConfig) -> str:
 
 
 def cache_path(out_dir: Path, contract_name: str) -> Path:
-    return out_dir / f"{contract_name}.analysis.json"
+    return out_dir / f"{output_stem(contract_name)}.analysis.json"
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def write(path: Path, key: str, result: AnalysisResult):
 # ---------------------------------------------------------------------------
 
 
-def load(path: Path, key: str) -> Optional[dict]:
+def load(path: Path, key: str) -> dict | None:
     """The engine facts cached at path (AnalysisResult fields, as
     valueflow.assemble takes them), or None unless path holds a well-formed
     untruncated cache with this key."""

@@ -35,8 +35,8 @@ report reaches stdout as UTF-8 bytes (JSON reports are ASCII).
 
 Start-up is part of every scan, one process per contract. The package
 imports no more than a scan needs: hashing uses the builtin SHA-256
-(see valueflow), so OpenSSL never loads; records are
-collections.namedtuple classes; the process pool is imported by the
+(see valueflow), so OpenSSL never loads; records are collections.namedtuple
+classes; no module imports typing; the process pool is imported by the
 corpus commands that use it. build_parser adds the flags of only the
 command being run; tests/test_startup.py checks what a scan loads.
 
@@ -66,7 +66,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 # corpus is imported here, though only the corpus commands and --facts
 # use it: bench/tracer.py wraps the functions of the modules that
@@ -147,7 +146,7 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
+def build_parser(argv: list | None = None) -> argparse.ArgumentParser:
     """The parser of every command. Given the arguments it will parse, it
     adds the flags of only the commands named among them: argparse runs
     just the command named first, so its help, usage errors and results
@@ -428,7 +427,7 @@ def cmd_corpus_scan(args) -> int:
     return _corpus_exit(errors, truncated, warnings=bool(all_warnings))
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     if args.seed is None:
@@ -448,7 +447,7 @@ def main(argv: Optional[list] = None) -> int:
     return handlers[args.command](args)
 
 
-def run(argv: Optional[list] = None):
+def run(argv: list | None = None):
     """Run main, flush stdout and stderr, and end the process with main's
     exit status, skipping the interpreter's teardown (see the module
     docstring). A stdout that refuses the final flush gives the one

@@ -14,14 +14,13 @@ DomainFacts also the reentrancy and untrusted-reachability detectors.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from collections.abc import Iterable
 
 from .deps import SENDER_KEY, DependencyMap
 from .symexpr import Expr, OWNER, UNPRIVILEGED_USER, USER_UNIQUE
 from .valueflow import AnalysisResult, CallSite
 
-if TYPE_CHECKING:  # corpus imports this module
-    from .corpus import DomainFacts
+# DomainFacts (of corpus, which imports this module) is in annotations only
 
 UNGUARDED_SENSITIVE = "UNGUARDED_SENSITIVE"
 TAINTED_SENSITIVE_ARG = "TAINTED_SENSITIVE_ARG"
@@ -69,11 +68,11 @@ def caller_tainted(value: Expr, deps: DependencyMap) -> bool:
             and any(n == USER_UNIQUE for n in value.walk()))
 
 
-def _unpriv_reach(result: AnalysisResult, stmt: int) -> Tuple:
+def _unpriv_reach(result: AnalysisResult, stmt: int) -> tuple:
     return result.stmt_reachable(stmt, tx={SENDER_KEY: UNPRIVILEGED_USER})
 
 
-def _sorted(warnings: Iterable[Warning]) -> Tuple[Warning, ...]:
+def _sorted(warnings: Iterable[Warning]) -> tuple[Warning, ...]:
     return tuple(sorted(set(warnings), key=Warning.sort_key))
 
 
@@ -84,7 +83,7 @@ def _warning(result: AnalysisResult, call: CallSite, kind: str,
                    explanation)
 
 
-def detect_unguarded_sensitive(result: AnalysisResult) -> Tuple[Warning, ...]:
+def detect_unguarded_sensitive(result: AnalysisResult) -> tuple[Warning, ...]:
     """A transfer/selfdestruct/delegatecall reachable by an untrusted caller."""
     out = []
     for call in result.calls:
@@ -102,7 +101,7 @@ def detect_unguarded_sensitive(result: AnalysisResult) -> Tuple[Warning, ...]:
 def detect_tainted_sensitive_arg(
         result: AnalysisResult,
         specs: Iterable[SensitiveOpSpec] = BUILTIN_SPECS,
-) -> Tuple[Warning, ...]:
+) -> tuple[Warning, ...]:
     """An untrusted caller supplies a tainted value to a sensitive argument
     (a position of a spec for the callee; positions past the call's
     arguments are ignored)."""
@@ -127,7 +126,7 @@ def detect_tainted_sensitive_arg(
 
 
 def detect_reentrancy(result: AnalysisResult, facts: DomainFacts
-                      ) -> Tuple[Warning, ...]:
+                      ) -> tuple[Warning, ...]:
     """External call to a reentrancy-allowing signature with a storage write
     reachable after it on some path, under an untrusted caller."""
     allowing = facts.reentrancy_allowing
@@ -150,7 +149,7 @@ def detect_reentrancy(result: AnalysisResult, facts: DomainFacts
 
 
 def detect_untrusted_reachability(result: AnalysisResult, facts: DomainFacts
-                                  ) -> Tuple[Warning, ...]:
+                                  ) -> tuple[Warning, ...]:
     """Call to a usually-guarded signature reachable without any guard."""
     guarded_map = {f.signature: f for f in facts.usually_guarded}
     out = []
@@ -169,7 +168,7 @@ def detect_untrusted_reachability(result: AnalysisResult, facts: DomainFacts
 
 
 def run_detectors(result: AnalysisResult,
-                  facts: Optional[DomainFacts] = None) -> Tuple[Warning, ...]:
+                  facts: DomainFacts | None = None) -> tuple[Warning, ...]:
     """The full battery: unguarded + tainted (over BUILTIN_SPECS) always;
     reentrancy and untrusted-reachability when corpus facts are supplied."""
     warnings = list(detect_unguarded_sensitive(result))
@@ -181,7 +180,7 @@ def run_detectors(result: AnalysisResult,
 
 
 def relabel(warnings: Iterable[Warning], kind: str,
-            suffix: Optional[str] = None) -> Tuple[Warning, ...]:
+            suffix: str | None = None) -> tuple[Warning, ...]:
     """The warnings with kind replaced and suffix appended to each
     explanation, in the given order."""
     return tuple(

@@ -32,10 +32,11 @@ Corpus directory layout:
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable, Optional, Tuple
 
 from .clients import (
     CORPUS_ANOMALY, SensitiveOpSpec, Warning, caller_tainted,
@@ -61,8 +62,8 @@ def _holds_free_identity(e: Expr) -> bool:
     return any(n in FREE_IDENTITY_SYMBOLS for n in e.walk())
 
 
-def summarize(result: AnalysisResult, facts: Optional["DomainFacts"] = None
-              ) -> Tuple[FunctionSummary, ...]:
+def summarize(result: AnalysisResult, facts: DomainFacts | None = None
+              ) -> tuple[FunctionSummary, ...]:
     """Behavioral summaries for every function of one analyzed contract.
 
     facts, when given, enables the recursive definitions: a call to a
@@ -227,7 +228,7 @@ def infer_domain_facts(stats: CorpusStats,
     return DomainFacts(tuple(sensitive), tuple(guarded), tuple(reentrancy))
 
 
-def anomalies(result: AnalysisResult, facts: DomainFacts) -> Tuple[Warning, ...]:
+def anomalies(result: AnalysisResult, facts: DomainFacts) -> tuple[Warning, ...]:
     """Corpus-informed warnings for one contract, labeled CORPUS_ANOMALY.
 
     Facts are portable: the contract need not be part of the corpus the
@@ -252,8 +253,8 @@ def anomalies(result: AnalysisResult, facts: DomainFacts) -> Tuple[Warning, ...]
 
 
 class RefineOutcome:
-    def __init__(self, facts_rounds: Tuple[DomainFacts, ...],
-                 stable_after: Optional[int], results: dict):
+    def __init__(self, facts_rounds: tuple[DomainFacts, ...],
+                 stable_after: int | None, results: dict):
         self.facts_rounds = facts_rounds
         self.stable_after = stable_after  # facts unchanged since, 1-based
         self.results = results
@@ -268,11 +269,8 @@ def refine_contracts(results: dict, rounds: int = 3,
                      thresholds: Thresholds = Thresholds()) -> RefineOutcome:
     """Iterate summarize / aggregate / infer over the analysis results (by
     contract name) until the fact sets stop changing or the round budget is
-    exhausted.
-
-    Analysis results do not depend on the facts, so only the fact-sensitive
-    summaries are recomputed per round.
-    """
+    exhausted. Analysis results do not depend on the facts, so the engine
+    never runs again, but every round summarizes every contract anew."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     facts = EMPTY_FACTS
@@ -302,7 +300,7 @@ def corpus_out_dir(corpus_dir: Path) -> Path:
     return Path(corpus_dir) / "out"
 
 
-def load_corpus(corpus_dir) -> Tuple[list, dict]:
+def load_corpus(corpus_dir) -> tuple[list, dict]:
     """Read and parse every .svc file in the directory, in path order:
     ([(path, text, contract)], {path: diagnostic line}) for the files that
     cannot be read or parsed or repeat a contract name. OSError if the
@@ -326,8 +324,14 @@ def load_corpus(corpus_dir) -> Tuple[list, dict]:
     return loaded, errors
 
 
+def output_stem(contract_name: str) -> str:
+    """A contract's output file stem: its name in UTF-8 bytes on disk in
+    every locale (an ASCII one gets surrogate escapes)."""
+    return os.fsdecode(contract_name.encode("utf-8"))
+
+
 def report_path(out_dir: Path, contract_name: str) -> Path:
-    return out_dir / f"{contract_name}.result.json"
+    return out_dir / f"{output_stem(contract_name)}.result.json"
 
 
 def _analyze_one(payload):
@@ -362,7 +366,7 @@ def _analyze_one(payload):
 
 
 def analyze_corpus(corpus_dir, config: AnalysisConfig, jobs: int = 1,
-                   write_outputs: bool = False) -> Tuple[dict, dict]:
+                   write_outputs: bool = False) -> tuple[dict, dict]:
     """(results by contract name, diagnostic lines by file path) for every
     .svc file in the directory. A contract's cache in the out directory
     stands in for its analysis when the key matches, read in this process;
@@ -415,9 +419,10 @@ def analyze_corpus(corpus_dir, config: AnalysisConfig, jobs: int = 1,
 def remove_stale_outputs(corpus_dir, contracts) -> None:
     """Remove the result and analysis-cache files of every contract name
     not in contracts, so the out directory holds only this build's."""
+    stems = {output_stem(name) for name in contracts}
     for suffix in (".result.json", ".analysis.json"):
         for path in corpus_out_dir(corpus_dir).glob(f"*{suffix}"):
-            if path.name[: -len(suffix)] not in contracts:
+            if path.name[: -len(suffix)] not in stems:
                 path.unlink()
 
 
@@ -519,7 +524,7 @@ def read_facts(path) -> DomainFacts:
 _ROUND_NAME = re.compile(r"facts\.round-([1-9][0-9]*)\.json")
 
 
-def latest_facts_path(corpus_dir) -> Optional[Path]:
+def latest_facts_path(corpus_dir) -> Path | None:
     """The newest facts round in the corpus out directory, if any. Only
     names that write_facts_rounds writes count, so no two files claim one
     round and the pick never depends on the directory's order."""
@@ -535,9 +540,9 @@ def latest_facts_path(corpus_dir) -> Optional[Path]:
 
 
 def refine(corpus_dir, rounds: int = 3,
-           config: Optional[AnalysisConfig] = None,
+           config: AnalysisConfig | None = None,
            thresholds: Thresholds = Thresholds(),
-           results: Optional[dict] = None) -> RefineOutcome:
+           results: dict | None = None) -> RefineOutcome:
     """Directory-level refinement: analyze the corpus (unless its results
     are given), iterate, persist facts per round. The outcome's errors are
     the corpus's diagnostic lines by file path; with given results, only

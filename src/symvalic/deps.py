@@ -11,7 +11,7 @@ pairwise union.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from collections.abc import Iterable, Mapping
 
 from .symexpr import (
     ADDRESS_BOUND, Const, Expr, ExprLike, Hashed, Sym, as_expr, normalize,
@@ -19,11 +19,11 @@ from .symexpr import (
 
 SENDER_KEY = "sender"
 
-Entry = Tuple[str, Expr]
+Entry = tuple[str, Expr]
 
 
-def _freeze(entries: Union[Mapping[str, ExprLike], Iterable[Tuple[str, ExprLike]], None],
-            scope: str) -> Tuple[Entry, ...]:
+def _freeze(entries: Mapping[str, ExprLike] | Iterable[tuple[str, ExprLike]] | None,
+            scope: str) -> tuple[Entry, ...]:
     if not entries:
         return ()
     items = entries.items() if isinstance(entries, Mapping) else entries
@@ -43,8 +43,8 @@ class DependencyMap(Hashed):
 
     __slots__ = ("local", "transaction", "_hash")
 
-    def __init__(self, local: Tuple[Entry, ...] = (),
-                 transaction: Tuple[Entry, ...] = ()):
+    def __init__(self, local: tuple[Entry, ...] = (),
+                 transaction: tuple[Entry, ...] = ()):
         self.local = local
         self.transaction = transaction
         self._hash = hash((local, transaction))
@@ -82,7 +82,7 @@ class DependencyMap(Hashed):
     def transaction_map(self) -> dict[str, Expr]:
         return dict(self.transaction)
 
-    def sender(self) -> Optional[Expr]:
+    def sender(self) -> Expr | None:
         for var, value in self.transaction:
             if var == SENDER_KEY:
                 return value
@@ -95,7 +95,7 @@ class DependencyMap(Hashed):
         return self.render()
 
 
-def _render_side(entries: Tuple[Entry, ...]) -> str:
+def _render_side(entries: tuple[Entry, ...]) -> str:
     inner = ", ".join(f"{var} -> {value.render()}" for var, value in entries)
     return "{" + inner + "}"
 
@@ -123,10 +123,10 @@ class Conflict(namedtuple("Conflict", "variable scope left right")):
         return self.render()
 
 
-CombineResult = Union[DependencyMap, Conflict]
+CombineResult = DependencyMap | Conflict
 
 
-def _merge_side(a: Tuple[Entry, ...], b: Tuple[Entry, ...], scope: str):
+def _merge_side(a: tuple[Entry, ...], b: tuple[Entry, ...], scope: str):
     """Sorted merge of two canonical entry tuples. A variable on both sides
     keeps a's value; the first clash in b's order is the Conflict. a itself
     when b adds no variable."""

@@ -9,7 +9,9 @@ single-operation statements over fresh temps.
 
 Temps (t0, t1, ...) are single-assignment. Named locals are mutable cells;
 the value-flow engine resolves them flow-sensitively, so no phi nodes are
-needed in the op set.
+needed in the op set. The op set opens with the operators of symexpr.ARITY
+(ADD, EQ, NOT, SHA3, CONCAT, ...), so the parser, the IR and the engine
+name an operator alike; a copy of a local is ADD x 0.
 
 Statement operands are variable names (str) or literal Const exprs. An
 external-call target written against an undeclared identifier is encoded
@@ -20,18 +22,18 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Iterable, Optional, Tuple
+from collections.abc import Iterable
 
-from .symexpr import ADDRESS_BOUND, Const
+from .symexpr import ADDRESS_BOUND, ARITY, Const
 
 # names of the lowering's single-assignment temps; surface locals may not
 # take this form, but may otherwise start with "t"
 TEMP_NAME = re.compile(r"t\d+\Z")
 
 OPS = (
-    "CONST", "BINOP", "SHA3", "CONCAT", "SLOAD", "SSTORE", "REQUIRE",
-    "BRANCH", "JUMP", "CALLINTERNAL", "CALLEXTERNAL", "TRANSFER",
-    "SELFDESTRUCT", "DELEGATECALL", "CALLER", "RETURN",
+    *ARITY, "CONST", "SLOAD", "SSTORE", "REQUIRE", "BRANCH", "JUMP",
+    "CALLINTERNAL", "CALLEXTERNAL", "TRANSFER", "SELFDESTRUCT",
+    "DELEGATECALL", "CALLER", "RETURN",
 )
 TERMINATORS = ("BRANCH", "JUMP", "RETURN", "SELFDESTRUCT")
 
@@ -45,16 +47,15 @@ class IRError(Exception):
 # kind: "scalar" | "mapping"
 StorageDecl = namedtuple("StorageDecl", "name slot kind")
 
-# A literal as written in the surface text, with usage context.
-LiteralUse = namedtuple("LiteralUse", "value address_position hex_form")
+# A literal's value in the surface text, and whether it is an address.
+LiteralUse = namedtuple("LiteralUse", "value address_position")
 
-# One three-address statement: sid, an op of OPS, a tuple of operands, the
-# result variable or None, binop for op == BINOP (incl. "NOT") or None,
-# callee the signature for CALLEXTERNAL/CALLINTERNAL or None, targets a
-# tuple of block ids for BRANCH/JUMP, and the source line.
-Statement = namedtuple(
-    "Statement", "sid op operands result binop callee targets line",
-    defaults=((), None, None, None, (), 0))
+# One three-address statement: sid, an op of OPS (an operator of ARITY
+# takes ARITY[op] operands), a tuple of operands, the result variable or
+# None, callee the signature for CALLEXTERNAL/CALLINTERNAL or None, and
+# targets a tuple of block ids for BRANCH/JUMP.
+Statement = namedtuple("Statement", "sid op operands result callee targets",
+                       defaults=((), None, None, ()))
 
 
 class BasicBlock(namedtuple("BasicBlock", "bid statements")):
@@ -66,7 +67,7 @@ class BasicBlock(namedtuple("BasicBlock", "bid statements")):
     def terminator(self) -> Statement:
         return self.statements[-1]
 
-    def successors(self) -> Tuple[str, ...]:
+    def successors(self) -> tuple[str, ...]:
         return self.terminator.targets
 
 
@@ -82,7 +83,7 @@ class Function(namedtuple("Function",
         return self.name == CONSTRUCTOR_NAME
 
     @property
-    def param_names(self) -> Tuple[str, ...]:
+    def param_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.params)
 
     def block(self, bid: str) -> BasicBlock:
@@ -139,22 +140,22 @@ class Contract(namedtuple("Contract",
 
     __slots__ = ()
 
-    def function(self, name: str) -> Optional[Function]:
+    def function(self, name: str) -> Function | None:
         for f in self.functions:
             if f.name == name:
                 return f
         return None
 
     @property
-    def constructor(self) -> Optional[Function]:
+    def constructor(self) -> Function | None:
         return self.function(CONSTRUCTOR_NAME)
 
-    def public_functions(self) -> Tuple[Function, ...]:
+    def public_functions(self) -> tuple[Function, ...]:
         return tuple(f for f in self.functions
                      if f.visibility == "public" and not f.is_constructor)
 
 
-def harvest_constants(contract: Contract) -> Tuple[frozenset, frozenset]:
+def harvest_constants(contract: Contract) -> tuple[frozenset, frozenset]:
     """(numeric constants, address-like constants) from the program text.
 
     Address-like: fits in 160 bits and appears in an address position, as

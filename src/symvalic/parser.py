@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Optional
 
 from .ir import (
     CONSTRUCTOR_NAME, TERMINATORS, BasicBlock, Contract, Function, IRError,
@@ -168,11 +167,11 @@ def tokenize(text: str) -> list[Token]:
 # An expression read but not yet emitted: op is an IR op, or LOCAL (the
 # value of the local operands[0]); type its shallow semantic type; lit a
 # bare literal's index in literal_uses, else None.
-_Value = namedtuple("_Value", "op operands binop type lit",
-                    defaults=(None, "uint256", None))
+_Value = namedtuple("_Value", "op operands type lit",
+                    defaults=("uint256", None))
 
 
-# surface operator -> (precedence, BINOP name); higher binds tighter
+# surface operator -> (precedence, ARITY operator); higher binds tighter
 _BINARY = {"||": (0, "OR"), "&&": (1, "AND"), "==": (2, "EQ"),
            "<": (3, "LT"), ">": (3, "GT"), "+": (4, "ADD"), "-": (4, "SUB"),
            "*": (5, "MUL"), "/": (5, "DIV"), "%": (5, "MOD")}
@@ -209,11 +208,11 @@ class _Parser:
         self.pos += 1
         return t
 
-    def fail(self, msg: str, tok: Optional[Token] = None):
+    def fail(self, msg: str, tok: Token | None = None):
         t = tok or self.peek()
         raise ParseError(msg, t.line, t.col)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.toks[self.pos]
         if t.kind != kind or (text is not None and t.text != text):
             self.fail(f"expected {text or kind!r}, found {t.text or t.kind!r}")
@@ -295,7 +294,7 @@ class _Parser:
         visibility = self.next().text
         self.body()
         if not self.terminated:
-            self.emit("RETURN", (), line=0)
+            self.emit("RETURN")
         return Function(self.fname, visibility, tuple(params), self.blocks,
                         self.blocks[0].bid)
 
@@ -310,10 +309,9 @@ class _Parser:
         self.temp += 1
         return f"t{self.temp - 1}"
 
-    def emit(self, op: str, operands=(), result=None, binop=None,
-             callee=None, targets=(), line=None) -> Statement:
-        s = Statement(self.sid, op, tuple(operands), result, binop, callee,
-                      targets, self.line if line is None else line)
+    def emit(self, op: str, operands=(), result=None, callee=None,
+             targets=()) -> Statement:
+        s = Statement(self.sid, op, tuple(operands), result, callee, targets)
         self.sid += 1
         self.current.statements.append(s)
         return s
@@ -339,9 +337,9 @@ class _Parser:
 
     def place(self, v: _Value, result: str) -> str:
         if v.op == "LOCAL":  # a plain copy, encoded as x + 0
-            self.emit("BINOP", (v.operands[0], Const(0)), result, "ADD")
+            self.emit("ADD", (v.operands[0], Const(0)), result)
         else:
-            self.emit(v.op, v.operands, result, v.binop)
+            self.emit(v.op, v.operands, result)
         return result
 
     def cell(self, tok: Token) -> str:
@@ -369,9 +367,8 @@ class _Parser:
 
     def statement(self) -> None:
         t = self.next()
-        self.line = t.line
         if t.text == "if":
-            return self.if_statement(t)
+            return self.if_statement()
         if t.kind == "ident":
             self.assignment(t)
         elif t.text == "require":
@@ -427,7 +424,7 @@ class _Parser:
         self.place(v, t.text)
         self.locals.setdefault(t.text, v.type)
 
-    def if_statement(self, t: Token) -> None:
+    def if_statement(self) -> None:
         self.expect("punct", "(")
         cond = self.operand(self.expr())
         self.expect("punct", ")")
@@ -444,14 +441,14 @@ class _Parser:
         for end, done in ((then_end, then_done), (else_end, else_done)):
             if not done:
                 self.current = end
-                self.emit("JUMP", targets=(join.bid,), line=t.line)
+                self.emit("JUMP", targets=(join.bid,))
         # the arms' block ids are known only now; the branch still ends head
         head.statements[-1] = branch._replace(
             targets=(then_block.bid, else_block.bid))
         self.current = join
         if then_done and else_done:
             # join unreachable; it still needs a terminator
-            self.emit("RETURN", line=t.line)
+            self.emit("RETURN")
 
     def call(self) -> None:
         first = self.expect("ident")
@@ -496,25 +493,25 @@ class _Parser:
             if op is None or op[0] < min_prec:
                 return left
             self.pos += 1
-            prec, binop = op
+            prec, name = op
             lhs = self.operand(left)
             right = self.expr(prec + 1)
-            if binop == "EQ" and "address" in (left.type, right.type):
+            if name == "EQ" and "address" in (left.type, right.type):
                 self.mark_address(left)
                 self.mark_address(right)
-            left = _Value("BINOP", (lhs, self.operand(right)), binop,
-                          "bool" if binop in _BOOL_OPS else "uint256")
+            left = _Value(name, (lhs, self.operand(right)),
+                          "bool" if name in _BOOL_OPS else "uint256")
 
     def unary(self) -> _Value:
         if self.accept("!"):
             operand = self.operand(self.unary())
-            return _Value("BINOP", (operand,), "NOT", "bool")
+            return _Value("NOT", (operand,), "bool")
         return self.primary()
 
     def primary(self) -> _Value:
         t = self.next()
         if t.kind == "number":
-            self.literals.append(LiteralUse(t.value, False, t.hex_form))
+            self.literals.append(LiteralUse(t.value, False))
             return _Value("CONST", (Const(t.value, hex_hint=t.hex_form),),
                           lit=len(self.literals) - 1)
         if t.kind == "ident":

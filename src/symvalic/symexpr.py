@@ -27,7 +27,7 @@ normalize, pickling, equality) must finish within Python's stack.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Optional, Union
+from collections.abc import Callable, Iterator, Mapping
 
 WORD_BITS = 256
 WORD = 1 << WORD_BITS
@@ -375,7 +375,7 @@ def _norm_binop(op: str, left: Expr, right: Expr) -> Expr:
     return Op(op, left, right)
 
 
-def _norm_eq(left: Expr, right: Expr) -> Optional[Expr]:
+def _norm_eq(left: Expr, right: Expr) -> Expr | None:
     if left == right:
         return TRUE
     if isinstance(left, Sym) and isinstance(right, Sym) and left.bound and right.bound:
@@ -694,7 +694,7 @@ def _byte_image(e: Expr, assignment: Assignment, hash_oracle: HashOracle) -> byt
     return eval_concrete(e, assignment, hash_oracle).to_bytes(32, "big")
 
 
-ExprLike = Union[Expr, int]
+ExprLike = Expr | int
 
 
 def as_expr(v: ExprLike, hex_hint: bool = False) -> Expr:

@@ -56,10 +56,10 @@ import json
 import random
 import time
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _str
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Tuple, Union
 
 try:  # SHA-256 without OpenSSL, whose loading (_hashlib) costs start-up
     from _sha2 import sha256  # Python 3.12+
@@ -78,7 +78,7 @@ from .ir import (
     live_in,
 )
 from .symexpr import (
-    ARITH_OPS, Const, Expr, FALSE, Hashed, OWNER, OWNER_UNIQUE, Op, Sym,
+    ARITH_OPS, ARITY, Const, Expr, FALSE, Hashed, OWNER, OWNER_UNIQUE, Op, Sym,
     TRUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
     as_expr, clear_normalize_memo, contract_symbol, expr_key, free_syms,
     implies, normalize, substitute, value_for_var,
@@ -145,7 +145,7 @@ class AnalysisResult(namedtuple(
     # -- queries --------------------------------------------------------
 
     def var_may_be(self, var, value=None, local=None, tx=None, function=None
-                   ) -> Tuple[Inference, ...]:
+                   ) -> tuple[Inference, ...]:
         """Inferences matching the patterns (None = wildcard).
 
         Dependency patterns match when every pattern entry is present and
@@ -165,7 +165,7 @@ class AnalysisResult(namedtuple(
         return tuple(out)
 
     def stmt_reachable(self, stmt, local=None, tx=None
-                       ) -> Tuple[ReachabilityFact, ...]:
+                       ) -> tuple[ReachabilityFact, ...]:
         """Reachability facts of stmt matching the patterns, in order."""
         return tuple(f for f in self._reach_by_stmt.get(stmt, ())
                      if _deps_match(f.deps, local, tx))
@@ -223,8 +223,8 @@ TEXT_CONST_DRAW = 8
 
 
 def seed_inputs(fn: Function, contract: Contract,
-                config: Optional[AnalysisConfig] = None
-                ) -> dict[str, Tuple[Expr, ...]]:
+                config: AnalysisConfig | None = None
+                ) -> dict[str, tuple[Expr, ...]]:
     """Initial value sets for a public function's parameters.
 
     Numeric parameters: {0, 1}, a seeded draw of small program constants,
@@ -237,7 +237,7 @@ def seed_inputs(fn: Function, contract: Contract,
     cfg = config or AnalysisConfig()
     numeric, addr_like = harvest_constants(contract)
     addr_consts = tuple(Const(a, hex_hint=True) for a in sorted(addr_like))
-    seeds: dict[str, Tuple[Expr, ...]] = {}
+    seeds: dict[str, tuple[Expr, ...]] = {}
     for pname, ptype in fn.params:
         if ptype == "address":
             seeds[pname] = addr_consts + (OWNER_UNIQUE, USER_UNIQUE)
@@ -255,10 +255,10 @@ def seed_inputs(fn: Function, contract: Contract,
     return seeds
 
 
-SeedOverrides = Mapping[Tuple[str, str], Iterable[Union[Expr, int]]]
+SeedOverrides = Mapping[tuple[str, str], Iterable[Expr | int]]
 
 # (local names, transaction keys) that a walk's dependency maps may bind
-Tracked = Tuple[frozenset, frozenset]
+Tracked = tuple[frozenset, frozenset]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def _trim(items: list, limit: int) -> list:
     across their distinct sender bindings in first-seen order, kept in
     their original order. A plain prefix would keep only the owner's
     entries, which come first, once the bound is hit."""
-    groups: dict[Optional[Expr], list[int]] = {}
+    groups: dict[Expr | None, list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(item.deps.sender(), []).append(i)
     chosen: list[int] = []
@@ -393,7 +393,7 @@ def _live_env(env, live: frozenset) -> dict:
 
 class _Engine:
     def __init__(self, contract: Contract, config: AnalysisConfig,
-                 entry_seeds: Optional[SeedOverrides]):
+                 entry_seeds: SeedOverrides | None):
         clear_normalize_memo()
         self.contract = contract
         self.cfg = config
@@ -436,9 +436,9 @@ class _Engine:
         # collectors (ordered dedup)
         self.inferences: dict[Inference, None] = {}
         self.reach: dict[ReachabilityFact, None] = {}
-        self.stores: dict[Tuple[str, int], None] = {}
-        self.returns: dict[str, dict[Tuple[Expr, DependencyMap], None]] = {}
-        self.call_rows: dict[Tuple[int, str, str, str], dict] = {}
+        self.stores: dict[tuple[str, int], None] = {}
+        self.returns: dict[str, dict[tuple[Expr, DependencyMap], None]] = {}
+        self.call_rows: dict[tuple[int, str, str, str], dict] = {}
         self.storage: dict[Expr, dict[Expr, int]] = {}
         self.buffer: dict[Expr, dict[Expr, int]] = {}
         # storage keys read by the running entry (or internal walk), and
@@ -474,7 +474,7 @@ class _Engine:
             raise _Timeout()
 
     @staticmethod
-    def _skip(last_reads: Optional[set], changed: Optional[set]) -> bool:
+    def _skip(last_reads: set | None, changed: set | None) -> bool:
         """An entry whose last run read no key the last commit changed would
         repeat that run exactly, so it is not run again."""
         return last_reads is not None and last_reads.isdisjoint(changed)
@@ -492,7 +492,7 @@ class _Engine:
         self.buffer = {}
         return changed
 
-    def _run_entry(self, fn: Function, senders: Optional[Tuple[Expr, ...]]
+    def _run_entry(self, fn: Function, senders: tuple[Expr, ...] | None
                    ) -> set:
         """Explore one entry point; returns the storage keys it read."""
         self.reads = set()
@@ -505,7 +505,7 @@ class _Engine:
             _Alt(DependencyMap.of(transaction={SENDER_KEY: s}))
             for s in sender_values
         ]
-        env: dict[str, Tuple[_Val, ...]] = {}
+        env: dict[str, tuple[_Val, ...]] = {}
         for pname, _ in fn.params:
             env[pname] = tuple(
                 _Val(normalize(v), EMPTY, self.limit) for v in seeds[pname])
@@ -515,7 +515,7 @@ class _Engine:
     # -- function body ----------------------------------------------------
 
     def _walk(self, fn: Function, entry_env, entry_alts, entry_fn: Function,
-              stack: Tuple[str, ...]):
+              stack: tuple[str, ...]):
         tracked = (self.tracked_locals[fn.name], self.tracked_tx[entry_fn.name])
         for pname, _ in fn.params:
             for val in entry_env[pname]:
@@ -523,7 +523,7 @@ class _Engine:
                     self._record_inference(fn.name, tracked, pname, val.expr,
                                            alt.deps)
         self._check_time()
-        env_in: dict[str, dict[str, Tuple[_Val, ...]]] = {
+        env_in: dict[str, dict[str, tuple[_Val, ...]]] = {
             fn.entry_block: dict(entry_env)}
         alts_in: dict[str, list[_Alt]] = {fn.entry_block: list(entry_alts)}
 
@@ -644,7 +644,7 @@ class _Engine:
     def _put_env(self, env, var: str, vals: list[_Val]):
         env[var] = self._bound_values(var, list(dict.fromkeys(vals)))
 
-    def _bound_values(self, var: str, vals: list[_Val]) -> Tuple[_Val, ...]:
+    def _bound_values(self, var: str, vals: list[_Val]) -> tuple[_Val, ...]:
         if len(vals) > self.cfg.max_values_per_var:
             self.notes.append(f"value bound trimmed {var}")
             vals = _trim(vals, self.cfg.max_values_per_var)
@@ -688,7 +688,7 @@ class _Engine:
                     produced.append(_Val(sender, alt.deps, self.limit))
             self._finish_assign(fn, tracked, stmt, env, produced)
             return alts
-        if op in ("BINOP", "SHA3", "CONCAT"):
+        if op in ARITY:
             self._exec_op(fn, tracked, stmt, env, alts)
             return alts
         if op == "SLOAD":
@@ -713,14 +713,13 @@ class _Engine:
             self._record_inference(fn.name, tracked, stmt.result, v.expr, v.deps)
 
     def _exec_op(self, fn, tracked, stmt, env, alts):
-        name = stmt.binop or stmt.op
-        arith = name in ARITH_OPS
+        arith = stmt.op in ARITH_OPS
         produced = []
         for _, vals, d, depths in self._combos(stmt.operands, env, alts, tracked):
             depth = min(depths)
             if arith and depth == 0:
                 continue  # storage-cycle lineage exhausted
-            produced.append(_Val(normalize(Op(name, *vals)), d, depth))
+            produced.append(_Val(normalize(Op(stmt.op, *vals)), d, depth))
         self._finish_assign(fn, tracked, stmt, env, produced)
 
     def _exec_sload(self, fn, tracked, stmt, env, alts):
@@ -860,7 +859,7 @@ class _Engine:
             for j, alt in enumerate(alts):
                 first, members = groups.get(alt.subst, (alt, 0))
                 groups[alt.subst] = (first, members | 1 << j)
-            tagged: dict[str, Tuple[_Val, ...]] = {}
+            tagged: dict[str, tuple[_Val, ...]] = {}
             for var, vals in env.items():
                 keep: dict[_Val, None] = {}
                 for val in vals:
@@ -973,8 +972,8 @@ def _free_satisfiable(target: Expr) -> bool:
     return False
 
 
-def analyze(contract: Contract, config: Optional[AnalysisConfig] = None,
-            entry_seeds: Optional[SeedOverrides] = None) -> AnalysisResult:
+def analyze(contract: Contract, config: AnalysisConfig | None = None,
+            entry_seeds: SeedOverrides | None = None) -> AnalysisResult:
     """Run the symvalic analysis of one contract to fixpoint.
 
     entry_seeds optionally replaces the default seed set for selected
@@ -1010,7 +1009,7 @@ def _block(level: int, items: list, brackets: str = "[]") -> str:
 
 
 @lru_cache(maxsize=None)
-def _layout(level: int, keys: Tuple[str, ...]) -> str:
+def _layout(level: int, keys: tuple[str, ...]) -> str:
     """A str.format template of a JSON object nested `level` deep whose
     members are keys (ASCII, sorted), with one slot for each value."""
     inner = _pad(level + 1)

@@ -16,7 +16,7 @@ from typing import Optional
 from symvalic.deps import Conflict, DependencyMap, combine
 from symvalic.ir import Contract, Function
 from symvalic.symexpr import (
-    Const, Expr, Op, Sym,
+    BINOPS, Const, Expr, Op, Sym,
 )
 from symvalic.valueflow import (
     AnalysisConfig, AnalysisResult, _Engine, assemble,
@@ -87,12 +87,11 @@ def run_concrete(contract: Contract, fn_name: str, args: dict,
                 env[s.result] = s.operands[0].value
             elif op == "CALLER":
                 env[s.result] = sender
-            elif op == "BINOP":
-                if s.binop == "NOT":
-                    env[s.result] = 1 if value_of(s.operands[0]) == 0 else 0
-                else:
-                    env[s.result] = _arith(s.binop, value_of(s.operands[0]),
-                                           value_of(s.operands[1]))
+            elif op == "NOT":
+                env[s.result] = 1 if value_of(s.operands[0]) == 0 else 0
+            elif op in BINOPS:
+                env[s.result] = _arith(op, value_of(s.operands[0]),
+                                       value_of(s.operands[1]))
             elif op == "CONCAT":
                 addr_of[s.result] = ("concat", value_of(s.operands[0]),
                                      value_of(s.operands[1]))

@@ -479,20 +479,41 @@ def write_utf8_inputs(directory: Path) -> dict:
             "ascii-source": FIXTURES / "safe.svc"}
 
 
+def out_files(corpus: Path) -> dict:
+    """The files of a corpus's out directory: bytes by on-disk name."""
+    return {os.fsencode(p.name): p.read_bytes()
+            for p in (corpus / "out").iterdir()}
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "source"], ["analyze", "--format", "text", "source"],
     ["scan", "--facts", "facts", "ascii-source"],
     ["corpus-infer", "--jobs", "1", "corpus"],
-], ids=["scan", "analyze-text", "scan-facts", "corpus-infer"])
+    ["corpus-build", "--jobs", "1", "corpus"],
+], ids=["scan", "analyze-text", "scan-facts", "corpus-infer", "corpus-build"])
 def test_utf8_inputs_read_alike_in_an_ascii_locale(tmp_path, argv):
     inputs = write_utf8_inputs(tmp_path)
     argv = [str(inputs.get(arg, arg)) for arg in argv]
-    runs = [subprocess.run([sys.executable, "-m", "symvalic.cli", *argv],
-                           capture_output=True, env=package_env(**extra))
-            for extra in ({"PYTHONUTF8": "1"}, ASCII_LOCALE)]
+
+    def run(extra):
+        return subprocess.run([sys.executable, "-m", "symvalic.cli", *argv],
+                              capture_output=True, env=package_env(**extra))
+
+    runs = [run({"PYTHONUTF8": "1"})]
+    if argv[0] == "corpus-build":
+        # the outputs are named in UTF-8 bytes in either locale; the ASCII
+        # locale builds afresh, then again over its own outputs
+        built = out_files(inputs["corpus"])
+        assert "Café.result.json".encode("utf-8") in built
+        shutil.rmtree(inputs["corpus"] / "out")
+        for _ in range(2):
+            runs.append(run(ASCII_LOCALE))
+            assert out_files(inputs["corpus"]) == built
+    else:
+        runs.append(run(ASCII_LOCALE))
     assert runs[0].returncode == 0 and runs[0].stderr == b""
     assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [
-        (0, runs[0].stdout, b"")] * 2
+        (0, runs[0].stdout, b"")] * len(runs)
 
 
 def test_a_text_report_is_utf8_whatever_stdout_encodes(tmp_path):

@@ -7,10 +7,11 @@ import pytest
 
 from symvalic.cli import main
 from symvalic.ir import (
-    IRError, flow_after, harvest_constants, live_in, validate,
+    IRError, LiteralUse, Statement, flow_after, harvest_constants, live_in,
+    validate,
 )
 from symvalic.parser import ParseError, parse, tokenize
-from symvalic.symexpr import Const
+from symvalic.symexpr import ARITY, BINOPS, Const
 
 from conftest import FIXTURES, fixture_contract
 from helpers import (
@@ -27,12 +28,12 @@ def stmts(contract, fn):
 def test_require_sender_eq_owner_lowering():
     c = parse("contract T { address owner; function f() public {"
               " require(msg.sender == owner); } }")
-    ops = [(s.op, s.binop, s.result) for s in stmts(c, "f")]
+    ops = [(s.op, s.result) for s in stmts(c, "f")]
     assert ops[:4] == [
-        ("CALLER", None, "t0"),
-        ("SLOAD", None, "t1"),
-        ("BINOP", "EQ", "t2"),
-        ("REQUIRE", None, None),
+        ("CALLER", "t0"),
+        ("SLOAD", "t1"),
+        ("EQ", "t2"),
+        ("REQUIRE", None),
     ]
     sload = stmts(c, "f")[1]
     assert sload.operands == (Const(0, hex_hint=True),)
@@ -198,8 +199,38 @@ def test_parse_error_carries_location():
 def test_operator_precedence_and_associativity(expr, expected):
     c = parse("contract T { function f(uint a, uint b, uint c) public {"
               f" x = {expr}; }} }}")
-    assert [(s.binop, s.operands) for s in stmts(c, "f")
-            if s.op == "BINOP"] == expected
+    assert [(s.op, s.operands) for s in stmts(c, "f")
+            if s.op in ARITY] == expected
+
+
+# one surface snippet per operator of ARITY; a mapping read lowers to both
+# CONCAT and SHA3
+SURFACE = {"ADD": "a + b", "SUB": "a - b", "MUL": "a * b", "DIV": "a / b",
+           "MOD": "a % b", "LT": "a < b", "GT": "a > b", "EQ": "a == b",
+           "AND": "a && b", "OR": "a || b", "NOT": "!a", "SHA3": "m[a]",
+           "CONCAT": "m[a]"}
+
+
+@pytest.mark.parametrize("op", ARITY)
+def test_statement_names_its_operator_with_its_arity(op):
+    assert SURFACE.keys() == ARITY.keys()
+    c = parse("contract T { mapping m; function f(uint a, uint b) public {"
+              f" x = {SURFACE[op]}; }} }}")
+    [s] = [s for s in stmts(c, "f") if s.op == op]
+    assert len(s.operands) == ARITY[op]
+
+
+def test_statement_and_literal_keep_only_what_a_run_reads():
+    assert Statement._fields == (
+        "sid", "op", "operands", "result", "callee", "targets")
+    assert LiteralUse._fields == ("value", "address_position")
+
+
+def test_literal_hex_form_reaches_its_const():
+    c = parse("contract T { function f() public { x = 0x10; y = 16; } }")
+    assert [(s.operands[0].value, s.operands[0].hex_hint)
+            for s in stmts(c, "f") if s.op == "CONST"] == [
+        (16, True), (16, False)]
 
 
 def test_internal_call_requires_known_function():
@@ -225,31 +256,31 @@ def literal_uses(body: str) -> list:
     c = parse("contract T { address owner; uint n; mapping m;"
               " function g(address y) internal { }"
               " function f(address a, uint u) public { " + body + " } }")
-    return [(u.value, u.address_position, u.hex_form) for u in c.literal_uses]
+    return [(u.value, u.address_position) for u in c.literal_uses]
 
 
 @pytest.mark.parametrize("body,expected", [
-    ("x = m[0x10];", [(0x10, True, True)]),
-    ("m[0x10] = 5;", [(0x10, True, True), (5, False, False)]),
-    ("m[1] = m[2] + 3;", [(1, True, False), (2, True, False), (3, False, False)]),
-    ("require(msg.sender == 0x10);", [(0x10, True, True)]),
-    ("require(0x10 == msg.sender);", [(0x10, True, True)]),
-    ("if (a == 7) { x = 8; }", [(7, True, False), (8, False, False)]),
-    ("require(owner == 9);", [(9, True, False)]),
-    ("require(u == 7);", [(7, False, False)]),
-    ("require(u < 7);", [(7, False, False)]),
-    ("transfer(0x20, 3);", [(0x20, True, True), (3, False, False)]),
-    ("transfer(a + 1, 3);", [(1, False, False), (3, False, False)]),
-    ("selfdestruct(0x30);", [(0x30, True, True)]),
-    ("delegatecall(0x40);", [(0x40, True, True)]),
-    ("owner = 0x50; n = 0x60;", [(0x50, True, True), (0x60, False, True)]),
-    ("b = msg.sender; b = 5; c = 6;", [(5, True, False), (6, False, False)]),
-    ("b = 5; b = 6;", [(5, False, False), (6, False, False)]),
-    ("call g(0x10);", [(0x10, False, True)]),
-    ("call ext.ping(0x10, 2);", [(0x10, False, True), (2, False, False)]),
-    ("return 5;", [(5, False, False)]),
-    ("require(!(a == 1));", [(1, True, False)]),
-    ("require(!(u == 1));", [(1, False, False)]),
+    ("x = m[0x10];", [(0x10, True)]),
+    ("m[0x10] = 5;", [(0x10, True), (5, False)]),
+    ("m[1] = m[2] + 3;", [(1, True), (2, True), (3, False)]),
+    ("require(msg.sender == 0x10);", [(0x10, True)]),
+    ("require(0x10 == msg.sender);", [(0x10, True)]),
+    ("if (a == 7) { x = 8; }", [(7, True), (8, False)]),
+    ("require(owner == 9);", [(9, True)]),
+    ("require(u == 7);", [(7, False)]),
+    ("require(u < 7);", [(7, False)]),
+    ("transfer(0x20, 3);", [(0x20, True), (3, False)]),
+    ("transfer(a + 1, 3);", [(1, False), (3, False)]),
+    ("selfdestruct(0x30);", [(0x30, True)]),
+    ("delegatecall(0x40);", [(0x40, True)]),
+    ("owner = 0x50; n = 0x60;", [(0x50, True), (0x60, False)]),
+    ("b = msg.sender; b = 5; c = 6;", [(5, True), (6, False)]),
+    ("b = 5; b = 6;", [(5, False), (6, False)]),
+    ("call g(0x10);", [(0x10, False)]),
+    ("call ext.ping(0x10, 2);", [(0x10, False), (2, False)]),
+    ("return 5;", [(5, False)]),
+    ("require(!(a == 1));", [(1, True)]),
+    ("require(!(u == 1));", [(1, False)]),
 ], ids=["key-read", "key-write", "key-order", "sender-eq", "eq-sender",
         "if-param-eq", "storage-eq", "uint-eq", "uint-lt", "transfer",
         "transfer-arith", "selfdestruct", "delegatecall", "storage-assign",
@@ -435,11 +466,11 @@ def test_flat_chain_parses_at_any_length(capsys, tmp_path):
     # a left-associative chain is read in a loop, not by recursion
     source = ("contract T { function f(uint a) public {\n x = "
               + " + ".join(["a"] * 2000) + ";\n} }")
-    binops = [s for s in stmts(parse(source), "f") if s.op == "BINOP"]
+    binops = [s for s in stmts(parse(source), "f") if s.op in BINOPS]
     assert len(binops) == 1999
     assert (binops[0].result, binops[0].operands) == ("t0", ("a", "a"))
     assert (binops[-1].result, binops[-1].operands) == ("x", ("t1997", "a"))
-    assert {s.binop for s in binops} == {"ADD"}
+    assert {s.op for s in binops} == {"ADD"}
     chain = tmp_path / "chain.svc"
     chain.write_text(source)
     assert main(["scan", str(chain)]) == 0

@@ -29,17 +29,19 @@ from test_cli import ROOT, package_env
 # The top-level names of the modules that `scan` and `analyze` may load
 # beyond those of the bare interpreter (python -S), on CPython 3.10 to
 # 3.13. hashlib and _hashlib (OpenSSL) and concurrent (the process pool)
-# stay out: the corpus commands import the pool when they use it.
+# stay out: the corpus commands import the pool when they use it. So does
+# typing: no module imports it. contextlib stays, since glob loads it on
+# newer Pythons.
 STARTUP_MODULES = frozenset("""
     __future__ _bisect _bz2 _collections _collections_abc _compression
     _functools _json _locale _lzma _operator _random _sha2 _sha256 _sha512
-    _sre _stat _typing argparse bisect bz2 collections contextlib copyreg
+    _sre _stat argparse bisect bz2 collections contextlib copyreg
     enum errno fnmatch functools genericpath gettext glob grp ipaddress
     itertools json keyword locale lzma math ntpath operator os pathlib
     posixpath pwd random re reprlib shutil sre_compile sre_constants
-    sre_parse stat symvalic types typing urllib warnings zlib
+    sre_parse stat symvalic types urllib warnings zlib
 """.split())
-NEVER_AT_STARTUP = ("hashlib", "_hashlib", "concurrent")
+NEVER_AT_STARTUP = ("hashlib", "_hashlib", "concurrent", "typing", "_typing")
 
 
 @pytest.mark.parametrize("command", ["scan", "analyze"])
@@ -63,17 +65,28 @@ def test_a_command_loads_only_allowlisted_modules(command):
     assert not loaded.intersection(NEVER_AT_STARTUP)
 
 
-def test_no_source_declares_a_typing_namedtuple():
-    # typing.NamedTuple builds a record several times slower than
-    # collections.namedtuple, which every process pays at import
+def _source_names(name):
+    """`file:line` of every NAME token `name` in the package's sources;
+    strings and comments are other tokens."""
     found = []
     for path in sorted((ROOT / "src" / "symvalic").rglob("*.py")):
         with tokenize.open(path) as source:
             for token in tokenize.generate_tokens(source.readline):
-                if (token.type == tokenize.NAME
-                        and token.string == "NamedTuple"):
+                if token.type == tokenize.NAME and token.string == name:
                     found.append(f"{path.name}:{token.start[0]}")
-    assert found == []
+    return found
+
+
+def test_no_source_declares_a_typing_namedtuple():
+    # typing.NamedTuple builds a record several times slower than
+    # collections.namedtuple, which every process pays at import
+    assert _source_names("NamedTuple") == []
+
+
+def test_no_source_imports_typing():
+    # annotations are never evaluated (from __future__ import annotations),
+    # so typing would be loaded only to be paid for at start-up
+    assert _source_names("typing") == []
 
 
 # --- the parser with only the chosen command's flags ------------------------
