@@ -202,6 +202,10 @@ def validate(contract: Contract) -> None:
             for i, s in enumerate(b.statements):
                 if s.op not in OPS:
                     raise IRError(f"{f.name}: unknown op {s.op}")
+                if s.op in ARITY and len(s.operands) != ARITY[s.op]:
+                    raise IRError(
+                        f"{f.name}: {s.op} takes {ARITY[s.op]} operands, "
+                        f"s{s.sid} has {len(s.operands)}")
                 if s.sid in seen_sids:
                     raise IRError(f"{f.name}: duplicate statement id {s.sid}")
                 seen_sids.add(s.sid)

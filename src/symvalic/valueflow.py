@@ -17,8 +17,26 @@ run depends on committed storage only through the cells it reads, so it
 would repeat its last run fact for fact and write for write, and those
 facts and writes are already recorded. A memoized internal-call walk hands
 its reads to every caller that reuses it, since such a caller depends on
-them as if it had walked the callee itself. Inside a function, blocks of
-the acyclic CFG are visited in topological order carrying:
+them as if it had walked the callee itself.
+
+The same invariant holds statement by statement. An entry point's input
+values and sender alternatives are built once, so a re-run starts from the
+objects of its last run, and a statement that meets the same alternative
+and operand-value objects as before (for a branch, also the values of the
+variables live at either target) and loads only cells no commit has changed
+since would repeat its execution. It is replayed from a memo that lasts for
+one analysis: the replay assigns the recorded values, feeds the recorded
+payload to each arm of a branch, hands on the recorded storage reads and
+continues with the recorded alternatives. Its facts, notes and call rows
+are already recorded, in the order a recomputation would keep. The memo is
+keyed on statement id and the id() of each input object and keeps those
+objects alive, so an id is never reused; it never compares inputs by
+equality, which would take a hex-printed constant for its decimal twin.
+Jumps (they only merge), storage writes (already folded into the commit)
+and internal calls (memoized per round above) always run, as does every
+statement of an internal-call walk, which starts from a new alternative.
+Inside a function, blocks of the acyclic CFG are visited in topological
+order carrying:
 
   * an environment: variable -> set of (value, deps, depth) triples;
   * reachability alternatives: (deps, path-condition, solver substitution)
@@ -299,6 +317,14 @@ class _Val(Hashed):
         return _Val, (self.expr, self.deps, self.depth)
 
 
+# What replaying one memoized statement execution needs: the alternatives
+# that continued past it, the values it assigned (or None), the (payload,
+# alternatives, target) of each branch edge it fed, the (key, version) of
+# each storage cell it loaded; and its inputs, kept alive so that the ids
+# in its key are never reused.
+_Replay = namedtuple("_Replay", "alts assigned edges reads inputs")
+
+
 class _Timeout(Exception):
     pass
 
@@ -445,6 +471,12 @@ class _Engine:
         # per memoized internal-call walk the keys that walk read
         self.reads: set = set()
         self.call_memo: dict[tuple, set] = {}
+        # per entry point, its input env and sender alternatives, built on
+        # its first run; per storage key, the commits that changed it; the
+        # statement memo, keyed on object identities (see Mechanics)
+        self.starts: dict[str, tuple] = {}
+        self.versions: dict[Expr, int] = {}
+        self.stmt_memo: dict[tuple, _Replay] = {}
 
     # -- top level -------------------------------------------------------
 
@@ -490,12 +522,26 @@ class _Engine:
                     cell[value] = depth
                     changed.add(key)
         self.buffer = {}
+        for key in changed:
+            self.versions[key] = self.versions.get(key, 0) + 1
         return changed
 
     def _run_entry(self, fn: Function, senders: tuple[Expr, ...] | None
                    ) -> set:
-        """Explore one entry point; returns the storage keys it read."""
+        """Explore one entry point; returns the storage keys it read. Its
+        input values and sender alternatives are built on its first run and
+        reused by every later one, so that the statement memo sees the same
+        objects again."""
         self.reads = set()
+        start = self.starts.get(fn.name)
+        if start is None:
+            start = self.starts[fn.name] = self._start(fn, senders)
+        self._walk(fn, *start, entry_fn=fn, stack=(fn.name,))
+        return self.reads
+
+    def _start(self, fn: Function, senders: tuple[Expr, ...] | None
+               ) -> tuple[dict[str, tuple[_Val, ...]], list[_Alt]]:
+        """The input env and the sender alternatives of an entry point."""
         seeds = seed_inputs(fn, self.contract, self.cfg)
         for (fname, pname), values in self.entry_seeds.items():
             if fname == fn.name:
@@ -509,8 +555,7 @@ class _Engine:
         for pname, _ in fn.params:
             env[pname] = tuple(
                 _Val(normalize(v), EMPTY, self.limit) for v in seeds[pname])
-        self._walk(fn, env, alts, entry_fn=fn, stack=(fn.name,))
-        return self.reads
+        return env, alts
 
     # -- function body ----------------------------------------------------
 
@@ -641,9 +686,6 @@ class _Engine:
             levels.append((cands, _DepIndex([c[1] for c in cands])))
         return levels
 
-    def _put_env(self, env, var: str, vals: list[_Val]):
-        env[var] = self._bound_values(var, list(dict.fromkeys(vals)))
-
     def _bound_values(self, var: str, vals: list[_Val]) -> tuple[_Val, ...]:
         if len(vals) > self.cfg.max_values_per_var:
             self.notes.append(f"value bound trimmed {var}")
@@ -655,64 +697,108 @@ class _Engine:
     def _exec(self, fn: Function, tracked: Tracked, stmt: Statement, env,
               alts: list[_Alt], entry_fn: Function, stack, env_in, alts_in
               ) -> list[_Alt]:
+        """Execute stmt, or replay its memoized execution; returns the
+        alternatives that continue past it."""
         op = stmt.op
-        if op == "REQUIRE":
-            return self._gate(stmt.operands[0], env, alts, tracked, want_true=True)
-        if op == "BRANCH":
-            then_alts = self._gate(stmt.operands[0], env, alts, tracked, True)
-            else_alts = self._gate(stmt.operands[0], env, alts, tracked, False)
-            live = self.live_in[fn.name]
-            for arm_alts, bid in zip((then_alts, else_alts), stmt.targets):
-                self._flow_edge(_live_env(env, live[bid]), arm_alts, bid,
-                                env_in, alts_in, tag=True)
-            return []
         if op == "JUMP":
             bid = stmt.targets[0]
             self._flow_edge(_live_env(env, self.live_in[fn.name][bid]), alts,
                             bid, env_in, alts_in, tag=False)
             return []
-        if op == "RETURN":
-            self._exec_return(fn, tracked, stmt, env, alts)
-            return []
-        if op == "CONST":
-            lit = stmt.operands[0]
-            produced = [_Val(normalize(lit), alt.deps, self.limit)
-                        for alt in alts]
-            self._finish_assign(fn, tracked, stmt, env, produced)
+        if op == "SSTORE":
+            self._exec_sstore(fn, tracked, stmt, env, alts)
             return alts
-        if op == "CALLER":
+        if op == "CALLINTERNAL":
+            self._exec_internal(fn, tracked, stmt, env, alts, entry_fn, stack)
+            return alts
+        if fn is not entry_fn:
+            # an internal-call walk starts from a new alternative, so none of
+            # its statements could hit the memo
+            return self._run(fn, tracked, stmt, env, alts, env_in, alts_in,
+                             None).alts
+        inputs = self._inputs(fn, stmt, env)
+        key = (stmt.sid, tuple(map(id, alts)),
+               tuple([(var, tuple(map(id, vals))) for var, vals in inputs]))
+        rec = self.stmt_memo.get(key)
+        if rec is not None and all(self.versions.get(k, 0) == n
+                                   for k, n in rec.reads):
+            return self._replay(stmt, rec, env, env_in, alts_in)
+        rec = self._run(fn, tracked, stmt, env, alts, env_in, alts_in,
+                        (alts, inputs))
+        self.stmt_memo[key] = rec
+        return rec.alts
+
+    def _inputs(self, fn: Function, stmt: Statement, env) -> list:
+        """(variable, values) of each variable stmt reads: its operands,
+        and for a BRANCH every variable live at either target, in env's
+        order (the order in which its edges carry them)."""
+        inputs = [(o, env.get(o, ())) for o in stmt.operands
+                  if o.__class__ is str]
+        if stmt.op == "BRANCH":
+            live = self.live_in[fn.name]
+            crossing = live[stmt.targets[0]] | live[stmt.targets[1]]
+            inputs += [item for item in env.items() if item[0] in crossing]
+        return inputs
+
+    def _replay(self, stmt: Statement, rec: _Replay, env, env_in, alts_in
+                ) -> list[_Alt]:
+        """Repeat the effects of a memoized execution that belong to the
+        running walk. Its facts, notes and call rows are already recorded."""
+        if rec.assigned is not None:
+            env[stmt.result] = rec.assigned
+        for payload, arm_alts, bid in rec.edges:
+            _merge_edge(payload, arm_alts, bid, env_in, alts_in)
+        self.reads.update([k for k, _ in rec.reads])
+        return rec.alts
+
+    def _run(self, fn, tracked, stmt, env, alts, env_in, alts_in, inputs
+             ) -> _Replay:
+        """Execute stmt (not a JUMP, SSTORE or CALLINTERNAL); returns what
+        a replay of it needs, with the inputs it is keyed on."""
+        op = stmt.op
+        out, produced, edges, reads = alts, None, (), ()
+        if op == "REQUIRE":
+            out = self._gate(stmt.operands[0], env, alts, tracked,
+                             want_true=True)
+        elif op == "BRANCH":
+            out = []
+            edges = self._exec_branch(fn, tracked, stmt, env, alts, env_in,
+                                      alts_in)
+        elif op == "RETURN":
+            out = []
+            self._exec_return(fn, tracked, stmt, env, alts)
+        elif op == "CONST":
+            lit = normalize(stmt.operands[0])
+            produced = [_Val(lit, alt.deps, self.limit) for alt in alts]
+        elif op == "CALLER":
             produced = []
             for alt in alts:
                 sender = alt.deps.sender()
                 if sender is not None:
                     produced.append(_Val(sender, alt.deps, self.limit))
-            self._finish_assign(fn, tracked, stmt, env, produced)
-            return alts
-        if op in ARITY:
-            self._exec_op(fn, tracked, stmt, env, alts)
-            return alts
-        if op == "SLOAD":
-            self._exec_sload(fn, tracked, stmt, env, alts)
-            return alts
-        if op == "SSTORE":
-            self._exec_sstore(fn, tracked, stmt, env, alts)
-            return alts
-        if op in ("CALLEXTERNAL", "TRANSFER", "SELFDESTRUCT", "DELEGATECALL"):
+        elif op in ARITY:
+            produced = self._exec_op(stmt, env, alts, tracked)
+        elif op == "SLOAD":
+            produced, reads = self._exec_sload(stmt, env, alts, tracked)
+        elif op in ("CALLEXTERNAL", "TRANSFER", "SELFDESTRUCT", "DELEGATECALL"):
             self._exec_external(fn, tracked, stmt, env, alts)
-            return alts if op != "SELFDESTRUCT" else []
-        if op == "CALLINTERNAL":
-            self._exec_internal(fn, tracked, stmt, env, alts, entry_fn, stack)
-            return alts
-        raise AssertionError(op)
+            if op == "SELFDESTRUCT":
+                out = []
+        else:
+            raise AssertionError(op)
+        assigned = None
+        if produced is not None and stmt.result is not None:
+            assigned = self._assign(fn, tracked, stmt.result, env, produced)
+        return _Replay(out, assigned, edges, reads, inputs)
 
-    def _finish_assign(self, fn, tracked, stmt, env, produced: list[_Val]):
-        if stmt.result is None:
-            return
-        self._put_env(env, stmt.result, produced)
-        for v in env[stmt.result]:
-            self._record_inference(fn.name, tracked, stmt.result, v.expr, v.deps)
+    def _assign(self, fn, tracked, var: str, env, produced: list[_Val]
+                ) -> tuple[_Val, ...]:
+        vals = env[var] = self._bound_values(var, list(dict.fromkeys(produced)))
+        for v in vals:
+            self._record_inference(fn.name, tracked, var, v.expr, v.deps)
+        return vals
 
-    def _exec_op(self, fn, tracked, stmt, env, alts):
+    def _exec_op(self, stmt, env, alts, tracked) -> list[_Val]:
         arith = stmt.op in ARITH_OPS
         produced = []
         for _, vals, d, depths in self._combos(stmt.operands, env, alts, tracked):
@@ -720,13 +806,15 @@ class _Engine:
             if arith and depth == 0:
                 continue  # storage-cycle lineage exhausted
             produced.append(_Val(normalize(Op(stmt.op, *vals)), d, depth))
-        self._finish_assign(fn, tracked, stmt, env, produced)
+        return produced
 
-    def _exec_sload(self, fn, tracked, stmt, env, alts):
+    def _exec_sload(self, stmt, env, alts, tracked) -> tuple[list, tuple]:
+        """The loaded values, and each key read with its version."""
         produced = []
+        read: dict[Expr, None] = {}
         for _, vals, d, _ in self._combos(stmt.operands, env, alts, tracked):
             key = vals[0]
-            self.reads.add(key)
+            read[key] = None
             cell = self.storage.get(key)
             if not cell:
                 # never-written cell: EVM zero default
@@ -734,7 +822,8 @@ class _Engine:
                 continue
             for value, depth in cell.items():
                 produced.append(_Val(value, d, depth))
-        self._finish_assign(fn, tracked, stmt, env, produced)
+        self.reads.update(read)
+        return produced, tuple([(k, self.versions.get(k, 0)) for k in read])
 
     def _exec_sstore(self, fn, tracked, stmt, env, alts):
         for _, vals, _, depths in self._combos(stmt.operands, env, alts, tracked):
@@ -846,10 +935,29 @@ class _Engine:
 
     # -- edges -----------------------------------------------------------------
 
+    def _exec_branch(self, fn, tracked, stmt, env, alts, env_in, alts_in
+                     ) -> list:
+        """Flow env into both arms; returns the (payload, alternatives,
+        target) of each edge that alternatives cross."""
+        cond = stmt.operands[0]
+        then_alts = self._gate(cond, env, alts, tracked, True)
+        else_alts = self._gate(cond, env, alts, tracked, False)
+        live = self.live_in[fn.name]
+        edges = []
+        for arm_alts, bid in zip((then_alts, else_alts), stmt.targets):
+            payload = self._flow_edge(_live_env(env, live[bid]), arm_alts, bid,
+                                      env_in, alts_in, tag=True)
+            if payload is not None:
+                edges.append((payload, arm_alts, bid))
+        return edges
+
     def _flow_edge(self, env, alts: list[_Alt], target_bid: str, env_in,
-                   alts_in, tag: bool):
+                   alts_in, tag: bool) -> dict | None:
+        """Carry env and alts to the target block (tagging env with alts on
+        a branch edge); returns the env carried, or None when no alternative
+        crosses the edge."""
         if not alts:
-            return
+            return None
         if tag:
             # a value meets each alternative under that alternative's
             # substitution: substitute once per distinct substitution and
@@ -878,15 +986,8 @@ class _Engine:
             payload = tagged
         else:
             payload = env
-        dest = env_in.setdefault(target_bid, {})
-        for var, vals in payload.items():
-            merged: dict[_Val, None] = {}
-            for v in dest.get(var, ()):
-                merged.setdefault(v, None)
-            for v in vals:
-                merged.setdefault(v, None)
-            dest[var] = tuple(merged)
-        alts_in.setdefault(target_bid, []).extend(alts)
+        _merge_edge(payload, alts, target_bid, env_in, alts_in)
+        return payload
 
     # -- result ------------------------------------------------------------------
 
@@ -914,6 +1015,19 @@ class _Engine:
             truncated=self.truncated,
             notes=tuple(dict.fromkeys(self.notes)),
         )
+
+
+def _merge_edge(payload, alts: list[_Alt], target_bid: str, env_in, alts_in):
+    """Merge an edge's env and alternatives into those of its target."""
+    dest = env_in.setdefault(target_bid, {})
+    for var, vals in payload.items():
+        merged: dict[_Val, None] = {}
+        for v in dest.get(var, ()):
+            merged.setdefault(v, None)
+        for v in vals:
+            merged.setdefault(v, None)
+        dest[var] = tuple(merged)
+    alts_in.setdefault(target_bid, []).extend(alts)
 
 
 def assemble(contract: Contract, config: AnalysisConfig,

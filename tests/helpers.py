@@ -187,10 +187,36 @@ class EveryRoundEngine(_Engine):
         return False
 
 
+def run_engine(engine: type, contract: Contract, config: AnalysisConfig
+               ) -> AnalysisResult:
+    """analyze(contract, config), run by the given _Engine subclass."""
+    return assemble(contract, config, engine(contract, config, None).run())
+
+
 def analyze_every_round(contract: Contract, config: AnalysisConfig
                         ) -> AnalysisResult:
-    return assemble(contract, config,
-                    EveryRoundEngine(contract, config, None).run())
+    return run_engine(EveryRoundEngine, contract, config)
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so that no lookup hits."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class NoReplayEngine(_Engine):
+    """The engine with its statement memo turned off: a re-run entry point
+    executes every statement anew. The reference for replays, which must
+    produce the same result in the same order."""
+
+    def __init__(self, contract, config, entry_seeds):
+        super().__init__(contract, config, entry_seeds)
+        self.stmt_memo = _Forgetful()
+
+
+class EveryRoundNoReplayEngine(NoReplayEngine, EveryRoundEngine):
+    """Every entry point in every round, every statement executed anew."""
 
 
 class EveryVariableLiveEngine(_Engine):
@@ -208,8 +234,7 @@ class EveryVariableLiveEngine(_Engine):
 
 def analyze_every_variable_live(contract: Contract, config: AnalysisConfig
                                 ) -> AnalysisResult:
-    return assemble(contract, config,
-                    EveryVariableLiveEngine(contract, config, None).run())
+    return run_engine(EveryVariableLiveEngine, contract, config)
 
 
 def _reads(s) -> list:

@@ -385,14 +385,18 @@ def test_scan_output_independent_of_hash_seed(tmp_path):
     src.write_text("contract Forward {\n"
                    "    function pay(address to) public {\n"
                    "        transfer(to, to);\n    }\n}\n")
-    outs = []
-    for hash_seed in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "symvalic.cli", "scan", str(src)],
-            capture_output=True, env=package_env(PYTHONHASHSEED=hash_seed))
-        assert proc.returncode == 1
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    # gated_rounds replays statements from a memo keyed on object ids; its
+    # result document shows every fact, its scan warns of nothing
+    for command, path, code in (("scan", src, 1),
+                                ("analyze", FIXTURES / "gated_rounds.svc", 0)):
+        outs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "symvalic.cli", command, str(path)],
+                capture_output=True, env=package_env(PYTHONHASHSEED=hash_seed))
+            assert proc.returncode == code
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 DEEP = ("contract Deep {\n    function f(uint a) public {\n        x = "

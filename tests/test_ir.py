@@ -340,6 +340,19 @@ def test_validate_rejects_stale_structures():
         validate(c)
 
 
+@pytest.mark.parametrize("op, operands", [
+    ("NOT", ("a", "a")), ("ADD", ("a",)), ("SHA3", ()), ("EQ", ("a",) * 3)])
+def test_validate_rejects_an_operator_with_the_wrong_operand_count(
+        op, operands):
+    # the engine would fail on it with "no operator NOT of 2 operands"
+    c = parse("contract T { function f(uint a) public { } }")
+    c.functions[0].blocks[0].statements.insert(
+        0, Statement(99, op, operands, "x"))
+    with pytest.raises(IRError, match=f"^f: {op} takes {ARITY[op]} operands,"
+                                      f" s99 has {len(operands)}$"):
+        validate(c)
+
+
 def test_reassigned_local_starting_with_t_is_not_a_temp():
     c = parse("contract T { function f(uint x) public {"
               " total = x; total = total + 1; return total; } }")

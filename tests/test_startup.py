@@ -21,7 +21,9 @@ from symvalic.corpus import (
 from symvalic.deps import EMPTY, Conflict, DependencyBudget, TrackingPlan
 from symvalic.parser import _Value, parse, tokenize as tokenize_text
 from symvalic.symexpr import Const
-from symvalic.valueflow import AnalysisConfig, _Alt, _derived_rng, analyze
+from symvalic.valueflow import (
+    AnalysisConfig, _Alt, _Replay, _derived_rng, analyze,
+)
 
 from conftest import FIXTURES, write_reentrancy_corpus
 from test_cli import ROOT, package_env
@@ -192,6 +194,7 @@ def _sample_records() -> list:
         tokenize_text(text)[0], _Value("CONST", (Const(1),)),
         result.config, result.inferences[0], result.reachability[0],
         result.calls[0], result, _Alt(EMPTY),
+        _Replay([], None, (), (), None),
     ]
 
 
