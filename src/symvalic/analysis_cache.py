@@ -1,7 +1,7 @@
 """The analysis cache: one engine run's facts as JSON, keyed by its inputs.
 
 `corpus-build` writes `out/<Contract>.analysis.json` (schema
-symvalic-analysis/3) beside each report, and every corpus command reads it
+symvalic-analysis/4) beside each report, and every corpus command reads it
 back instead of running the engine again: analysis results do not depend
 on corpus facts, so one run serves build, infer and scan.
 
@@ -16,11 +16,10 @@ The file is plain JSON, read without eval or pickle: the engine's facts in
 engine order (stores as [function, stmt] rows), whose expressions and
 dependency maps are indexes into two tables.
   exprs  each distinct expression once, children before parents, in first
-         use over the records: [value, hex_hint] for a constant, [name,
-         bound] for a symbol, [op, child, ...] for an operator, its
-         children indexes of earlier rows. A row is what prints the
-         expression and how: 0x2a and 42 get a row each, and so do a free
-         and a bound symbol of one name.
+         use over the records: [value] for a constant, [name, bound] for a
+         symbol, [op, child, ...] for an operator, its children indexes of
+         earlier rows. A free and a bound symbol of one name print alike
+         and get a row each.
   deps   each distinct dependency map as [local, transaction], each side
          its [var, expr] pairs in canonical order.
 The reader rebuilds exprs in one forward pass through the node
@@ -41,12 +40,9 @@ from .valueflow import (
     sha256,
 )
 
-SCHEMA_ID = "symvalic-analysis/3"
+SCHEMA_ID = "symvalic-analysis/4"
 # a document is a tree built by dumps: no need to check it for cycles
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
-
-# expression rows: the node class of a leaf's first field
-_LEAVES = {int: Const, str: Sym}
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,8 +72,7 @@ def cache_path(out_dir: Path, contract_name: str) -> Path:
 
 
 def dumps(result: AnalysisResult, key: str) -> str:
-    """The cache document of a result. Equal expressions and maps that
-    print differently (0x2a and 42) get table rows of their own."""
+    """The cache document of a result."""
     exprs: dict[tuple, int] = {}  # (class, *row) -> index
     expr_ids: dict[int, int] = {}  # id of an Op node -> index
     deps: dict[tuple, int] = {}   # (local, transaction) row -> index
@@ -86,7 +81,7 @@ def dumps(result: AnalysisResult, key: str) -> str:
     def ref(e: Expr) -> int:
         cls = e.__class__
         if cls is Const:
-            return exprs.setdefault((cls, e.value, e.hex_hint), len(exprs))
+            return exprs.setdefault((cls, e.value), len(exprs))
         if cls is Sym:
             return exprs.setdefault((cls, e.name, e.bound), len(exprs))
         i = expr_ids.get(id(e))
@@ -205,15 +200,17 @@ def _expr_table(rows) -> list:
     MAX_EXPR_DEPTH."""
     table: list[Expr] = []
     for row in _list(rows):
-        if type(row) is not list or len(row) < 2:
+        if type(row) is not list or not row:
             raise ValueError("expected an expression row")
         head = row[0]
-        if len(row) == 2 and type(row[1]) is bool:
-            table.append(_LEAVES[type(head)](head, row[1]))
-            continue
-        if type(head) is not str:
-            raise ValueError("expected an operator name")
-        table.append(Op(head, *[_at(table, i) for i in row[1:]]))
+        if type(head) is int and len(row) == 1:
+            table.append(Const(head))
+        elif type(head) is not str:
+            raise ValueError("expected a constant or a name")
+        elif len(row) == 2 and type(row[1]) is bool:
+            table.append(Sym(head, row[1]))
+        else:
+            table.append(Op(head, *[_at(table, i) for i in row[1:]]))
     return table
 
 

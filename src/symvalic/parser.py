@@ -108,10 +108,9 @@ _TOKEN = re.compile(r"""
 WORD_DIGITS = len(str(WORD))
 
 
-# kind: "ident" | "keyword" | "number" | "punct" | "eof"; value and
-# hex_form describe a number
-Token = namedtuple("Token", "kind text value hex_form line col",
-                   defaults=(0, False, 0, 0))
+# kind: "ident" | "keyword" | "number" | "punct" | "eof"; value is a
+# number's, whichever way text spells it
+Token = namedtuple("Token", "kind text value line col", defaults=(0, 0, 0))
 
 
 def tokenize(text: str) -> list[Token]:
@@ -132,10 +131,9 @@ def tokenize(text: str) -> list[Token]:
         if kind == "comment":
             eof_col = col
         elif kind == "number":
-            hex_form = word[1:2] in ("x", "X")
-            if hex_form and len(word) == 2:
-                raise ParseError("malformed hex literal", line, col)
-            if hex_form:
+            if word[1:2] in ("x", "X"):
+                if len(word) == 2:
+                    raise ParseError("malformed hex literal", line, col)
                 value = int(word, 16)
             else:
                 # checked before int(), which refuses strings of more than
@@ -146,17 +144,17 @@ def tokenize(text: str) -> list[Token]:
                 value = int(digits or "0")
             if value >= WORD:
                 raise ParseError("literal exceeds 256 bits", line, col)
-            toks.append(Token("number", word, value, hex_form, line, col))
+            toks.append(Token("number", word, value, line, col))
         elif kind == "word" and (word[0].isalpha() or word[0] == "_"):
             toks.append(Token("keyword" if word in KEYWORDS else "ident",
-                              word, 0, False, line, col))
+                              word, 0, line, col))
         elif kind == "punct":
-            toks.append(Token("punct", word, 0, False, line, col))
+            toks.append(Token("punct", word, 0, line, col))
         else:
             raise ParseError(f"unexpected character {word[0]!r}", line, col)
     if eof_col is None:
         eof_col = len(text) - line_start + 1
-    toks.append(Token("eof", "", 0, False, line, eof_col))
+    toks.append(Token("eof", "", 0, line, eof_col))
     return toks
 
 
@@ -353,7 +351,7 @@ class _Parser:
         key = self.operand(self.expr(), address=True)
         self.expect("punct", "]")
         concat = self.fresh_temp()
-        self.emit("CONCAT", (key, Const(decl.slot, hex_hint=True)), concat)
+        self.emit("CONCAT", (key, Const(decl.slot)), concat)
         return self.emit("SHA3", (concat,), self.fresh_temp()).result
 
     # -- statements ----------------------------------------------------
@@ -410,7 +408,7 @@ class _Parser:
             self.expect("punct", "=")
             value = self.operand(self.expr(),
                                  self.storage_types[t.text] == "address")
-            self.emit("SSTORE", (Const(decl.slot, hex_hint=True), value))
+            self.emit("SSTORE", (Const(decl.slot), value))
             return
         # a local, declared by its first assignment; parameters always
         # denote the caller-supplied values and cannot be reassigned
@@ -467,7 +465,7 @@ class _Parser:
             self.fail(f"mapping {first.text} is not callable", first)
         else:
             target = self.fresh_temp()
-            self.emit("SLOAD", (Const(decl.slot, hex_hint=True),), target)
+            self.emit("SLOAD", (Const(decl.slot),), target)
         self.emit("CALLEXTERNAL", [target] + self.args(), callee=callee)
 
     def args(self, address_first: bool = False) -> list:
@@ -512,7 +510,7 @@ class _Parser:
         t = self.next()
         if t.kind == "number":
             self.literals.append(LiteralUse(t.value, False))
-            return _Value("CONST", (Const(t.value, hex_hint=t.hex_form),),
+            return _Value("CONST", (Const(t.value),),
                           lit=len(self.literals) - 1)
         if t.kind == "ident":
             if self.accept("["):
@@ -524,7 +522,7 @@ class _Parser:
                 self.fail(f"reference to undeclared name {t.text}", t)
             if decl.kind == "mapping":
                 self.fail(f"mapping {t.text} used without a key", t)
-            return _Value("SLOAD", (Const(decl.slot, hex_hint=True),),
+            return _Value("SLOAD", (Const(decl.slot),),
                           type=self.storage_types[t.text])
         if t.text == "(":
             v = self.expr()

@@ -53,6 +53,10 @@ ARITY = {**dict.fromkeys(BINOPS, 2), "NOT": 1, "SHA3": 1, "CONCAT": 2}
 # pickling, equality and normalize exhaust the limit from a shallow stack.
 MAX_EXPR_DEPTH = 256
 
+# A constant prints in decimal below this and in hex at or above it: hashes,
+# masks and 2^256-1 read better in hex, counts and amounts in decimal.
+HEX_FROM = 1 << 64
+
 
 class Hashed:
     """A value that stores its hash, in _hash, when built.
@@ -80,7 +84,7 @@ class Expr(Hashed):
 
     Nodes are immutable. Each stores its hash (see Hashed) and its depth,
     the number of nodes on its longest path to a leaf, when built. Equality
-    is structural: Const ignores hex_hint, and equal nodes hash alike.
+    is structural, and equal nodes hash and print alike.
     Building a node deeper than MAX_EXPR_DEPTH raises ValueError with one
     fixed message, so an analysis whose values grow too deep fails the same
     way on every path, instead of wherever some recursive walk over the tree
@@ -93,7 +97,8 @@ class Expr(Hashed):
     args: tuple = ()  # a leaf's; an operator node's are its operands
 
     def render(self) -> str:
-        """Canonical printed form, e.g. SHA3(CONCAT(<<owner>>, 0x0))."""
+        """Canonical printed form, e.g. SHA3(CONCAT(<<owner>>, 0)), a
+        function of the node's value alone."""
         raise NotImplementedError
 
     def sort_key(self) -> tuple:
@@ -113,15 +118,15 @@ class Expr(Hashed):
 
 
 class Const(Expr):
-    """Concrete 256-bit value. hex_hint only affects printing."""
+    """Concrete 256-bit value. It prints in decimal below HEX_FROM and in
+    lowercase hex at or above it, however the source spelled it."""
 
-    __slots__ = ("value", "hex_hint", "_hash")
+    __slots__ = ("value", "_hash")
 
-    def __init__(self, value: int, hex_hint: bool = False):
+    def __init__(self, value: int):
         if not (0 <= value < WORD):
             raise ValueError(f"constant out of 256-bit range: {value}")
         self.value = value
-        self.hex_hint = hex_hint
         self._hash = hash(value)
 
     __hash__ = Expr.__hash__
@@ -132,10 +137,11 @@ class Const(Expr):
         return self.value == other.value
 
     def __reduce__(self):
-        return Const, (self.value, self.hex_hint)
+        return Const, (self.value,)
 
     def render(self) -> str:
-        return hex(self.value) if self.hex_hint else str(self.value)
+        v = self.value
+        return str(v) if v < HEX_FROM else hex(v)
 
     def sort_key(self) -> tuple:
         return (0, self.value)
@@ -290,10 +296,10 @@ _norm_cache: dict[Expr, Expr] = {}
 
 
 def clear_normalize_memo() -> None:
-    """Empty normalize's memo. The memo hands back the first of equal
-    expressions it stored, and equal constants may print differently
-    (hex_hint), so an analysis that starts from an empty memo prints the
-    same whatever the process analyzed before it."""
+    """Empty normalize's memo. Each analysis starts with this, so the memo
+    stays bounded when one process analyzes a whole corpus (the corpus
+    commands at --jobs 1). Equal expressions print alike, so which of them
+    the memo hands back changes no output."""
     _norm_cache.clear()
 
 
@@ -310,7 +316,7 @@ def normalize(e: Expr) -> Expr:
     symbols.
     """
     if e.op is None:
-        return e  # leaves are their own normal form (keeps display hints)
+        return e  # leaves are their own normal form
     cached = _norm_cache.get(e)
     if cached is not None:
         return cached
@@ -697,8 +703,8 @@ def _byte_image(e: Expr, assignment: Assignment, hash_oracle: HashOracle) -> byt
 ExprLike = Expr | int
 
 
-def as_expr(v: ExprLike, hex_hint: bool = False) -> Expr:
+def as_expr(v: ExprLike) -> Expr:
     """Coerce an int to a Const; pass Exprs through."""
     if isinstance(v, Expr):
         return v
-    return Const(v & MASK, hex_hint=hex_hint)
+    return Const(v & MASK)

@@ -19,22 +19,20 @@ facts and writes are already recorded. A memoized internal-call walk hands
 its reads to every caller that reuses it, since such a caller depends on
 them as if it had walked the callee itself.
 
-The same invariant holds statement by statement. An entry point's input
-values and sender alternatives are built once, so a re-run starts from the
-objects of its last run, and a statement that meets the same alternative
-and operand-value objects as before (for a branch, also the values of the
-variables live at either target) and loads only cells no commit has changed
-since would repeat its execution. It is replayed from a memo that lasts for
-one analysis: the replay assigns the recorded values, feeds the recorded
-payload to each arm of a branch, hands on the recorded storage reads and
-continues with the recorded alternatives. Its facts, notes and call rows
-are already recorded, in the order a recomputation would keep. The memo is
-keyed on statement id and the id() of each input object and keeps those
-objects alive, so an id is never reused; it never compares inputs by
-equality, which would take a hex-printed constant for its decimal twin.
-Jumps (they only merge), storage writes (already folded into the commit)
-and internal calls (memoized per round above) always run, as does every
-statement of an internal-call walk, which starts from a new alternative.
+The same invariant holds statement by statement. A statement that meets
+alternatives and operand values equal to those of an earlier execution (for
+a branch, also the values of the variables live at either target) and
+loads only cells no commit has changed since would repeat that execution.
+It is replayed from a memo that lasts for one analysis and is keyed on the
+statement id and those inputs: the replay assigns the recorded values,
+feeds the recorded payload to each arm of a branch, hands on the recorded
+storage reads and continues with the recorded alternatives. Its facts,
+notes and call rows are already recorded, in the order a recomputation
+would keep, and equal values print alike, so a replay prints what a
+recomputation would. Jumps (they only merge), storage writes (already
+folded into the commit) and internal calls (memoized per round above)
+always run, as does every statement of an internal-call walk, which is
+memoized whole.
 Inside a function, blocks of the acyclic CFG are visited in topological
 order carrying:
 
@@ -254,7 +252,7 @@ def seed_inputs(fn: Function, contract: Contract,
     """
     cfg = config or AnalysisConfig()
     numeric, addr_like = harvest_constants(contract)
-    addr_consts = tuple(Const(a, hex_hint=True) for a in sorted(addr_like))
+    addr_consts = tuple(Const(a) for a in sorted(addr_like))
     seeds: dict[str, tuple[Expr, ...]] = {}
     for pname, ptype in fn.params:
         if ptype == "address":
@@ -319,10 +317,9 @@ class _Val(Hashed):
 
 # What replaying one memoized statement execution needs: the alternatives
 # that continued past it, the values it assigned (or None), the (payload,
-# alternatives, target) of each branch edge it fed, the (key, version) of
-# each storage cell it loaded; and its inputs, kept alive so that the ids
-# in its key are never reused.
-_Replay = namedtuple("_Replay", "alts assigned edges reads inputs")
+# alternatives, target) of each branch edge it fed, and the (key, version)
+# of each storage cell it loaded.
+_Replay = namedtuple("_Replay", "alts assigned edges reads")
 
 
 class _Timeout(Exception):
@@ -473,7 +470,7 @@ class _Engine:
         self.call_memo: dict[tuple, set] = {}
         # per entry point, its input env and sender alternatives, built on
         # its first run; per storage key, the commits that changed it; the
-        # statement memo, keyed on object identities (see Mechanics)
+        # statement memo (see Mechanics)
         self.starts: dict[str, tuple] = {}
         self.versions: dict[Expr, int] = {}
         self.stmt_memo: dict[tuple, _Replay] = {}
@@ -530,8 +527,7 @@ class _Engine:
                    ) -> set:
         """Explore one entry point; returns the storage keys it read. Its
         input values and sender alternatives are built on its first run and
-        reused by every later one, so that the statement memo sees the same
-        objects again."""
+        reused by every later one."""
         self.reads = set()
         start = self.starts.get(fn.name)
         if start is None:
@@ -712,19 +708,15 @@ class _Engine:
             self._exec_internal(fn, tracked, stmt, env, alts, entry_fn, stack)
             return alts
         if fn is not entry_fn:
-            # an internal-call walk starts from a new alternative, so none of
-            # its statements could hit the memo
-            return self._run(fn, tracked, stmt, env, alts, env_in, alts_in,
-                             None).alts
-        inputs = self._inputs(fn, stmt, env)
-        key = (stmt.sid, tuple(map(id, alts)),
-               tuple([(var, tuple(map(id, vals))) for var, vals in inputs]))
+            # an internal-call walk is memoized whole, per round (call_memo)
+            return self._run(fn, tracked, stmt, env, alts, env_in,
+                             alts_in).alts
+        key = (stmt.sid, tuple(alts), tuple(self._inputs(fn, stmt, env)))
         rec = self.stmt_memo.get(key)
         if rec is not None and all(self.versions.get(k, 0) == n
                                    for k, n in rec.reads):
             return self._replay(stmt, rec, env, env_in, alts_in)
-        rec = self._run(fn, tracked, stmt, env, alts, env_in, alts_in,
-                        (alts, inputs))
+        rec = self._run(fn, tracked, stmt, env, alts, env_in, alts_in)
         self.stmt_memo[key] = rec
         return rec.alts
 
@@ -751,10 +743,9 @@ class _Engine:
         self.reads.update([k for k, _ in rec.reads])
         return rec.alts
 
-    def _run(self, fn, tracked, stmt, env, alts, env_in, alts_in, inputs
-             ) -> _Replay:
+    def _run(self, fn, tracked, stmt, env, alts, env_in, alts_in) -> _Replay:
         """Execute stmt (not a JUMP, SSTORE or CALLINTERNAL); returns what
-        a replay of it needs, with the inputs it is keyed on."""
+        a replay of it needs."""
         op = stmt.op
         out, produced, edges, reads = alts, None, (), ()
         if op == "REQUIRE":
@@ -789,7 +780,7 @@ class _Engine:
         assigned = None
         if produced is not None and stmt.result is not None:
             assigned = self._assign(fn, tracked, stmt.result, env, produced)
-        return _Replay(out, assigned, edges, reads, inputs)
+        return _Replay(out, assigned, edges, reads)
 
     def _assign(self, fn, tracked, var: str, env, produced: list[_Val]
                 ) -> tuple[_Val, ...]:

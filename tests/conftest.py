@@ -49,7 +49,7 @@ DUPLICATE_FUNCTION = ("contract Dup {\n  function f() public { }\n"
 
 def gate_source(name: str, value: str) -> str:
     """A contract that pays an address parameter required to equal value;
-    0xbeef and 48879 are equal constants that print differently."""
+    0xbeef and 48879 spell one constant two ways."""
     return (f"contract {name} {{\n"
             "    function pay(address to) public {\n"
             f"        require(to == {value});\n"

@@ -64,7 +64,7 @@ def test_criterion_02_safe_contract_fidelity(safe_contract):
     with Stopwatch(1.0, "2 Safe-contract fidelity"):
         r = analyze(safe_contract, AnalysisConfig(transaction_rounds=1),
                     entry_seeds={
-                        ("deposit", "to"): [Const(0x42, hex_hint=True)],
+                        ("deposit", "to"): [Const(0x42)],
                         ("deposit", "amount"): [200],
                     })
         infs = r.var_may_be("nextBalance")

@@ -18,7 +18,7 @@ from symvalic.corpus import Thresholds, anomalies, refine_contracts, summarize
 from symvalic.deps import DependencyBudget, DependencyMap
 from symvalic.parser import parse
 from symvalic.symexpr import (
-    Const, Expr, OWNER, OWNER_UNIQUE, Op, Sym,
+    Const, Expr, OWNER, OWNER_UNIQUE, Sym,
     UNPRIVILEGED_USER, USER_UNIQUE, contract_symbol, normalize,
 )
 from symvalic.valueflow import AnalysisConfig, Inference, analyze, assemble
@@ -34,22 +34,12 @@ SYMS = [OWNER, UNPRIVILEGED_USER, OWNER_UNIQUE, USER_UNIQUE,
         Sym("NOT", False)]
 
 
-def hint_constants(rng: random.Random, e: Expr) -> Expr:
-    """e with a random half of its constants printed in hex."""
-    if isinstance(e, Const):
-        return Const(e.value, hex_hint=rng.random() < 0.5)
-    if isinstance(e, Op):
-        return Op(e.op, *[hint_constants(rng, a) for a in e.args])
-    return e
-
-
 @st.composite
 def engine_exprs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     syms = rng.sample(SYMS, rng.randint(1, len(SYMS)))
-    e = (gen_arith(rng, syms, 4) if rng.random() < 0.5
-         else gen_bool(rng, syms, 3))
-    return hint_constants(rng, e)
+    return (gen_arith(rng, syms, 4) if rng.random() < 0.5
+            else gen_bool(rng, syms, 3))
 
 
 def shape(e: Expr) -> list:
@@ -95,6 +85,8 @@ def test_table_round_trip(tmp_path_factory, safe_result, e):
     ["NOT", "0"], ["ADD", 0], ["ADD", 0, 0, 0], ["NOT", 0, 0], ["CONCAT", 0],
     [1.5, False], [True, False], [None, True], [[], True], ["x", 1], ["x"],
     [], "x", 0, [1 << 256, False], [-1, False], [0, 0],
+    # a constant row is [value]; [value, hex_hint] was symvalic-analysis/3's
+    [1.5], [True], [None], [1 << 256], [-1], [1, False],
 ], ids=repr)
 def test_table_rejects_a_malformed_row(tmp_path, safe_result, row):
     # row 0 is the constant 1; the row under test is row 1
@@ -102,7 +94,7 @@ def test_table_rejects_a_malformed_row(tmp_path, safe_result, row):
     path = tmp_path / "c.json"
     assert cached_copy(path, result) is not None
     doc = json.loads(path.read_text())
-    assert doc["exprs"] == [[1, False]]
+    assert doc["exprs"] == [[1]]
     doc["exprs"].append(row)
     path.write_text(json.dumps(doc))
     assert load(path, "key") is None
@@ -113,7 +105,7 @@ def test_table_rejects_a_chain_past_the_depth_bound(tmp_path, safe_result):
     write(path, "key", holding(safe_result, [Const(1)]))
     doc = json.loads(path.read_text())
     for chain in (255, 256):
-        doc["exprs"] = [[1, False]] + [["NOT", i] for i in range(chain)]
+        doc["exprs"] = [[1]] + [["NOT", i] for i in range(chain)]
         path.write_text(json.dumps(doc))
         assert (load(path, "key") is None) == (chain == 256)
 
@@ -122,8 +114,9 @@ def test_table_rejects_a_chain_past_the_depth_bound(tmp_path, safe_result):
 
 
 def rendered(x):
-    """x with every expression and dependency map in its printed form:
-    equality of Expr ignores hex_hint, printing does not."""
+    """x with every expression and dependency map in its printed form, and
+    every dict in its order: equality of dicts ignores order, printing
+    does not."""
     if isinstance(x, (Expr, DependencyMap)):
         return x.render()
     if isinstance(x, dict):
@@ -176,25 +169,23 @@ def test_full_result_round_trip(tmp_path):
         assert anomalies(cached, facts) == anomalies(fresh, facts)
 
 
-def test_equal_maps_that_print_differently_stay_apart(tmp_path):
-    # Const equality ignores hex_hint, so the maps of 66 and 0x42 are equal
-    # and print apart; a free and a bound zed print alike and differ
+def test_unequal_maps_that_print_alike_stay_apart(tmp_path):
+    # a free and a bound zed print alike and differ
     contract = parse((FIXTURES / "safe.svc").read_text())
     config = AnalysisConfig()
     fresh = analyze(contract, config)
     path = tmp_path / "Safe.analysis.json"
-    for a, b in ((Const(66), Const(66, hex_hint=True)),
-                 (Sym("zed", False), Sym("zed", True))):
-        da = DependencyMap((("to", a),), ())
-        db = DependencyMap((("to", b),), ())
-        assert (da == db) != (da.render() == db.render())
-        result = fresh._replace(inferences=fresh.inferences + tuple(
-            Inference("deposit", var, value, d)
-            for var, value, d in (("a", a, da), ("b", b, db), ("c", a, da))))
-        write(path, "key", result)
-        cached = assemble(contract, config, load(path, "key"))
-        assert cached.inferences == result.inferences
-        assert rendered(cached) == rendered(result)
+    a, b = Sym("zed", False), Sym("zed", True)
+    da = DependencyMap((("to", a),), ())
+    db = DependencyMap((("to", b),), ())
+    assert da != db and da.render() == db.render()
+    result = fresh._replace(inferences=fresh.inferences + tuple(
+        Inference("deposit", var, value, d)
+        for var, value, d in (("a", a, da), ("b", b, db), ("c", a, da))))
+    write(path, "key", result)
+    cached = assemble(contract, config, load(path, "key"))
+    assert cached.inferences == result.inferences
+    assert rendered(cached) == rendered(result)
 
 
 JUNK = (None, True, 0, -1, 1.5, "", "ADD(1", "<<owner>>", [], {}, [[]],
@@ -328,7 +319,7 @@ CACHE_FAULTS = {
     # a row naming itself, not an earlier row; a chain of 300 NOTs over 1
     "malformed-expression": append_expr_rows(lambda n: [["NOT", n]]),
     "deep-expression": append_expr_rows(
-        lambda n: [[1, False]] + [["NOT", n + i] for i in range(300)]),
+        lambda n: [[1]] + [["NOT", n + i] for i in range(300)]),
     "deep-json": lambda text: text.replace('"deps":[', '"deps":[' + DEEP_JSON
                                            + ",", 1),
     "wrong-type": rewrite(stmt_as_string),
@@ -349,6 +340,36 @@ def drop_caches(corpus):
 def edit_source(corpus):
     path = corpus / "swaptainted.svc"
     path.write_text(path.read_text().replace("(tok, 5)", "(tok, 6)"))
+
+
+def as_schema_3(text: str) -> str:
+    """A cache document in symvalic-analysis/3's form, whose constant rows
+    were [value, hex_hint], under the same key."""
+    doc = json.loads(text)
+    doc["schema"] = "symvalic-analysis/3"
+    doc["exprs"] = [row + [False] if type(row[0]) is int else row
+                    for row in doc["exprs"]]
+    return json.dumps(doc)
+
+
+def test_a_schema_3_cache_is_analyzed_again(capsys, monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    source = FIXTURES / "gated_rounds.svc"
+    shutil.copy(source, corpus)
+    assert run(capsys, "corpus-build", str(corpus))[0] == 0
+    cache = cache_path(corpus / "out", "GatedRounds")
+    key = cache_key(source.read_text(), AnalysisConfig())
+    assert load(cache, key) is not None
+    cache.write_text(as_schema_3(cache.read_text()))
+    assert load(cache, key) is None
+
+    calls = count_calls(monkeypatch, corpus_mod, "analyze")
+    assert run(capsys, "corpus-build", str(corpus))[0] == 0
+    assert len(calls) == 1
+    assert load(cache, key) is not None
+    fresh = analyze(parse(source.read_text())).to_json_text() + "\n"
+    assert (corpus / "out" / "GatedRounds.result.json").read_text() == fresh
 
 
 @pytest.fixture(scope="module")

@@ -385,8 +385,8 @@ def test_scan_output_independent_of_hash_seed(tmp_path):
     src.write_text("contract Forward {\n"
                    "    function pay(address to) public {\n"
                    "        transfer(to, to);\n    }\n}\n")
-    # gated_rounds replays statements from a memo keyed on object ids; its
-    # result document shows every fact, its scan warns of nothing
+    # gated_rounds replays statements from a memo keyed on hashed values;
+    # its result document shows every fact, its scan warns of nothing
     for command, path, code in (("scan", src, 1),
                                 ("analyze", FIXTURES / "gated_rounds.svc", 0)):
         outs = []
@@ -584,7 +584,7 @@ def test_a_report_larger_than_a_pipe_reaches_a_late_reader_whole(capsys):
     out = proc.stdout.read()
     proc.stdout.close()
     code, expected, _ = run_cli(capsys, *argv)
-    assert len(expected) == 410_033
+    assert len(expected) == 404_073
     assert (proc.wait(), out) == (code, expected.encode())
 
 

@@ -60,9 +60,8 @@ def test_sender_must_be_address_typed():
 
 
 def test_render_format():
-    d = dm({"to": Const(0x42, hex_hint=True), "amount": Const(200)},
-           {"sender": OWNER})
-    assert d.render() == "<{amount -> 200, to -> 0x42} ; {sender -> <<owner>>}>"
+    d = dm({"to": Const(0x42), "amount": Const(200)}, {"sender": OWNER})
+    assert d.render() == "<{amount -> 200, to -> 66} ; {sender -> <<owner>>}>"
 
 
 # --- restrict ----------------------------------------------------------------
@@ -161,16 +160,16 @@ def test_combine_idempotent(seed):
     assert combine(d, d) == d
 
 
-# values that compare equal but print differently: a clash-free merge must
-# keep the left map's entry
-HINTED = VALUES + (Const(1, hex_hint=True), Const(2, hex_hint=True))
+# equal values built apart: a clash-free merge must keep the left map's
+# entry
+TWINS = VALUES + (Const(1), Const(2))
 
 
-def hinted_map(rng: random.Random) -> DependencyMap:
-    local = tuple((v, rng.choice(HINTED)) for v in VARS if rng.random() < 0.5)
+def twinned_map(rng: random.Random) -> DependencyMap:
+    local = tuple((v, rng.choice(TWINS)) for v in VARS if rng.random() < 0.5)
     tx = ()
     if rng.random() < 0.5:
-        tx = (("f.a", rng.choice(HINTED)),)
+        tx = (("f.a", rng.choice(TWINS)),)
     if rng.random() < 0.5:
         tx += (("sender", rng.choice((Sym("<<owner>>", True),
                                       Sym("<<unprivileged-user>>", True)))),)
@@ -181,7 +180,7 @@ def hinted_map(rng: random.Random) -> DependencyMap:
 @given(st.integers(0, 2**32 - 1))
 def test_combine_merge_matches_dict_reference(seed):
     rng = random.Random(seed)
-    a, b = hinted_map(rng), hinted_map(rng)
+    a, b = twinned_map(rng), twinned_map(rng)
     got, want = combine(a, b), combine_dict(a, b)
     assert type(got) is type(want)
     assert got == want  # a Conflict names the same variable, scope, values
@@ -195,7 +194,7 @@ def test_combine_merge_matches_dict_reference(seed):
 
 def test_combine_returns_a_itself_when_b_adds_no_variable():
     a = DependencyMap((("x", Const(1)), ("y", Const(2))), (("sender", OWNER),))
-    b = DependencyMap((("y", Const(2, hex_hint=True)),), (("sender", OWNER),))
+    b = DependencyMap((("y", Const(2)),), (("sender", OWNER),))
     assert combine(a, b) is a
     # the first clash in b's order is the Conflict, also after a variable
     # that b adds

@@ -36,7 +36,7 @@ def test_require_sender_eq_owner_lowering():
         ("REQUIRE", None),
     ]
     sload = stmts(c, "f")[1]
-    assert sload.operands == (Const(0, hex_hint=True),)
+    assert sload.operands == (Const(0),)
 
 
 def test_mapping_store_lowering():
@@ -45,7 +45,7 @@ def test_mapping_store_lowering():
     seq = stmts(c, "f")
     assert [s.op for s in seq[:3]] == ["CONCAT", "SHA3", "SSTORE"]
     concat = seq[0]
-    assert concat.operands == ("to", Const(1, hex_hint=True))
+    assert concat.operands == ("to", Const(1))
     sha = seq[1]
     assert sha.operands == (concat.result,)
     store = seq[2]
@@ -123,8 +123,8 @@ def test_first_error_in_source_order_is_reported(source, expected):
     assert str(err.value) == expected
 
 
-def tok(kind, text, line, col, value=0, hex_form=False):
-    return (kind, text, value, hex_form, line, col)
+def tok(kind, text, line, col, value=0):
+    return (kind, text, value, line, col)
 
 
 @pytest.mark.parametrize("source,expected", [
@@ -134,8 +134,8 @@ def tok(kind, text, line, col, value=0, hex_form=False):
                       tok("eof", "", 2, 2)]),
     # a comment does not advance the column, so neither does the eof
     ("x  // note", [tok("ident", "x", 1, 1), tok("eof", "", 1, 4)]),
-    ("0x1f 0X1F 12abc", [tok("number", "0x1f", 1, 1, 31, True),
-                         tok("number", "0X1F", 1, 6, 31, True),
+    ("0x1f 0X1F 12abc", [tok("number", "0x1f", 1, 1, 31),
+                         tok("number", "0X1F", 1, 6, 31),
                          tok("number", "12", 1, 11, 12),
                          tok("ident", "abc", 1, 13), tok("eof", "", 1, 16)]),
     ("a\u00e91 \u00e9 msg", [tok("ident", "a\u00e91", 1, 1),
@@ -226,11 +226,11 @@ def test_statement_and_literal_keep_only_what_a_run_reads():
     assert LiteralUse._fields == ("value", "address_position")
 
 
-def test_literal_hex_form_reaches_its_const():
+def test_hex_and_decimal_literals_lower_to_one_printed_constant():
     c = parse("contract T { function f() public { x = 0x10; y = 16; } }")
-    assert [(s.operands[0].value, s.operands[0].hex_hint)
-            for s in stmts(c, "f") if s.op == "CONST"] == [
-        (16, True), (16, False)]
+    consts = [s.operands[0] for s in stmts(c, "f") if s.op == "CONST"]
+    assert consts == [Const(16), Const(16)]
+    assert [k.render() for k in consts] == ["16", "16"]
 
 
 def test_internal_call_requires_known_function():

@@ -17,8 +17,8 @@ from symvalic.valueflow import (
 from helpers import product_combos
 
 FREE = Sym("s", False)
-# Const(1) and its hex-hinted twin compare equal but print differently
-VALUES = (Const(0), Const(1), Const(1, hex_hint=True), Const(7), FREE, OWNER)
+# Const(1) twice: equal values built apart
+VALUES = (Const(0), Const(1), Const(1), Const(7), FREE, OWNER)
 ENV_VARS = ("a", "b", "c")
 # "a" and "b" are tracked arguments; "missing" has no values; "@tok" is an
 # undeclared contract identifier
@@ -111,7 +111,7 @@ def test_tagged_edge_matches_pairwise_combination(seed):
 
 def test_substitution_that_changes_nothing_returns_its_input():
     e = engine()
-    deps = DependencyMap((("a", FREE), ("b", Const(1, hex_hint=True))),
+    deps = DependencyMap((("a", FREE), ("b", Const(1))),
                          (("sender", OWNER),))
     val = _Val(FREE, deps, 3)
     untouched = _Alt(deps, subst=((Sym("t", False), Const(9)),))
@@ -120,7 +120,7 @@ def test_substitution_that_changes_nothing_returns_its_input():
     solved = _Alt(deps, subst=((FREE, Const(9)),))
     got = e._subst_val(val, solved)
     assert (got.expr, got.depth) == (Const(9), 3)
-    assert got.deps.render() == "<{a -> 9, b -> 0x1} ; {sender -> <<owner>>}>"
+    assert got.deps.render() == "<{a -> 9, b -> 1} ; {sender -> <<owner>>}>"
 
 
 def test_trim_keeps_every_sender_round_robin():
@@ -157,7 +157,7 @@ def test_alternative_bound_trims_an_entry_block_round_robin():
     r = analyze(contract, AnalysisConfig(max_alts_per_block=2))
     assert "alternative bound trimmed a block" in r.notes
     assert not r.truncated
-    assert full and all(s == {"<<owner>>", "<<unprivileged-user>>", "0x42"}
+    assert full and all(s == {"<<owner>>", "<<unprivileged-user>>", "66"}
                         for s in full.values())
     assert senders(r) == {stmt: {"<<owner>>", "<<unprivileged-user>>"}
                           for stmt in full}

@@ -17,7 +17,7 @@ from helpers import (
 from test_acceptance import Stopwatch
 from test_join import branchy_like
 
-# a non-ASCII contract, variable and parameter, and 42 written both ways
+# a non-ASCII contract, variable and parameter, and 42 spelled both ways
 UNICODE = """contract Zähler {
     uint stänD;
 
@@ -79,16 +79,17 @@ def test_generated_documents_are_canonical():
                                         AnalysisConfig(seed=seed)))
 
 
-def test_non_ascii_names_are_escaped_and_hex_hints_kept():
+def test_non_ascii_names_are_escaped_and_constants_print_by_value():
     text = assert_document(analyze(parse(UNICODE)))
     assert text.isascii()
     assert '"contract": "Z\\u00e4hler"' in text
     assert '"var": "gr\\u00f6\\u00dfe"' in text
-    # dependency map keys, as ensure_ascii writes them; 0x2a keeps its hint
+    # dependency map keys, as ensure_ascii writes them; 0x2a prints as 42
     assert '"w\\u00e4rt": ' in text
-    assert '"z\\u00edel": "0x2a"' in text
+    assert '"z\\u00edel": "42"' in text
     doc = json.loads(text)
-    assert {"0x2a", "42"} <= {row["value"] for row in doc["inferences"]}
+    values = {row["value"] for row in doc["inferences"]}
+    assert "42" in values and "0x2a" not in values
 
 
 @pytest.fixture

@@ -111,4 +111,4 @@ def test_deeper_stored_value_reruns_its_readers(monkeypatch):
         ["copy", "setc", "setb", "read"], ["setb", "read"], ["read"], []]
     r = assert_same_as_every_round(c, config)
     assert [(v.render(), depth) for a, v, depth in r.storage
-            if a.render() == "0x4"] == [("0", 4), ("14", 3)]
+            if a.render() == "4"] == [("0", 4), ("14", 3)]

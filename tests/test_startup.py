@@ -194,7 +194,7 @@ def _sample_records() -> list:
         tokenize_text(text)[0], _Value("CONST", (Const(1),)),
         result.config, result.inferences[0], result.reachability[0],
         result.calls[0], result, _Alt(EMPTY),
-        _Replay([], None, (), (), None),
+        _Replay([], None, (), ()),
     ]
 
 

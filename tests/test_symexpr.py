@@ -44,24 +44,24 @@ def test_substitute_returns_unchanged_nodes_themselves():
 
 # --- the operator node -------------------------------------------------------
 
-INNER = Op("CONCAT", OWNER, Const(0, hex_hint=True))
+INNER = Op("CONCAT", OWNER, Const(0))
 INNER_KEY = (2, "CONCAT", (1, "<<owner>>"), (0, 0))
 # each operator over INNER (and x, when binary): the printed form and sort
 # key that its node class had before Op replaced them
 PINNED = {
-    "ADD": ("ADD(CONCAT(<<owner>>, 0x0), x)", (2, "ADD", INNER_KEY, (1, "x"))),
-    "SUB": ("SUB(CONCAT(<<owner>>, 0x0), x)", (2, "SUB", INNER_KEY, (1, "x"))),
-    "MUL": ("MUL(CONCAT(<<owner>>, 0x0), x)", (2, "MUL", INNER_KEY, (1, "x"))),
-    "DIV": ("DIV(CONCAT(<<owner>>, 0x0), x)", (2, "DIV", INNER_KEY, (1, "x"))),
-    "MOD": ("MOD(CONCAT(<<owner>>, 0x0), x)", (2, "MOD", INNER_KEY, (1, "x"))),
-    "LT": ("LT(CONCAT(<<owner>>, 0x0), x)", (2, "LT", INNER_KEY, (1, "x"))),
-    "GT": ("GT(CONCAT(<<owner>>, 0x0), x)", (2, "GT", INNER_KEY, (1, "x"))),
-    "EQ": ("EQ(CONCAT(<<owner>>, 0x0), x)", (2, "EQ", INNER_KEY, (1, "x"))),
-    "AND": ("AND(CONCAT(<<owner>>, 0x0), x)", (2, "AND", INNER_KEY, (1, "x"))),
-    "OR": ("OR(CONCAT(<<owner>>, 0x0), x)", (2, "OR", INNER_KEY, (1, "x"))),
-    "NOT": ("NOT(CONCAT(<<owner>>, 0x0))", (2, "NOT", INNER_KEY)),
-    "SHA3": ("SHA3(CONCAT(<<owner>>, 0x0))", (2, "SHA3", INNER_KEY)),
-    "CONCAT": ("CONCAT(CONCAT(<<owner>>, 0x0), x)",
+    "ADD": ("ADD(CONCAT(<<owner>>, 0), x)", (2, "ADD", INNER_KEY, (1, "x"))),
+    "SUB": ("SUB(CONCAT(<<owner>>, 0), x)", (2, "SUB", INNER_KEY, (1, "x"))),
+    "MUL": ("MUL(CONCAT(<<owner>>, 0), x)", (2, "MUL", INNER_KEY, (1, "x"))),
+    "DIV": ("DIV(CONCAT(<<owner>>, 0), x)", (2, "DIV", INNER_KEY, (1, "x"))),
+    "MOD": ("MOD(CONCAT(<<owner>>, 0), x)", (2, "MOD", INNER_KEY, (1, "x"))),
+    "LT": ("LT(CONCAT(<<owner>>, 0), x)", (2, "LT", INNER_KEY, (1, "x"))),
+    "GT": ("GT(CONCAT(<<owner>>, 0), x)", (2, "GT", INNER_KEY, (1, "x"))),
+    "EQ": ("EQ(CONCAT(<<owner>>, 0), x)", (2, "EQ", INNER_KEY, (1, "x"))),
+    "AND": ("AND(CONCAT(<<owner>>, 0), x)", (2, "AND", INNER_KEY, (1, "x"))),
+    "OR": ("OR(CONCAT(<<owner>>, 0), x)", (2, "OR", INNER_KEY, (1, "x"))),
+    "NOT": ("NOT(CONCAT(<<owner>>, 0))", (2, "NOT", INNER_KEY)),
+    "SHA3": ("SHA3(CONCAT(<<owner>>, 0))", (2, "SHA3", INNER_KEY)),
+    "CONCAT": ("CONCAT(CONCAT(<<owner>>, 0), x)",
                (2, "CONCAT", INNER_KEY, (1, "x"))),
 }
 
@@ -381,12 +381,10 @@ def test_value_for_var_candidates_satisfy(seed):
 # --- stored hashes and the depth bound ----------------------------------------
 
 
-def rebuilt(e: Expr, rng: random.Random) -> Expr:
-    """e built anew node by node, each constant with a random hex_hint."""
-    if isinstance(e, Const):
-        return Const(e.value, hex_hint=rng.random() < 0.5)
+def rebuilt(e: Expr) -> Expr:
+    """e built anew node by node."""
     cls, args = e.__reduce__()
-    return cls(*(rebuilt(a, rng) if isinstance(a, Expr) else a for a in args))
+    return cls(*(rebuilt(a) if isinstance(a, Expr) else a for a in args))
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,9 +393,9 @@ def test_equal_trees_built_apart_compare_and_hash_alike(seed, truth_value):
     rng = random.Random(seed)
     syms = some_syms(rng)
     e = gen_bool(rng, syms, 3) if truth_value else gen_arith(rng, syms, 4)
-    a, b = rebuilt(e, rng), rebuilt(e, rng)
+    a, b = rebuilt(e), rebuilt(e)
     assert a is not b
-    assert a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b) and a.render() == b.render()
     assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
     normal = []
     for x in (a, b):
@@ -412,8 +410,13 @@ def test_differing_trees_compare_unequal():
     assert Op("ADD", X, Y) != Op("ADD", Y, X)
     assert Op("ADD", X, Y) != Op("SUB", X, Y)
     assert Op("NOT", X) != Op("SHA3", X) and Sym("x", True) != X
-    assert Const(42, hex_hint=True) == Const(42) != Const(43)
-    assert hash(Const(42, hex_hint=True)) == hash(Const(42))
+
+
+def test_a_constant_prints_by_its_value_alone():
+    assert [Const(v).render() for v in (0, 42, 2**64 - 1, 2**64, WORD - 1)] \
+        == ["0", "42", "18446744073709551615", "0x10000000000000000",
+            "0x" + "f" * 64]
+    assert Const.__slots__ == ("value", "_hash")
 
 
 def deepest_value() -> Expr:

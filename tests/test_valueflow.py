@@ -38,7 +38,7 @@ def test_seed_numeric_with_no_program_constants():
 
 def test_seed_address_param_gets_constants_and_free_symbols(safe_contract):
     seeds = seed_inputs(safe_contract.function("deposit"), safe_contract)
-    assert set(seeds["to"]) == {Const(0x42, hex_hint=True), OWNER_UNIQUE,
+    assert set(seeds["to"]) == {Const(0x42), OWNER_UNIQUE,
                                 USER_UNIQUE}
 
 
@@ -46,7 +46,7 @@ def test_seed_sender_gets_bound_identities(safe_contract):
     seeds = seed_inputs(safe_contract.function("deposit"), safe_contract)
     sender = set(seeds["msg.sender"])
     assert OWNER in sender and UNPRIVILEGED_USER in sender
-    assert Const(0x42, hex_hint=True) in sender
+    assert Const(0x42) in sender
 
 
 def test_seed_bool_param():
@@ -88,7 +88,7 @@ def test_whichpaths_return_set(whichpaths_contract):
 def test_safe_inferences_exact(safe_contract):
     cfg = AnalysisConfig(transaction_rounds=1)
     r = analyze(safe_contract, cfg, entry_seeds={
-        ("deposit", "to"): [Const(0x42, hex_hint=True)],
+        ("deposit", "to"): [Const(0x42)],
         ("deposit", "amount"): [200],
     })
     infs = r.var_may_be("nextBalance")
@@ -165,7 +165,7 @@ def test_constructor_storage_visible_in_round_one(safe_contract):
 
 
 def test_storage_feedback_needs_second_round(safe_contract):
-    seeds = {("deposit", "to"): [Const(0x42, hex_hint=True)],
+    seeds = {("deposit", "to"): [Const(0x42)],
              ("deposit", "amount"): [200]}
     r1 = analyze(safe_contract, AnalysisConfig(transaction_rounds=1),
                  entry_seeds=seeds)
@@ -482,7 +482,7 @@ from symvalic.symexpr import OWNER, USER_UNIQUE, Const
 from symvalic.valueflow import _Val, analyze
 result = analyze(parse(open(sys.argv[1]).read()))
 deps = DependencyMap((("to", USER_UNIQUE),), (("sender", OWNER),))
-vals = [_Val(OWNER, deps, 5), _Val(Const(66, hex_hint=True), deps, 4)]
+vals = [_Val(OWNER, deps, 5), _Val(Const(66), deps, 4)]
 sys.stdout.buffer.write(pickle.dumps((hash(OWNER.name), result, deps, vals)))
 """
 
