@@ -142,8 +142,9 @@ def _merge_side(a: tuple[Entry, ...], b: tuple[Entry, ...], scope: str):
             merged.append(a[i])
             i += 1
         if i < n and a[i][0] == var:
-            if a[i][1] != value:
-                return Conflict(var, scope, a[i][1], value)
+            kept = a[i][1]
+            if kept is not value and kept != value:
+                return Conflict(var, scope, kept, value)
             merged.append(a[i])
             i += 1
         else:

@@ -47,22 +47,32 @@ are never formed. The choices are found by a join, not by enumerating the
 cartesian product: each operand's values are indexed by their bindings
 (scope, variable -> value -> bitset of values), and each level of the
 join visits only the values that agree with the dependencies chosen so
-far, in the order the product would have produced them. Alternatives
-that carry the same solver substitution see the same operand values, so
-they share one set of indexed values. Branch edges tag the flowing
-environment with the surviving arm alternatives, matched through one
-index over all of them: each value is substituted once per distinct
-substitution and meets only the alternatives that carry it, so values
-that took the other arm conflict and die where the arms meet. Only the
-variables live at an edge's target (some path from its head reads them
-before assigning them, ir.live_in) cross the edge: the values of the
-others are never read again, so they are neither tagged, merged nor
-trimmed. When a
-value or alternative bound is hit, survivors are picked round-robin
-across sender bindings, so the untrusted caller is never trimmed away
-wholesale. Storage writes are buffered during a round and committed (with
-dependencies stripped: a new transaction is a new dependency world) at the
-round boundary.
+far, in the order the product would have produced them. Only variable
+operands are joined: a constant or @name symbol is one value with no
+dependencies, which combines with anything and changes nothing. Branch
+edges tag the flowing environment with the surviving arm alternatives,
+matched through one index over all of them: each value is substituted
+once per distinct substitution and meets only the alternatives that
+carry it, so values that took the other arm conflict and die where the
+arms meet. Only the variables live at an edge's target (some path from
+its head reads them before assigning them, ir.live_in) cross the edge:
+the values of the others are never read again, so they are neither
+tagged, merged nor trimmed. When a value or alternative bound is hit,
+survivors are picked round-robin across sender bindings, so the
+untrusted caller is never trimmed away wholesale. Storage writes are
+buffered during a round and committed (with dependencies stripped: a new
+transaction is a new dependency world) at the round boundary.
+
+Two memos, which last for one analysis, keep operand work from repeating
+at every statement. The substitution memo is keyed by a solver
+substitution, then separately by an expression and by a dependency map,
+and holds each one's normalized substituted form. The operand memo is
+keyed by a variable, the identity of the value tuple it holds (the memo
+keeps that tuple, so its id is not reused), the substitution and whether
+the variable is tracked, and holds the variable's indexed values. A
+value tuple is replaced, never changed, when its variable is assigned or
+merged, so a hit is exact, and equal values print alike, so a memoized
+form prints as a recomputed one.
 """
 
 from __future__ import annotations
@@ -379,16 +389,35 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _join(levels, i: int, d: DependencyMap, picks: tuple):
-    """(picks, combined deps) for every choice of one candidate per level
-    that combines with d without a Conflict, in lexicographic order."""
-    if i == len(levels):
-        yield picks, d
+def _join(levels: list, d: DependencyMap, combined: bool = True):
+    """(picks, deps) for every choice of one candidate per level that
+    combines with d without a Conflict, in lexicographic order; deps is d
+    combined with every pick, or None when combined is false (the last
+    combine is then skipped). Levels are (candidates, _DepIndex) pairs,
+    walked depth-first by one loop."""
+    last = len(levels) - 1
+    if last < 0:
+        yield (), d
         return
-    cands, index = levels[i]
-    for j in _bits(index.compatible(d)):
-        cand = cands[j]
-        yield from _join(levels, i + 1, combine(d, cand[1]), picks + (cand,))
+    picks = [None] * (last + 1)
+    ds = [d] * (last + 1)  # ds[i]: d combined with the picks before level i
+    masks = [levels[0][1].compatible(d)] + [0] * last
+    i = 0
+    while i >= 0:
+        mask = masks[i]
+        if not mask:
+            i -= 1
+            continue
+        low = mask & -mask
+        masks[i] = mask ^ low
+        cand = picks[i] = levels[i][0][low.bit_length() - 1]
+        if i == last:
+            yield tuple(picks), (combine(ds[i], cand[1]) if combined
+                                 else None)
+        else:
+            i += 1
+            ds[i] = combine(ds[i - 1], cand[1])
+            masks[i] = levels[i][1].compatible(ds[i])
 
 
 def _trim(items: list, limit: int) -> list:
@@ -474,6 +503,11 @@ class _Engine:
         self.starts: dict[str, tuple] = {}
         self.versions: dict[Expr, int] = {}
         self.stmt_memo: dict[tuple, _Replay] = {}
+        # the operand memos (see Mechanics): subst -> (its mapping, expr ->
+        # substituted expr, deps -> substituted deps), and (variable, id of
+        # its value tuple, subst, tracked) -> (that tuple, its join level)
+        self.subst_memo: dict[tuple, tuple] = {}
+        self.operand_memo: dict[tuple, tuple] = {}
 
     # -- top level -------------------------------------------------------
 
@@ -621,34 +655,53 @@ class _Engine:
     # -- operand resolution -------------------------------------------------
 
     def _subst_val(self, val: _Val, alt: _Alt) -> _Val:
+        """val under alt's solver substitution."""
         if not alt.subst:
             return val
-        m = dict(alt.subst)
-        expr = normalize(substitute(val.expr, m))
-        deps = _subst_deps(val.deps, m)
+        memo = self.subst_memo.get(alt.subst)
+        if memo is None:
+            memo = self.subst_memo[alt.subst] = (dict(alt.subst), {}, {})
+        m, exprs, maps = memo
+        expr = exprs.get(val.expr)
+        if expr is None:
+            expr = exprs[val.expr] = normalize(substitute(val.expr, m))
+        deps = maps.get(val.deps)
+        if deps is None:
+            deps = maps[val.deps] = _subst_deps(val.deps, m)
         if expr is val.expr and deps is val.deps:
             return val
         return _Val(expr, deps, val.depth)
 
-    def _resolve(self, operand, env, alt: _Alt, tracked: Tracked):
-        """Values of one operand under alt: (expr, contribution deps, depth)."""
-        if isinstance(operand, Const):
-            return [(operand, EMPTY, self.limit)]
-        if operand.startswith("@"):
-            return [(contract_symbol(operand[1:]), EMPTY, self.limit)]
+    def _resolve(self, var: str, vals: tuple, alt: _Alt, bind: bool) -> list:
+        """The candidates of a variable operand holding vals under alt:
+        (expr, contribution deps, depth). A tracked (bind) variable binds
+        itself to each value, which drops a value that conflicts."""
         out = []
-        bind = operand in tracked[0]
-        for val in env.get(operand, ()):
+        for val in vals:
             v = self._subst_val(val, alt)
             d = v.deps
             if bind:
-                d = combine(d, DependencyMap(((operand, v.expr),), ()))
+                d = combine(d, DependencyMap(((var, v.expr),), ()))
                 if isinstance(d, Conflict):
                     continue
             out.append((v.expr, d, v.depth))
         return out
 
-    def _combos(self, operands, env, alts, tracked: Tracked):
+    def _level(self, var: str, env, alt: _Alt, tracked: Tracked) -> tuple:
+        """The join level of a variable operand under alt: its candidates
+        and their _DepIndex, memoized (see Mechanics)."""
+        vals = env.get(var, ())
+        bind = var in tracked[0]
+        key = (var, id(vals), alt.subst, bind)
+        hit = self.operand_memo.get(key)
+        if hit is None:
+            cands = self._resolve(var, vals, alt, bind)
+            hit = self.operand_memo[key] = (
+                vals, (cands, _DepIndex([c[1] for c in cands])))
+        return hit[1]
+
+    def _combos(self, operands, env, alts, tracked: Tracked,
+                combined: bool = True):
         """All compatible assignments of values to the distinct operand vars,
         for each alternative in turn.
 
@@ -656,31 +709,35 @@ class _Engine:
         alt.deps, depths by operand position), alternative-major and then
         in the lexicographic order of the operands' value lists. A
         duplicated variable operand takes the same value at every position.
-        The choices are joined through a bitset index of each operand's
-        values by their bindings, so a value whose bindings conflict with
-        the deps chosen so far is never visited. An operand resolves the
-        same under every alternative with the same solver substitution, so
-        those alternatives share one set of indexed values per statement.
+        Constants and @name symbols are one candidate each, with no deps,
+        so only the distinct variables are joined, through a bitset index
+        of each one's values by their bindings: a value whose bindings
+        conflict with the deps chosen so far is never visited. With
+        combined false the deps are None, and the last combine is skipped.
         """
-        distinct = list(dict.fromkeys(operands))
-        positions = [distinct.index(op) for op in operands]
+        variables = list(dict.fromkeys(
+            op for op in operands if op.__class__ is str and op[0] != "@"))
+        fixed = []  # the candidate of each constant and @name operand
+        slots = []  # per operand position, its index in picks + fixed
+        for op in operands:
+            if op.__class__ is str and op[0] != "@":
+                slots.append(variables.index(op))
+                continue
+            expr = op if op.__class__ is Const else contract_symbol(op[1:])
+            slots.append(len(variables) + len(fixed))
+            fixed.append((expr, EMPTY, self.limit))
+        fixed = tuple(fixed)
         by_subst: dict = {}
         for alt in alts:
             self._check_time()
             levels = by_subst.get(alt.subst)
             if levels is None:
-                levels = by_subst[alt.subst] = self._levels(distinct, env,
-                                                            alt, tracked)
-            for picks, d in _join(levels, 0, alt.deps, ()):
-                yield (alt, [picks[i][0] for i in positions], d,
-                       [picks[i][2] for i in positions])
-
-    def _levels(self, distinct, env, alt: _Alt, tracked: Tracked):
-        levels = []
-        for op in distinct:
-            cands = self._resolve(op, env, alt, tracked)
-            levels.append((cands, _DepIndex([c[1] for c in cands])))
-        return levels
+                levels = by_subst[alt.subst] = [
+                    self._level(var, env, alt, tracked) for var in variables]
+            for picks, d in _join(levels, alt.deps, combined):
+                picks += fixed
+                yield (alt, [picks[i][0] for i in slots], d,
+                       [picks[i][2] for i in slots])
 
     def _bound_values(self, var: str, vals: list[_Val]) -> tuple[_Val, ...]:
         if len(vals) > self.cfg.max_values_per_var:
@@ -817,7 +874,8 @@ class _Engine:
         return produced, tuple([(k, self.versions.get(k, 0)) for k in read])
 
     def _exec_sstore(self, fn, tracked, stmt, env, alts):
-        for _, vals, _, depths in self._combos(stmt.operands, env, alts, tracked):
+        for _, vals, _, depths in self._combos(stmt.operands, env, alts,
+                                               tracked, combined=False):
             key, value = vals[0], vals[1]
             self.stores.setdefault((fn.name, stmt.sid), None)
             stored_depth = depths[1] - 1

@@ -13,6 +13,7 @@ import itertools
 import random
 from typing import Optional
 
+from symvalic.clients import run_detectors
 from symvalic.deps import Conflict, DependencyMap, combine
 from symvalic.ir import Contract, Function
 from symvalic.symexpr import (
@@ -198,6 +199,26 @@ def analyze_every_round(contract: Contract, config: AnalysisConfig
     return run_engine(EveryRoundEngine, contract, config)
 
 
+def _in_order(value):
+    return tuple(value.items()) if isinstance(value, dict) else value
+
+
+def assert_same_result(engine: type, reference: type, contract: Contract,
+                       config: AnalysisConfig = AnalysisConfig()
+                       ) -> AnalysisResult:
+    """Run contract through both _Engine subclasses and assert that the
+    results agree: every field in engine order, the result document and
+    the detectors' warnings. Returns engine's result."""
+    got = run_engine(engine, contract, config)
+    want = run_engine(reference, contract, config)
+    for f in got._fields:
+        assert _in_order(getattr(got, f)) == _in_order(getattr(want, f)), \
+            (contract.name, f)
+    assert got.to_json_text() == want.to_json_text(), contract.name
+    assert run_detectors(got) == run_detectors(want), contract.name
+    return got
+
+
 class _Forgetful(dict):
     """A memo that keeps nothing, so that no lookup hits."""
 
@@ -217,6 +238,18 @@ class NoReplayEngine(_Engine):
 
 class EveryRoundNoReplayEngine(NoReplayEngine, EveryRoundEngine):
     """Every entry point in every round, every statement executed anew."""
+
+
+class NoMemoEngine(_Engine):
+    """The engine with its operand memos turned off: every solver
+    substitution of a value and every operand's candidates and index are
+    computed anew at each statement. The reference for those memos, which
+    must produce the same result in the same order."""
+
+    def __init__(self, contract, config, entry_seeds):
+        super().__init__(contract, config, entry_seeds)
+        self.subst_memo = _Forgetful()
+        self.operand_memo = _Forgetful()
 
 
 class EveryVariableLiveEngine(_Engine):
@@ -498,3 +531,37 @@ def gen_rounds_contract(rng: random.Random, index: int) -> str:
                  f"y = {rng.choice(slots)}; {rng.choice(slots)} = y + x; }}")
     parts.append("}")
     return "\n".join(parts) + "\n"
+
+
+def gen_gated_contract(rng: random.Random, index: int) -> str:
+    """A contract of the corpus-gated benchmark's shape: gates on address
+    parameters (pair branches on b == a, route requires a to be the owner
+    or the admin), so the solver proposes values whose substitutions the
+    engine adopts. The admin address, the fee, route's recipient and
+    whether sweep is guarded vary with rng."""
+    recipient = rng.choice(("b", "owner"))
+    sweep_guard = ("        require(auth[msg.sender] == 1);\n"
+                   if rng.random() < 0.7 else "")
+    return (
+        f"contract Gated{index:02d} {{\n"
+        "    address owner;\n    address admin;\n    mapping auth;\n"
+        "    mapping bal;\n    uint fee;\n\n"
+        "    function constructor() internal {\n"
+        "        owner = msg.sender;\n"
+        f"        admin = {hex(rng.randint(0x100, 0xFFF))};\n"
+        "        auth[msg.sender] = 1;\n"
+        f"        fee = {rng.randint(1, 30)};\n    }}\n\n"
+        "    function setFee(uint f) public {\n"
+        "        require(msg.sender == owner || msg.sender == admin);\n"
+        "        fee = f;\n    }\n\n"
+        "    function credit(address who, uint amount) public {\n"
+        "        require(auth[msg.sender] == 1);\n"
+        "        bal[who] = amount + fee;\n    }\n\n"
+        "    function pair(address a, address b) public {\n"
+        "        if (b == a) { bal[a] = fee; }\n    }\n\n"
+        "    function route(address a, address b) public {\n"
+        "        require(a == owner || a == admin);\n"
+        f"        call registry.record({recipient}, fee);\n    }}\n\n"
+        "    function sweep() public {\n"
+        f"{sweep_guard}"
+        "        call vault.sweep(owner);\n    }\n}\n")

@@ -6,9 +6,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symvalic.deps import Conflict, DependencyMap, combine
+from symvalic.deps import EMPTY, Conflict, DependencyMap, combine
 from symvalic.parser import parse
-from symvalic.symexpr import Const, OWNER, Sym, UNPRIVILEGED_USER
+from symvalic.symexpr import (
+    Const, OWNER, Sym, UNPRIVILEGED_USER, contract_symbol,
+)
 from symvalic.valueflow import (
     AnalysisConfig, _Alt, _Engine, _Timeout, _Val, _subst_deps, _trim,
     analyze,
@@ -65,6 +67,19 @@ def printed(rows) -> list:
             for alt, vals, d, depths in rows]
 
 
+def product_and_prune(e: _Engine, operands, env, alts) -> list:
+    """The combinations of operands by product-and-prune, each operand
+    resolved anew: a constant or @name symbol as one candidate with no
+    deps, a variable through the engine's _resolve."""
+    def resolve(op, alt):
+        if isinstance(op, Const):
+            return [(op, EMPTY, e.limit)]
+        if op.startswith("@"):
+            return [(contract_symbol(op[1:]), EMPTY, e.limit)]
+        return e._resolve(op, env.get(op, ()), alt, op in TRACKED[0])
+    return list(product_combos(resolve, operands, alts))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_join_matches_product_and_prune(seed):
@@ -75,10 +90,53 @@ def test_join_matches_product_and_prune(seed):
     operands = [rng.choice(OPERANDS) for _ in range(rng.randint(0, 3))]
     e = engine()
     got = list(e._combos(operands, env, alts, TRACKED))
-    want = list(product_combos(
-        lambda op, alt: e._resolve(op, env, alt, TRACKED), operands, alts))
+    want = product_and_prune(e, operands, env, alts)
     assert got == want
     assert printed(got) == printed(want)
+
+
+MIXED = (
+    ["a", Const(3), "@tok", "a"],
+    [Const(3), "b", "@tok", "c", "b", Const(5)],
+    ["@tok", "a", "@tok", "missing", "a"],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_join_over_constants_symbols_and_a_repeated_variable(seed):
+    rng = random.Random(seed)
+    env = random_env(rng)
+    alts = random_alts(rng, subst=True)
+    e = engine()
+    for operands in MIXED:
+        got = list(e._combos(operands, env, alts, TRACKED))
+        want = product_and_prune(e, operands, env, alts)
+        assert got == want
+        assert printed(got) == printed(want)
+        # without the combined deps, the same choices in the same order
+        bare = list(e._combos(operands, env, alts, TRACKED, combined=False))
+        assert [(a, v, dp) for a, v, _, dp in got] == \
+            [(a, v, dp) for a, v, _, dp in bare]
+        assert all(d is None for _, _, d, _ in bare)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_operands_without_a_variable_yield_one_combination_per_alt(seed):
+    rng = random.Random(seed)
+    env = random_env(rng)
+    alts = random_alts(rng, subst=True)
+    e = engine()
+    tok = contract_symbol("tok")
+    for operands, values in (([], []),
+                             ([Const(3), "@tok", Const(3)],
+                              [Const(3), tok, Const(3)])):
+        got = list(e._combos(operands, env, alts, TRACKED))
+        assert got == product_and_prune(e, operands, env, alts)
+        assert [(alt, vals, depths) for alt, vals, _, depths in got] == \
+            [(alt, values, [e.limit] * len(values)) for alt in alts]
+        assert all(d is alt.deps for alt, _, d, _ in got)
 
 
 @settings(max_examples=300, deadline=None)

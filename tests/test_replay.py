@@ -6,35 +6,18 @@ import random
 
 import pytest
 
-from symvalic.clients import run_detectors
 from symvalic.parser import parse
 from symvalic.valueflow import AnalysisConfig, _Engine
 
 from conftest import FIXTURES, fixture_contract
 from helpers import (
     EveryRoundEngine, EveryRoundNoReplayEngine, NoReplayEngine,
-    gen_rounds_contract, gen_storage_contract, run_engine,
+    assert_same_result, gen_rounds_contract, gen_storage_contract,
 )
 from test_acceptance import Stopwatch
 from test_join import branchy_like
 
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.svc"))
-
-
-def in_order(value):
-    return tuple(value.items()) if isinstance(value, dict) else value
-
-
-def assert_same_without_replay(contract, config=AnalysisConfig(),
-                               engine=_Engine, reference=NoReplayEngine):
-    got = run_engine(engine, contract, config)
-    want = run_engine(reference, contract, config)
-    # every field in order, then the text
-    for f in got._fields:
-        assert in_order(getattr(got, f)) == in_order(getattr(want, f)), f
-    assert got.to_json_text() == want.to_json_text()
-    assert run_detectors(got) == run_detectors(want)
-    return got
 
 
 class CountingEngine(_Engine):
@@ -64,20 +47,20 @@ def generated():
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_equals_no_replay(name):
-    assert_same_without_replay(fixture_contract(name))
+    assert_same_result(_Engine, NoReplayEngine, fixture_contract(name))
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
 def test_generated_contracts_equal_no_replay(rounds):
     config = AnalysisConfig(transaction_rounds=rounds)
     for contract in generated():
-        assert_same_without_replay(contract, config)
+        assert_same_result(_Engine, NoReplayEngine, contract, config)
 
 
 @pytest.mark.parametrize("arms", [5, 12, 30])
 def test_branchy_like_equals_no_replay(arms):
     with Stopwatch(60.0, f"branchy_like({arms}) without replay"):
-        assert_same_without_replay(parse(branchy_like(arms)))
+        assert_same_result(_Engine, NoReplayEngine, parse(branchy_like(arms)))
 
 
 def test_every_round_equals_every_round_without_replay():
@@ -87,9 +70,8 @@ def test_every_round_equals_every_round_without_replay():
         contracts += generated()
         contracts += [parse(branchy_like(arms)) for arms in (5, 12)]
         for contract in contracts:
-            assert_same_without_replay(
-                contract, AnalysisConfig(transaction_rounds=4),
-                EveryRoundEngine, EveryRoundNoReplayEngine)
+            assert_same_result(EveryRoundEngine, EveryRoundNoReplayEngine,
+                               contract, AnalysisConfig(transaction_rounds=4))
 
 
 def test_gated_rounds_replays_the_branch_into_both_arms():
@@ -99,7 +81,7 @@ def test_gated_rounds_replays_the_branch_into_both_arms():
     contract = fixture_contract("gated_rounds.svc")
     counts = replays(contract)
     assert counts.get("BRANCH", 0) > 0 and counts.get("REQUIRE", 0) > 0
-    r = assert_same_without_replay(contract)
+    r = assert_same_result(_Engine, NoReplayEngine, contract)
     assert {i.value.render() for i in r.var_may_be("x", function="pair")} \
         == {"0", "42"}
     # one constant, written 0x2a for admin and 42 for limit, prints alike
