@@ -22,8 +22,11 @@ dependency maps are indexes into two tables.
          and get a row each.
   deps   each distinct dependency map as [local, transaction], each side
          its [var, expr] pairs in canonical order.
-The reader rebuilds exprs in one forward pass through the node
-constructors, which enforce MAX_EXPR_DEPTH.
+The writer keys both tables on the node or map itself: values are interned
+(symexpr, deps), so one distinct value is one object. The reader rebuilds
+exprs in one forward pass through the node constructors, which enforce
+MAX_EXPR_DEPTH and return the interned nodes, so a loaded value is the very
+object a fresh analysis in the process builds.
 """
 
 from __future__ import annotations
@@ -73,29 +76,33 @@ def cache_path(out_dir: Path, contract_name: str) -> Path:
 
 def dumps(result: AnalysisResult, key: str) -> str:
     """The cache document of a result."""
-    exprs: dict[tuple, int] = {}  # (class, *row) -> index
-    expr_ids: dict[int, int] = {}  # id of an Op node -> index
-    deps: dict[tuple, int] = {}   # (local, transaction) row -> index
-    dep_ids: dict[int, int] = {}
+    # node -> its row index, and the rows in that order: nodes and maps are
+    # interned, so each distinct value is one key
+    exprs: dict[Expr, int] = {}
+    expr_rows: list = []
+    deps: dict[DependencyMap, int] = {}
+    dep_rows: list = []
 
     def ref(e: Expr) -> int:
-        cls = e.__class__
-        if cls is Const:
-            return exprs.setdefault((cls, e.value), len(exprs))
-        if cls is Sym:
-            return exprs.setdefault((cls, e.name, e.bound), len(exprs))
-        i = expr_ids.get(id(e))
+        i = exprs.get(e)
         if i is None:
-            key = (cls, e.op, *map(ref, e.args))
-            i = expr_ids[id(e)] = exprs.setdefault(key, len(exprs))
+            cls = e.__class__
+            if cls is Const:
+                row = [e.value]
+            elif cls is Sym:
+                row = [e.name, e.bound]
+            else:
+                row = [e.op, *map(ref, e.args)]
+            i = exprs[e] = len(expr_rows)
+            expr_rows.append(row)
         return i
 
     def ref_deps(d: DependencyMap) -> int:
-        i = dep_ids.get(id(d))
+        i = deps.get(d)
         if i is None:
-            row = (tuple([(v, ref(e)) for v, e in d.local]),
-                   tuple([(v, ref(e)) for v, e in d.transaction]))
-            i = dep_ids[id(d)] = deps.setdefault(row, len(deps))
+            i = deps[d] = len(dep_rows)
+            dep_rows.append([[[v, ref(e)] for v, e in d.local],
+                             [[v, ref(e)] for v, e in d.transaction]])
         return i
 
     def values(rows) -> list:
@@ -117,7 +124,7 @@ def dumps(result: AnalysisResult, key: str) -> str:
         "notes": list(result.notes),
     }
     doc = {"schema": SCHEMA_ID, "key": key,
-           "exprs": [row[1:] for row in exprs], "deps": list(deps), **records}
+           "exprs": expr_rows, "deps": dep_rows, **records}
     return _ENCODER.encode(doc) + "\n"
 
 

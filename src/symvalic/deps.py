@@ -6,6 +6,11 @@ transaction dependencies (persist for the whole simulated call). Combining
 two maps is a compatibility check: the same variable mapped to two
 different normalized values is a Conflict, otherwise combination is the
 pairwise union.
+
+Dependency maps are interned like expressions (see symexpr): one map per
+(local, transaction) pair, in a table that lives for the process, so two
+maps are equal exactly when they are the same object, and a map hashes by
+identity, in C.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
 from .symexpr import (
-    ADDRESS_BOUND, Const, Expr, ExprLike, Hashed, Sym, as_expr, normalize,
+    ADDRESS_BOUND, Const, Expr, ExprLike, Sym, as_expr, normalize,
 )
 
 SENDER_KEY = "sender"
@@ -37,27 +42,26 @@ def _freeze(entries: Mapping[str, ExprLike] | Iterable[tuple[str, ExprLike]] | N
     return tuple(sorted(out.items()))
 
 
-class DependencyMap(Hashed):
+# (local, transaction) -> its map; entries are never removed
+_maps: dict[tuple, "DependencyMap"] = {}
+
+
+class DependencyMap:
     """Paired local/transaction variable->value mappings, canonically sorted.
-    Immutable, with its hash stored when built (see symexpr.Hashed)."""
+    Immutable and interned: the constructor returns the one map of its
+    (local, transaction) pair, and unpickling goes through it."""
 
-    __slots__ = ("local", "transaction", "_hash")
+    __slots__ = ("local", "transaction")
 
-    def __init__(self, local: tuple[Entry, ...] = (),
-                 transaction: tuple[Entry, ...] = ()):
-        self.local = local
-        self.transaction = transaction
-        self._hash = hash((local, transaction))
-
-    __hash__ = Hashed.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not DependencyMap:
-            return NotImplemented
-        return (self._hash == other._hash and self.local == other.local
-                and self.transaction == other.transaction)
+    def __new__(cls, local: tuple[Entry, ...] = (),
+                transaction: tuple[Entry, ...] = ()):
+        key = (local, transaction)
+        self = _maps.get(key)
+        if self is None:
+            self = _maps[key] = object.__new__(cls)
+            self.local = local
+            self.transaction = transaction
+        return self
 
     def __reduce__(self):
         return DependencyMap, (self.local, self.transaction)
@@ -143,7 +147,7 @@ def _merge_side(a: tuple[Entry, ...], b: tuple[Entry, ...], scope: str):
             i += 1
         if i < n and a[i][0] == var:
             kept = a[i][1]
-            if kept is not value and kept != value:
+            if kept is not value:
                 return Conflict(var, scope, kept, value)
             merged.append(a[i])
             i += 1
@@ -159,8 +163,8 @@ def _merge_side(a: tuple[Entry, ...], b: tuple[Entry, ...], scope: str):
 def combine(a: DependencyMap, b: DependencyMap) -> CombineResult:
     """Compatibility-checked union (the paper's (+) operator).
 
-    Values are compared by structural equality of their normalized forms;
-    the first clashing variable is reported.
+    Values are compared by identity, which for interned normalized forms is
+    structural equality; the first clashing variable is reported.
     """
     local = _merge_side(a.local, b.local, "local")
     if isinstance(local, Conflict):

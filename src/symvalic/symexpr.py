@@ -17,12 +17,25 @@ The reasoner exposes:
 
 All four are pure; normalize is memoized but observationally pure.
 
-Every node stores its hash and its depth when it is built, so hashing a
-value costs the same however large its tree (the engine keys dicts and sets
-by values and dependency maps throughout). Depth is bounded by
+Expressions are hash-consed (Filliatre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): a constant is interned on its value, a symbol on its
+name and bound flag, and an operator node on its operator and the identity
+of its operands, so building a value that exists returns the existing node.
+Equality is therefore identity and hashing is object.__hash__, both in C,
+whatever the size of the tree. The tables live for the process and are
+never emptied: every node built stays, about 245 bytes for an operator
+node with its table entry and 240 for a constant, and sharing pays for it
+(each distinct value is one node however often it is built). An operator
+node keeps its normal form and its sort key in slots once computed, so
+normalize's memo and the sort keys last as long as the nodes. Identity
+hashes follow memory addresses, so no output may depend on the iteration
+order of a set of nodes: such a set is sorted (expr_key) before anything
+printed is built from it.
+
+Every node stores its depth when it is built. Depth is bounded by
 MAX_EXPR_DEPTH: building a deeper node raises ValueError with a fixed
 message, because the recursive walks over a tree (render, sort_key,
-normalize, pickling, equality) must finish within Python's stack.
+normalize, pickling) must finish within Python's stack.
 """
 
 from __future__ import annotations
@@ -46,11 +59,11 @@ ARITY = {**dict.fromkeys(BINOPS, 2), "NOT": 1, "SHA3": 1, "CONCAT": 2}
 
 # The deepest tree a node may root, counting a leaf as 1. Building a
 # deeper node raises ValueError (see Op). Every walk over a tree recurses
-# once per level or more: render, sort_key, normalize, pickling, equality of
-# two separately built equal trees. At this bound each of them still works
-# when called 250 frames deep under Python's default recursion limit, which
-# leaves room for the engine's own stack (internal calls nest); at 500,
-# pickling, equality and normalize exhaust the limit from a shallow stack.
+# once per level or more: render, sort_key, normalize and pickling. At this
+# bound each of them still works when called 250 frames deep under Python's
+# default recursion limit, which leaves room for the engine's own stack
+# (internal calls nest); at 500, pickling and normalize exhaust the limit
+# from a shallow stack.
 MAX_EXPR_DEPTH = 256
 
 # A constant prints in decimal below this and in hex at or above it: hashes,
@@ -58,33 +71,16 @@ MAX_EXPR_DEPTH = 256
 HEX_FROM = 1 << 64
 
 
-class Hashed:
-    """A value that stores its hash, in _hash, when built.
-
-    Hashing returns the stored value and never visits the parts, which the
-    engine's dict and set probes would otherwise rehash on every lookup. A
-    subclass sets its fields and _hash in __init__, compares the stored
-    hashes before its fields in __eq__, and pickles through its constructor
-    (__reduce__): a stored hash depends on the process's string hashing
-    (PYTHONHASHSEED), so it never crosses a process boundary. Instances
-    are immutable by contract: nothing assigns to a field after __init__,
-    which would leave the stored hash stale. (Enforcing it through
-    object.__setattr__, as frozen dataclasses do, would about double the
-    cost of building one.)
-    """
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-class Expr(Hashed):
+class Expr:
     """Base class for expression nodes.
 
-    Nodes are immutable. Each stores its hash (see Hashed) and its depth,
-    the number of nodes on its longest path to a leaf, when built. Equality
-    is structural, and equal nodes hash and print alike.
+    Nodes are immutable and interned: each value has exactly one node, which
+    its constructor returns every time, so equality is identity and hashing
+    is object.__hash__, both done in C. Each node stores its depth, the
+    number of nodes on its longest path to a leaf, when built. The tables
+    of nodes live for the process (see the module docstring). Pickling and
+    copying go through the constructor, so an unpickled node is the
+    interned one.
     Building a node deeper than MAX_EXPR_DEPTH raises ValueError with one
     fixed message, so an analysis whose values grow too deep fails the same
     way on every path, instead of wherever some recursive walk over the tree
@@ -102,8 +98,9 @@ class Expr(Hashed):
         raise NotImplementedError
 
     def sort_key(self) -> tuple:
-        """Total order: Const < Sym < Op, then structural."""
-        raise NotImplementedError
+        """Total order: Const < Sym < Op, then structural. A leaf stores its
+        key when built, an operator node when first asked."""
+        return self.key
 
     def walk(self) -> Iterator["Expr"]:
         yield self
@@ -117,24 +114,28 @@ class Expr(Hashed):
         return f"Expr[{self.render()}]"
 
 
+# The interning tables: a constant's value, a symbol's (name, bound) and an
+# operator node's (op, *args) -> its node. Entries are never removed.
+_consts: dict[int, "Const"] = {}
+_syms: dict[tuple, "Sym"] = {}
+_ops: dict[tuple, "Op"] = {}
+
+
 class Const(Expr):
     """Concrete 256-bit value. It prints in decimal below HEX_FROM and in
     lowercase hex at or above it, however the source spelled it."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "key")
 
-    def __init__(self, value: int):
-        if not (0 <= value < WORD):
-            raise ValueError(f"constant out of 256-bit range: {value}")
-        self.value = value
-        self._hash = hash(value)
-
-    __hash__ = Expr.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Const:
-            return NotImplemented
-        return self.value == other.value
+    def __new__(cls, value: int):
+        self = _consts.get(value)
+        if self is None:
+            if not (0 <= value < WORD):
+                raise ValueError(f"constant out of 256-bit range: {value}")
+            self = _consts[value] = object.__new__(cls)
+            self.value = value
+            self.key = (0, value)
+        return self
 
     def __reduce__(self):
         return Const, (self.value,)
@@ -143,36 +144,28 @@ class Const(Expr):
         v = self.value
         return str(v) if v < HEX_FROM else hex(v)
 
-    def sort_key(self) -> tuple:
-        return (0, self.value)
-
 
 class Sym(Expr):
     """Symbolic variable. Bound symbols model fixed identities the caller
     cannot choose; free symbols may be concretized by the solver."""
 
-    __slots__ = ("name", "bound", "_hash")
+    __slots__ = ("name", "bound", "key")
 
-    def __init__(self, name: str, bound: bool):
-        self.name = name
-        self.bound = bound
-        self._hash = hash(name)
-
-    __hash__ = Expr.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Sym:
-            return NotImplemented
-        return self.name == other.name and self.bound == other.bound
+    def __new__(cls, name: str, bound: bool):
+        key = (name, bound)
+        self = _syms.get(key)
+        if self is None:
+            self = _syms[key] = object.__new__(cls)
+            self.name = name
+            self.bound = bound
+            self.key = (1, name)
+        return self
 
     def __reduce__(self):
         return Sym, (self.name, self.bound)
 
     def render(self) -> str:
         return self.name
-
-    def sort_key(self) -> tuple:
-        return (1, self.name)
 
 
 class Op(Expr):
@@ -181,39 +174,35 @@ class Op(Expr):
     expressions. The constructor is the one place that knows which
     operators exist and how many operands (one or two) each takes. The
     methods spell out both counts: a comprehension over args would take a
-    stack frame a level, halving how deep a stack can walk a tree."""
+    stack frame a level, halving how deep a stack can walk a tree.
 
-    __slots__ = ("op", "args", "depth", "_hash")
+    Beside its fields a node keeps two slots that start as None and are
+    filled when first needed: key, its sort_key, and norm, its normal form
+    (see normalize)."""
 
-    def __init__(self, op: str, *args: Expr):
+    __slots__ = ("op", "args", "depth", "key", "norm")
+
+    def __new__(cls, op: str, *args: Expr):
+        key = (op, *args)
+        self = _ops.get(key)
+        if self is not None:
+            return self
         if ARITY.get(op) != len(args):
             raise ValueError(f"no operator {op} of {len(args)} operands")
         if len(args) == 2:
             left, right = args
             depth = (left.depth if left.depth > right.depth
                      else right.depth) + 1
-            h = hash((op, left._hash, right._hash))
         else:
             depth = args[0].depth + 1
-            h = hash((op, args[0]._hash))
         if depth > MAX_EXPR_DEPTH:
             raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH}")
+        self = _ops[key] = object.__new__(cls)
         self.op = op
         self.args = args
         self.depth = depth
-        self._hash = h
-
-    __hash__ = Expr.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Op:
-            return NotImplemented
-        if self._hash != other._hash or self.op != other.op:
-            return False
-        x, y = self.args, other.args
-        return x[0] == y[0] and (len(x) == 1 or x[1] == y[1])
+        self.key = self.norm = None
+        return self
 
     def __reduce__(self):
         return Op, (self.op, *self.args)
@@ -225,10 +214,15 @@ class Op(Expr):
         return f"{self.op}({x[0].render()})"
 
     def sort_key(self) -> tuple:
-        x = self.args
-        if len(x) == 2:
-            return (2, self.op, x[0].sort_key(), x[1].sort_key())
-        return (2, self.op, x[0].sort_key())
+        key = self.key
+        if key is None:
+            x = self.args
+            if len(x) == 2:
+                key = (2, self.op, x[0].sort_key(), x[1].sort_key())
+            else:
+                key = (2, self.op, x[0].sort_key())
+            self.key = key
+        return key
 
 
 TRUE = Const(1)
@@ -292,16 +286,6 @@ def substitute(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
 # normalize
 # ---------------------------------------------------------------------------
 
-_norm_cache: dict[Expr, Expr] = {}
-
-
-def clear_normalize_memo() -> None:
-    """Empty normalize's memo. Each analysis starts with this, so the memo
-    stays bounded when one process analyzes a whole corpus (the corpus
-    commands at --jobs 1). Equal expressions print alike, so which of them
-    the memo hands back changes no output."""
-    _norm_cache.clear()
-
 
 def normalize(e: Expr) -> Expr:
     """Minimal equivalent form under 256-bit wraparound semantics.
@@ -317,12 +301,11 @@ def normalize(e: Expr) -> Expr:
     """
     if e.op is None:
         return e  # leaves are their own normal form
-    cached = _norm_cache.get(e)
-    if cached is not None:
-        return cached
-    result = _normalize(e)
-    _norm_cache[e] = result
-    _norm_cache[result] = result
+    result = e.norm
+    if result is None:
+        result = e.norm = _normalize(e)
+        if result.op is not None:
+            result.norm = result
     return result
 
 

@@ -63,16 +63,25 @@ untrusted caller is never trimmed away wholesale. Storage writes are
 buffered during a round and committed (with dependencies stripped: a new
 transaction is a new dependency world) at the round boundary.
 
-Two memos, which last for one analysis, keep operand work from repeating
-at every statement. The substitution memo is keyed by a solver
+Every value is one object: expressions and dependency maps are interned
+for the process (symexpr, deps), and a _Val, the (expression, deps,
+depth) triple a variable holds, is interned in a table that lasts for one
+run. So every memo and collector below compares and hashes its keys by
+identity, in C, and a memoized value is the very object a recomputation
+would build. Identity hashes follow memory addresses: no set of values is
+iterated into an output unsorted.
+
+Three memos, which last for one analysis, keep operand work from
+repeating at every statement. The substitution memo is keyed by a solver
 substitution, then separately by an expression and by a dependency map,
 and holds each one's normalized substituted form. The operand memo is
 keyed by a variable, the identity of the value tuple it holds (the memo
 keeps that tuple, so its id is not reused), the substitution and whether
 the variable is tracked, and holds the variable's indexed values. A
 value tuple is replaced, never changed, when its variable is assigned or
-merged, so a hit is exact, and equal values print alike, so a memoized
-form prints as a recomputed one.
+merged, so a hit is exact. The combine memo holds combine's result for
+each pair of dependency maps the join, an operand binding or a branch
+edge combines.
 """
 
 from __future__ import annotations
@@ -104,10 +113,10 @@ from .ir import (
     live_in,
 )
 from .symexpr import (
-    ARITH_OPS, ARITY, Const, Expr, FALSE, Hashed, OWNER, OWNER_UNIQUE, Op, Sym,
-    TRUE, UNPRIVILEGED_USER, USER_UNIQUE, WORD,
-    as_expr, clear_normalize_memo, contract_symbol, expr_key, free_syms,
-    implies, normalize, substitute, value_for_var,
+    ARITH_OPS, ARITY, Const, Expr, FALSE, OWNER, OWNER_UNIQUE, Op, Sym, TRUE,
+    UNPRIVILEGED_USER, USER_UNIQUE, WORD,
+    as_expr, contract_symbol, expr_key, free_syms, implies, normalize,
+    substitute, value_for_var,
 )
 
 SENDER_INPUT = "msg.sender"
@@ -203,8 +212,10 @@ class AnalysisResult(namedtuple(
             by_stmt.setdefault(f.stmt, []).append(f)
         return by_stmt
 
-    def return_values(self, function: str) -> frozenset:
-        return frozenset(v for v, _ in self.returns.get(function, ()))
+    def return_values(self, function: str) -> tuple[Expr, ...]:
+        """The distinct values function may return, in expr_key order."""
+        return tuple(sorted({v for v, _ in self.returns.get(function, ())},
+                            key=expr_key))
 
     def to_json_text(self) -> str:
         """The result document, which this method defines: the bytes of
@@ -298,28 +309,25 @@ Tracked = tuple[frozenset, frozenset]
 _Alt = namedtuple("_Alt", "deps pc subst", defaults=(frozenset(), ()))
 
 
-class _Val(Hashed):
+class _Val:
     """A value a variable may hold: its expression, the dependencies it
-    carries, and its remaining arithmetic depth through storage. Hashed
-    when built (see symexpr.Hashed)."""
+    carries, and its remaining arithmetic depth through storage. Interned
+    like expressions, on (expr, deps, depth), but in the running engine's
+    table (_Engine.run swaps in a fresh one and drops it when it returns),
+    since a _Val never leaves the engine."""
 
-    __slots__ = ("expr", "deps", "depth", "_hash")
+    __slots__ = ("expr", "deps", "depth")
+    table: dict = {}
 
-    def __init__(self, expr: Expr, deps: DependencyMap, depth: int):
-        self.expr = expr
-        self.deps = deps
-        self.depth = depth
-        self._hash = hash((expr._hash, deps._hash, depth))
-
-    __hash__ = Hashed.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not _Val:
-            return NotImplemented
-        return (self._hash == other._hash and self.depth == other.depth
-                and self.expr == other.expr and self.deps == other.deps)
+    def __new__(cls, expr: Expr, deps: DependencyMap, depth: int):
+        key = (expr, deps, depth)
+        self = cls.table.get(key)
+        if self is None:
+            self = cls.table[key] = object.__new__(cls)
+            self.expr = expr
+            self.deps = deps
+            self.depth = depth
+        return self
 
     def __reduce__(self):
         return _Val, (self.expr, self.deps, self.depth)
@@ -389,12 +397,20 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _join(levels: list, d: DependencyMap, combined: bool = True):
+def _combine(memo: dict, a: DependencyMap, b: DependencyMap):
+    """combine(a, b), memoized in memo on the (interned) pair."""
+    got = memo.get((a, b))
+    if got is None:
+        got = memo[a, b] = combine(a, b)
+    return got
+
+
+def _join(levels: list, d: DependencyMap, memo: dict, combined: bool = True):
     """(picks, deps) for every choice of one candidate per level that
     combines with d without a Conflict, in lexicographic order; deps is d
     combined with every pick, or None when combined is false (the last
     combine is then skipped). Levels are (candidates, _DepIndex) pairs,
-    walked depth-first by one loop."""
+    walked depth-first by one loop; memo is _combine's."""
     last = len(levels) - 1
     if last < 0:
         yield (), d
@@ -412,11 +428,11 @@ def _join(levels: list, d: DependencyMap, combined: bool = True):
         masks[i] = mask ^ low
         cand = picks[i] = levels[i][0][low.bit_length() - 1]
         if i == last:
-            yield tuple(picks), (combine(ds[i], cand[1]) if combined
+            yield tuple(picks), (_combine(memo, ds[i], cand[1]) if combined
                                  else None)
         else:
             i += 1
-            ds[i] = combine(ds[i - 1], cand[1])
+            ds[i] = _combine(memo, ds[i - 1], cand[1])
             masks[i] = levels[i][1].compatible(ds[i])
 
 
@@ -446,7 +462,6 @@ def _live_env(env, live: frozenset) -> dict:
 class _Engine:
     def __init__(self, contract: Contract, config: AnalysisConfig,
                  entry_seeds: SeedOverrides | None):
-        clear_normalize_memo()
         self.contract = contract
         self.cfg = config
         self.entry_seeds = dict(entry_seeds or {})
@@ -508,10 +523,13 @@ class _Engine:
         # its value tuple, subst, tracked) -> (that tuple, its join level)
         self.subst_memo: dict[tuple, tuple] = {}
         self.operand_memo: dict[tuple, tuple] = {}
+        # (a, b) -> combine(a, b), for two interned dependency maps
+        self.combine_memo: dict[tuple, DependencyMap | Conflict] = {}
 
     # -- top level -------------------------------------------------------
 
     def run(self) -> dict:
+        _Val.table = {}
         try:
             ctor = self.contract.constructor
             if ctor is not None:
@@ -530,6 +548,8 @@ class _Engine:
         except _Timeout:
             self.truncated = True
             self.notes.append("resource cap exceeded; partial result")
+        finally:
+            _Val.table = {}
         return self._facts()
 
     def _check_time(self):
@@ -681,7 +701,8 @@ class _Engine:
             v = self._subst_val(val, alt)
             d = v.deps
             if bind:
-                d = combine(d, DependencyMap(((var, v.expr),), ()))
+                d = _combine(self.combine_memo, d,
+                             DependencyMap(((var, v.expr),), ()))
                 if isinstance(d, Conflict):
                     continue
             out.append((v.expr, d, v.depth))
@@ -734,7 +755,8 @@ class _Engine:
             if levels is None:
                 levels = by_subst[alt.subst] = [
                     self._level(var, env, alt, tracked) for var in variables]
-            for picks, d in _join(levels, alt.deps, combined):
+            for picks, d in _join(levels, alt.deps, self.combine_memo,
+                                  combined):
                 picks += fixed
                 yield (alt, [picks[i][0] for i in slots], d,
                        [picks[i][2] for i in slots])
@@ -1028,7 +1050,7 @@ class _Engine:
                         mask |= index.compatible(v.deps) & members
                     for j in _bits(mask):
                         v = subbed[alts[j].subst]
-                        d = combine(v.deps, alts[j].deps)
+                        d = _combine(self.combine_memo, v.deps, alts[j].deps)
                         keep.setdefault(_Val(v.expr, d, val.depth), None)
                 if keep:
                     tagged[var] = self._bound_values(var, list(keep))
@@ -1097,14 +1119,11 @@ def assemble(contract: Contract, config: AnalysisConfig,
 
 
 def _subst_deps(d: DependencyMap, m: dict) -> DependencyMap:
-    """d with the solver assignment m substituted into its values; d itself
-    when every value comes back as the identical object."""
-    local = tuple((v, normalize(substitute(x, m))) for v, x in d.local)
-    tx = tuple((v, normalize(substitute(x, m))) for v, x in d.transaction)
-    if all(new[1] is old[1] for new, old in zip(local, d.local)) and all(
-            new[1] is old[1] for new, old in zip(tx, d.transaction)):
-        return d
-    return DependencyMap(local, tx)
+    """d with the solver assignment m substituted into its values (d
+    itself, interned, when no value changes)."""
+    return DependencyMap(
+        tuple((v, normalize(substitute(x, m))) for v, x in d.local),
+        tuple((v, normalize(substitute(x, m))) for v, x in d.transaction))
 
 
 def _conjunction(pc: frozenset) -> Expr:
@@ -1185,17 +1204,17 @@ def _result_text(r: AnalysisResult) -> str:
     sort_keys=True) lays it out, written straight from the records. Rows
     are sorted by their fields, with a dependency map compared by
     Python's str() of its local and tx dicts."""
-    # id(DependencyMap) -> (str(local), str(tx), {level: (local text, tx
-    # text)}, (local, tx)); the maps outlive the call, so ids are not reused
+    # DependencyMap -> (str(local), str(tx), {level: (local text, tx text)},
+    # (local, tx))
     maps: dict = {}
 
     def deps(d: DependencyMap) -> tuple:
-        entry = maps.get(id(d))
+        entry = maps.get(d)
         if entry is None:
             # dicts, so that a repeated variable collapses as in a dict
             local = {var: e.render() for var, e in d.local}
             tx = {var: e.render() for var, e in d.transaction}
-            entry = maps[id(d)] = (str(local), str(tx), {}, (local, tx))
+            entry = maps[d] = (str(local), str(tx), {}, (local, tx))
         return entry
 
     def deps_text(entry: tuple, level: int) -> tuple:

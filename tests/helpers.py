@@ -241,15 +241,17 @@ class EveryRoundNoReplayEngine(NoReplayEngine, EveryRoundEngine):
 
 
 class NoMemoEngine(_Engine):
-    """The engine with its operand memos turned off: every solver
-    substitution of a value and every operand's candidates and index are
-    computed anew at each statement. The reference for those memos, which
-    must produce the same result in the same order."""
+    """The engine with its operand memos and its combine memo turned off:
+    every solver substitution of a value, every operand's candidates and
+    index and every combination of two dependency maps are computed anew
+    at each statement. The reference for those memos, which must produce
+    the same result in the same order."""
 
     def __init__(self, contract, config, entry_seeds):
         super().__init__(contract, config, entry_seeds)
         self.subst_memo = _Forgetful()
         self.operand_memo = _Forgetful()
+        self.combine_memo = _Forgetful()
 
 
 class EveryVariableLiveEngine(_Engine):

@@ -10,9 +10,9 @@ import symvalic
 from symvalic.symexpr import (
     ARITY, ASSOCIATIVE, BINOPS, MAX_EXPR_DEPTH, Const, Expr, FALSE, OWNER,
     OWNER_UNIQUE, Op, Sym, TRUE, UNPRIVILEGED_USER, WORD,
-    clear_normalize_memo, eval_concrete, free_syms, implies, normalize,
-    substitute, value_for_var,
+    eval_concrete, free_syms, implies, normalize, substitute, value_for_var,
 )
+from symvalic import symexpr
 from symvalic.analysis_cache import load, write
 from symvalic.deps import DependencyMap
 from symvalic.parser import parse
@@ -78,9 +78,10 @@ def test_op_checks_its_arity_and_keeps_print_order_hash_and_pickling(op):
         Op(op.lower(), *operands)
     e = Op(op, *operands)
     assert (e.render(), e.sort_key()) == PINNED[op]
-    assert hash(e) == hash((op, *map(hash, operands)))
+    # interned: the node of a value is built once, and hashes by identity
+    assert Op(op, *operands) is e and hash(e) == object.__hash__(e)
     back = pickle.loads(pickle.dumps(e))
-    assert back is not e and back == e and back.render() == e.render()
+    assert back is e
 
 
 def test_every_exported_name_is_defined():
@@ -378,7 +379,7 @@ def test_value_for_var_candidates_satisfy(seed):
             assert n == TRUE, (c.render(), sym.name, cand.render())
 
 
-# --- stored hashes and the depth bound ----------------------------------------
+# --- interning and the depth bound ---------------------------------------------
 
 
 def rebuilt(e: Expr) -> Expr:
@@ -394,16 +395,14 @@ def test_equal_trees_built_apart_compare_and_hash_alike(seed, truth_value):
     syms = some_syms(rng)
     e = gen_bool(rng, syms, 3) if truth_value else gen_arith(rng, syms, 4)
     a, b = rebuilt(e), rebuilt(e)
-    assert a is not b
+    assert a is b  # one node per value
     assert a == b and hash(a) == hash(b) and a.render() == b.render()
     assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
-    normal = []
-    for x in (a, b):
-        clear_normalize_memo()
-        normal.append(normalize(x))
-    na, nb = normal
-    assert na == nb and hash(na) == hash(nb)
+    na, nb = normalize(a), normalize(b)
+    assert na is nb and hash(na) == hash(nb)
     assert {na: "a"}[nb] == "a" and nb in {na}
+    # normalize's memo is the node's slot; recomputing gives the same node
+    assert na.op is None or symexpr._normalize(a) is na
 
 
 def test_differing_trees_compare_unequal():
@@ -416,13 +415,14 @@ def test_a_constant_prints_by_its_value_alone():
     assert [Const(v).render() for v in (0, 42, 2**64 - 1, 2**64, WORD - 1)] \
         == ["0", "42", "18446744073709551615", "0x10000000000000000",
             "0x" + "f" * 64]
-    assert Const.__slots__ == ("value", "_hash")
+    assert Const.__slots__ == ("value", "key")
 
 
-def deepest_value() -> Expr:
-    """x's value after chained `x = (x / 3) - user;` from x = owner: exactly
-    MAX_EXPR_DEPTH deep, and every level survives normalize."""
-    e = OWNER
+def deepest_value(leaf: Expr = OWNER) -> Expr:
+    """x's value after chained `x = (x / 3) - user;` from x = leaf (a bound
+    symbol other than user): exactly MAX_EXPR_DEPTH deep, and every level
+    survives normalize."""
+    e = leaf
     while e.depth < MAX_EXPR_DEPTH:
         e = (Op("DIV", e, Const(3)) if e.depth % 2
              else Op("SUB", e, UNPRIVILEGED_USER))
@@ -430,12 +430,13 @@ def deepest_value() -> Expr:
 
 
 def test_value_at_the_depth_bound_survives_every_walk():
-    e = deepest_value()
+    # a leaf no other test uses: its nodes are new, so their normal forms
+    # and sort keys are computed here, at depth, not read from their slots
+    e = deepest_value(Sym("<<depth-bound-walks>>", bound=True))
 
     def walks():
-        clear_normalize_memo()
         back = pickle.loads(pickle.dumps(e))
-        assert back is not e and back == e and hash(back) == hash(e)
+        assert back is e and hash(back) == hash(e)
         assert normalize(back) == e
         swapped = substitute(e, {UNPRIVILEGED_USER: OWNER})
         assert normalize(swapped).depth == MAX_EXPR_DEPTH
@@ -494,11 +495,10 @@ def test_a_shallow_chain_too_long_to_nest_left_deep_normalizes(op):
     syms = [Sym(f"s{i:03d}", bound=True) for i in range(300)]
     e = balanced(op, syms[::-1])
     assert e.depth == 10
-    clear_normalize_memo()
     n = normalize(e)
     assert n.render() == balanced(op, syms).render()
-    clear_normalize_memo()
-    assert normalize(n).render() == n.render()
+    # normalize has recorded n as its own normal form; compute it afresh
+    assert symexpr._normalize(n).render() == n.render()
     rng = random.Random(300)
     for _ in range(5):
         env = {s.name: rng.choice((0, 1, rng.randrange(WORD))) for s in syms}
@@ -508,7 +508,6 @@ def test_a_shallow_chain_too_long_to_nest_left_deep_normalizes(op):
 @pytest.mark.parametrize("terms", [255, MAX_EXPR_DEPTH])
 def test_a_chain_that_fits_keeps_its_left_deep_form(terms):
     syms = [Sym(f"s{i:03d}", bound=True) for i in range(terms)]
-    clear_normalize_memo()
     n = normalize(balanced("ADD", syms[::-1]))
     assert n.depth == terms
     assert n.render() == left_deep("ADD", syms).render()
