@@ -9,30 +9,27 @@ Mechanics
 ---------
 Public functions are explored in transaction rounds against the storage
 committed by earlier rounds (the constructor runs first, with the sender
-fixed to <<owner>>). Each run records the storage keys it loads, cells
-never written included, and each commit records the keys that gained a
-value or a greater depth. From round 2 on, a function whose last run read
-none of the keys the last commit changed is skipped. The skip is exact: a
-run depends on committed storage only through the cells it reads, so it
-would repeat its last run fact for fact and write for write, and those
-facts and writes are already recorded. A memoized internal-call walk hands
-its reads to every caller that reuses it, since such a caller depends on
-them as if it had walked the callee itself.
+fixed to <<owner>>). A commit gives a new version to each storage key that
+gained a value or a greater depth. A walk or a statement that meets the
+inputs of an earlier one, and loads no cell whose version has changed
+since, would repeat it fact for fact and write for write, and those facts
+and writes are already recorded. Two memos, which last for one analysis,
+rest on this: each entry keeps the versions of the cells its run loaded,
+and a hit is used only while they are current. The walk memo is keyed,
+for an entry point, on its name (its inputs are built once), and for an
+internal call on the callee, its argument values and depths, its
+alternative, and which functions that some internal call names are on
+the stack (a call to a function on the stack is skipped). A hit hands the
+walk's reads to the caller, which depends on them as if it had walked the
+callee. The statement memo is keyed on the statement id, the alternatives
+and the operand values (for a branch, also the values of the variables
+live at either target). A replay assigns the recorded values, feeds the
+recorded payload to each arm of a branch, hands on the recorded reads and
+continues with the recorded alternatives; its facts, notes and call rows
+are already recorded, in the order a recomputation would keep, and equal
+values print alike. Jumps (they only merge), storage writes (already
+folded into the commit) and internal calls (the walk memo) always run.
 
-The same invariant holds statement by statement. A statement that meets
-alternatives and operand values equal to those of an earlier execution (for
-a branch, also the values of the variables live at either target) and
-loads only cells no commit has changed since would repeat that execution.
-It is replayed from a memo that lasts for one analysis and is keyed on the
-statement id and those inputs: the replay assigns the recorded values,
-feeds the recorded payload to each arm of a branch, hands on the recorded
-storage reads and continues with the recorded alternatives. Its facts,
-notes and call rows are already recorded, in the order a recomputation
-would keep, and equal values print alike, so a replay prints what a
-recomputation would. Jumps (they only merge), storage writes (already
-folded into the commit) and internal calls (memoized per round above)
-always run, as does every statement of an internal-call walk, which is
-memoized whole.
 Inside a function, blocks of the acyclic CFG are visited in topological
 order carrying:
 
@@ -71,7 +68,7 @@ identity, in C, and a memoized value is the very object a recomputation
 would build. Identity hashes follow memory addresses: no set of values is
 iterated into an output unsorted.
 
-Three memos, which last for one analysis, keep operand work from
+Three more memos, which last for one analysis, keep operand work from
 repeating at every statement. The substitution memo is keyed by a solver
 substitution, then separately by an expression and by a dependency map,
 and holds each one's normalized substituted form. The operand memo is
@@ -335,8 +332,8 @@ class _Val:
 
 # What replaying one memoized statement execution needs: the alternatives
 # that continued past it, the values it assigned (or None), the (payload,
-# alternatives, target) of each branch edge it fed, and the (key, version)
-# of each storage cell it loaded.
+# alternatives, target) of each branch edge it fed, and the storage cells
+# it loaded (key -> version).
 _Replay = namedtuple("_Replay", "alts assigned edges reads")
 
 
@@ -508,15 +505,19 @@ class _Engine:
         self.call_rows: dict[tuple[int, str, str, str], dict] = {}
         self.storage: dict[Expr, dict[Expr, int]] = {}
         self.buffer: dict[Expr, dict[Expr, int]] = {}
-        # storage keys read by the running entry (or internal walk), and
-        # per memoized internal-call walk the keys that walk read
-        self.reads: set = set()
-        self.call_memo: dict[tuple, set] = {}
-        # per entry point, its input env and sender alternatives, built on
-        # its first run; per storage key, the commits that changed it; the
-        # statement memo (see Mechanics)
-        self.starts: dict[str, tuple] = {}
+        # per storage key, the commits that changed it, and the keys the
+        # running walk read, with their versions
         self.versions: dict[Expr, int] = {}
+        self.reads: dict[Expr, int] = {}
+        # per entry point, its input env and sender alternatives, built on
+        # its first run; the functions some internal call names
+        self.starts: dict[str, tuple] = {}
+        self.callees = frozenset(s.callee for f in contract.functions
+                                 for s in f.statements()
+                                 if s.op == "CALLINTERNAL")
+        # the memos that replay work (see Mechanics): walk key -> the reads
+        # of that walk, and statement key -> _Replay
+        self.walk_memo: dict = {}
         self.stmt_memo: dict[tuple, _Replay] = {}
         # the operand memos (see Mechanics): subst -> (its mapping, expr ->
         # substituted expr, deps -> substituted deps), and (variable, id of
@@ -535,15 +536,10 @@ class _Engine:
             if ctor is not None:
                 self._run_entry(ctor, senders=(OWNER,))
                 self._commit()
-            reads: dict[str, set] = {}  # entry -> keys its last run read
-            changed = None
             for _ in range(self.cfg.transaction_rounds):
-                self.call_memo.clear()
                 for f in self.contract.public_functions():
-                    if not self._skip(reads.get(f.name), changed):
-                        reads[f.name] = self._run_entry(f, senders=None)
-                changed = self._commit()
-                if not changed:
+                    self._run_entry(f, senders=None)
+                if not self._commit():
                     break
         except _Timeout:
             self.truncated = True
@@ -556,11 +552,10 @@ class _Engine:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Timeout()
 
-    @staticmethod
-    def _skip(last_reads: set | None, changed: set | None) -> bool:
-        """An entry whose last run read no key the last commit changed would
-        repeat that run exactly, so it is not run again."""
-        return last_reads is not None and last_reads.isdisjoint(changed)
+    def _fresh(self, reads: dict) -> bool:
+        """Whether no commit has changed a cell of reads (key -> version)
+        since it was read."""
+        return all(self.versions.get(k, 0) == n for k, n in reads.items())
 
     def _commit(self) -> set:
         """Fold buffered writes into committed storage (deps stripped);
@@ -577,17 +572,14 @@ class _Engine:
             self.versions[key] = self.versions.get(key, 0) + 1
         return changed
 
-    def _run_entry(self, fn: Function, senders: tuple[Expr, ...] | None
-                   ) -> set:
-        """Explore one entry point; returns the storage keys it read. Its
-        input values and sender alternatives are built on its first run and
-        reused by every later one."""
-        self.reads = set()
+    def _run_entry(self, fn: Function, senders: tuple[Expr, ...] | None):
+        """Explore one entry point, unless the walk memo holds a walk of it
+        that is still current. Its input values and sender alternatives are
+        built on its first run and reused by every later one."""
         start = self.starts.get(fn.name)
         if start is None:
             start = self.starts[fn.name] = self._start(fn, senders)
-        self._walk(fn, *start, entry_fn=fn, stack=(fn.name,))
-        return self.reads
+        self._memo_walk(fn.name, fn, *start, entry_fn=fn, stack=(fn.name,))
 
     def _start(self, fn: Function, senders: tuple[Expr, ...] | None
                ) -> tuple[dict[str, tuple[_Val, ...]], list[_Alt]]:
@@ -608,6 +600,19 @@ class _Engine:
         return env, alts
 
     # -- function body ----------------------------------------------------
+
+    def _memo_walk(self, key, fn: Function, entry_env, entry_alts,
+                   entry_fn: Function, stack: tuple[str, ...]):
+        """Walk fn, unless the walk memo holds a walk under key that read no
+        cell a commit has changed since; either way that walk's reads join
+        the running walk's."""
+        reads = self.walk_memo.get(key)
+        if reads is None or not self._fresh(reads):
+            outer, self.reads = self.reads, {}
+            self._walk(fn, entry_env, entry_alts, entry_fn, stack)
+            reads = self.walk_memo[key] = self.reads
+            self.reads = outer
+        self.reads.update(reads)
 
     def _walk(self, fn: Function, entry_env, entry_alts, entry_fn: Function,
               stack: tuple[str, ...]):
@@ -786,14 +791,9 @@ class _Engine:
         if op == "CALLINTERNAL":
             self._exec_internal(fn, tracked, stmt, env, alts, entry_fn, stack)
             return alts
-        if fn is not entry_fn:
-            # an internal-call walk is memoized whole, per round (call_memo)
-            return self._run(fn, tracked, stmt, env, alts, env_in,
-                             alts_in).alts
         key = (stmt.sid, tuple(alts), tuple(self._inputs(fn, stmt, env)))
         rec = self.stmt_memo.get(key)
-        if rec is not None and all(self.versions.get(k, 0) == n
-                                   for k, n in rec.reads):
+        if rec is not None and self._fresh(rec.reads):
             return self._replay(stmt, rec, env, env_in, alts_in)
         rec = self._run(fn, tracked, stmt, env, alts, env_in, alts_in)
         self.stmt_memo[key] = rec
@@ -819,14 +819,14 @@ class _Engine:
             env[stmt.result] = rec.assigned
         for payload, arm_alts, bid in rec.edges:
             _merge_edge(payload, arm_alts, bid, env_in, alts_in)
-        self.reads.update([k for k, _ in rec.reads])
+        self.reads.update(rec.reads)
         return rec.alts
 
     def _run(self, fn, tracked, stmt, env, alts, env_in, alts_in) -> _Replay:
         """Execute stmt (not a JUMP, SSTORE or CALLINTERNAL); returns what
         a replay of it needs."""
         op = stmt.op
-        out, produced, edges, reads = alts, None, (), ()
+        out, produced, edges, reads = alts, None, (), {}
         if op == "REQUIRE":
             out = self._gate(stmt.operands[0], env, alts, tracked,
                              want_true=True)
@@ -878,13 +878,13 @@ class _Engine:
             produced.append(_Val(normalize(Op(stmt.op, *vals)), d, depth))
         return produced
 
-    def _exec_sload(self, stmt, env, alts, tracked) -> tuple[list, tuple]:
-        """The loaded values, and each key read with its version."""
+    def _exec_sload(self, stmt, env, alts, tracked) -> tuple[list, dict]:
+        """The loaded values, and the keys read (key -> version)."""
         produced = []
-        read: dict[Expr, None] = {}
+        read: dict[Expr, int] = {}
         for _, vals, d, _ in self._combos(stmt.operands, env, alts, tracked):
             key = vals[0]
-            read[key] = None
+            read[key] = self.versions.get(key, 0)
             cell = self.storage.get(key)
             if not cell:
                 # never-written cell: EVM zero default
@@ -893,7 +893,7 @@ class _Engine:
             for value, depth in cell.items():
                 produced.append(_Val(value, d, depth))
         self.reads.update(read)
-        return produced, tuple([(k, self.versions.get(k, 0)) for k in read])
+        return produced, read
 
     def _exec_sstore(self, fn, tracked, stmt, env, alts):
         for _, vals, _, depths in self._combos(stmt.operands, env, alts,
@@ -934,6 +934,7 @@ class _Engine:
         if callee is None or callee.name in stack:
             self.notes.append(f"internal call to {stmt.callee} skipped")
             return
+        on_stack = self.callees.intersection(stack)
         for alt, vals, d, depths in self._combos(stmt.operands, env, alts,
                                                  tracked):
             # entry-point arguments pinned on this path migrate into the
@@ -951,18 +952,10 @@ class _Engine:
                 pname: (_Val(vals[i], EMPTY, depths[i]),)
                 for i, (pname, _) in enumerate(callee.params)
             }
-            memo_key = (callee.name, tuple(vals), tuple(depths), callee_alt)
-            walk_reads = self.call_memo.get(memo_key)
-            if walk_reads is not None:
-                # the skipped walk's reads are this entry's reads too
-                self.reads |= walk_reads
-                continue
-            caller_reads = self.reads
-            self.reads = self.call_memo[memo_key] = set()
-            self._walk(callee, callee_env, [callee_alt], entry_fn,
-                       stack + (callee.name,))
-            caller_reads |= self.reads
-            self.reads = caller_reads
+            key = (callee.name, tuple(vals), tuple(depths), callee_alt,
+                   on_stack)
+            self._memo_walk(key, callee, callee_env, [callee_alt], entry_fn,
+                            stack + (callee.name,))
 
     # -- gating (REQUIRE and branch arms) -------------------------------------
 

@@ -178,14 +178,22 @@ def product_combos(resolve, operands, alts):
                    [by_op[op][2] for op in operands])
 
 
-class EveryRoundEngine(_Engine):
-    """The engine with its round skip turned off: every entry point runs
-    in every transaction round. The reference for the incremental round
-    loop, which must produce the same result in the same order."""
+class _Forgetful(dict):
+    """A memo that keeps nothing, so that no lookup hits."""
 
-    @staticmethod
-    def _skip(last_reads, changed) -> bool:
-        return False
+    def __setitem__(self, key, value):
+        pass
+
+
+class EveryRoundEngine(_Engine):
+    """The engine with its walk memo turned off: every entry point runs in
+    every transaction round, and every internal call is walked. The
+    reference for the walk memo, which must produce the same result in the
+    same order."""
+
+    def __init__(self, contract, config, entry_seeds):
+        super().__init__(contract, config, entry_seeds)
+        self.walk_memo = _Forgetful()
 
 
 def run_engine(engine: type, contract: Contract, config: AnalysisConfig
@@ -219,15 +227,8 @@ def assert_same_result(engine: type, reference: type, contract: Contract,
     return got
 
 
-class _Forgetful(dict):
-    """A memo that keeps nothing, so that no lookup hits."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 class NoReplayEngine(_Engine):
-    """The engine with its statement memo turned off: a re-run entry point
+    """The engine with its statement memo turned off: every walk that runs
     executes every statement anew. The reference for replays, which must
     produce the same result in the same order."""
 
@@ -512,7 +513,7 @@ def gen_rounds_contract(rng: random.Random, index: int) -> str:
     """Public functions that read and write scalar storage and call one
     internal helper that does the same, so that one transaction round's
     writes feed the next round's reads, some cells are written but never
-    read, and helper walks are shared through the call memo."""
+    read, and helper walks are shared through the walk memo."""
     slots = [f"s{i}" for i in range(rng.randint(2, 3))]
     templates = (
         lambda: f"r = {rng.choice(slots)}; call helper(r);",

@@ -9,8 +9,12 @@ import sys
 
 from symvalic.deps import DependencyMap, combine
 from symvalic.parser import parse
-from symvalic.symexpr import OWNER, USER_UNIQUE, Const, Op, Sym, expr_key
-from symvalic.valueflow import _Engine, _Val, AnalysisConfig, analyze
+from symvalic.symexpr import (
+    OWNER, USER_UNIQUE, Const, Op, Sym, expr_key, free_syms,
+)
+from symvalic.valueflow import (
+    _Engine, _Val, AnalysisConfig, _conjunction, analyze,
+)
 
 from conftest import FIXTURES
 from test_cli import package_env
@@ -89,3 +93,26 @@ def test_return_values_come_in_canonical_order():
     values = result.return_values("whichPaths")
     assert len(values) > 1
     assert list(values) == sorted(set(values), key=expr_key)
+
+
+# Twelve free symbols, made in reverse expr_key order: they lie in memory in
+# an order of their own, so a set of them (or of terms over them) iterates
+# in neither their order nor the reverse.
+REVERSED = [Sym(f"order{i:02d}", False) for i in range(12, 0, -1)]
+
+
+def test_free_symbols_come_in_canonical_order():
+    e = REVERSED[0]
+    for sym in REVERSED[1:]:
+        e = Op("ADD", e, Op("MUL", sym, Const(3)))
+    assert free_syms(Op("EQ", e, OWNER)) == tuple(
+        sorted(REVERSED, key=expr_key))
+
+
+def test_a_path_condition_folds_in_canonical_order():
+    terms = [Op("LT", sym, Const(i)) for i, sym in enumerate(REVERSED)]
+    want = None
+    for term in sorted(terms, key=expr_key):
+        want = term if want is None else Op("AND", want, term)
+    for order in (terms, terms[::-1]):
+        assert _conjunction(frozenset(order)) is want

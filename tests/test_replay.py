@@ -1,6 +1,6 @@
-"""The statement memo: a re-run entry point replays each statement whose
-inputs equal those an earlier round gave it and whose storage reads are
-unchanged, and the result equals that of executing every statement anew."""
+"""The statement memo: a walk replays each statement whose inputs equal
+those of an earlier execution and whose storage reads are unchanged, and
+the result equals that of executing every statement anew."""
 
 import random
 
@@ -64,7 +64,7 @@ def test_branchy_like_equals_no_replay(arms):
 
 
 def test_every_round_equals_every_round_without_replay():
-    # with the round skip off, every unchanged entry replays all through
+    # with the walk memo off, every unchanged walk replays all through
     with Stopwatch(60.0, "every round, with and without replay"):
         contracts = [fixture_contract(name) for name in FIXTURE_NAMES]
         contracts += generated()

@@ -1,6 +1,7 @@
-"""Incremental transaction rounds: from round 2 on, an entry point runs
-again only if the last commit changed a storage cell its last run read,
-and the result equals that of running every entry in every round."""
+"""The walk memo across transaction rounds: an entry point, or an internal
+call with the same inputs, is walked again only if a commit has changed a
+storage cell its last walk read, and the result equals that of walking
+every entry in every round and every internal call anew."""
 
 import random
 
@@ -57,23 +58,30 @@ def test_generated_round_contracts_equal_every_round(rounds):
         assert_same_as_every_round(parse(gen_rounds_contract(rng, i)), config)
 
 
-def entries_per_round(monkeypatch, contract, config=AnalysisConfig()):
-    """The entry points run before each commit, one list per commit."""
+def walks_per_round(monkeypatch, contract, config=AnalysisConfig()):
+    """The (function, entry point) of each walk run before each commit, one
+    list per commit."""
     rounds = [[]]
-    run_entry, commit = _Engine._run_entry, _Engine._commit
+    walk, commit = _Engine._walk, _Engine._commit
 
-    def logged_run_entry(self, fn, senders):
-        rounds[-1].append(fn.name)
-        return run_entry(self, fn, senders)
+    def logged_walk(self, fn, entry_env, entry_alts, entry_fn, stack):
+        rounds[-1].append((fn.name, entry_fn.name))
+        return walk(self, fn, entry_env, entry_alts, entry_fn, stack)
 
     def logged_commit(self):
         rounds.append([])
         return commit(self)
 
-    monkeypatch.setattr(_Engine, "_run_entry", logged_run_entry)
+    monkeypatch.setattr(_Engine, "_walk", logged_walk)
     monkeypatch.setattr(_Engine, "_commit", logged_commit)
     analyze(contract, config)
     return rounds[:-1]
+
+
+def entries_per_round(monkeypatch, contract, config=AnalysisConfig()):
+    """The entry points walked before each commit, one list per commit."""
+    return [[fn for fn, entry in walks if fn == entry]
+            for walks in walks_per_round(monkeypatch, contract, config)]
 
 
 def test_round_after_unread_writes_runs_no_entry(monkeypatch):
@@ -112,3 +120,17 @@ def test_deeper_stored_value_reruns_its_readers(monkeypatch):
     r = assert_same_as_every_round(c, config)
     assert [(v.render(), depth) for a, v, depth in r.storage
             if a.render() == "4"] == [("0", 4), ("14", 3)]
+
+
+def test_an_unchanged_helper_walk_is_reused_in_later_rounds(monkeypatch):
+    # inc reads n, which every commit changes, so it runs in every round;
+    # helper reads only m, which nothing writes, so each of its two walks
+    # (one per sender) is reused in every later round
+    c = parse("contract Reuse { uint n; uint m;"
+              " function inc() public { x = n; n = x + 1; call helper(1); }"
+              " function helper(uint y) internal { z = m; w = z + y; } }")
+    config = AnalysisConfig(transaction_rounds=4)
+    assert walks_per_round(monkeypatch, c, config) == [
+        [("inc", "inc"), ("helper", "inc"), ("helper", "inc")],
+        [("inc", "inc")], [("inc", "inc")], [("inc", "inc")]]
+    assert_same_as_every_round(c, config)
