@@ -60,25 +60,22 @@ untrusted caller is never trimmed away wholesale. Storage writes are
 buffered during a round and committed (with dependencies stripped: a new
 transaction is a new dependency world) at the round boundary.
 
-Every value is one object: expressions and dependency maps are interned
-for the process (symexpr, deps), and a _Val, the (expression, deps,
-depth) triple a variable holds, is interned in a table that lasts for one
-run. So every memo and collector below compares and hashes its keys by
-identity, in C, and a memoized value is the very object a recomputation
-would build. Identity hashes follow memory addresses: no set of values is
-iterated into an output unsorted.
+Expressions and dependency maps are interned for the process (symexpr,
+deps): equal ones are one object, so equality is identity. A _Val, the
+(expression, deps, depth) triple a variable holds, is a plain tuple of
+those objects, so it compares and hashes by their identities, in C, as do
+the keys of every memo and collector below. Identity hashes follow memory
+addresses: no set of values is iterated into an output unsorted.
 
-Three more memos, which last for one analysis, keep operand work from
+Two more memos, which last for one analysis, keep operand work from
 repeating at every statement. The substitution memo is keyed by a solver
 substitution, then separately by an expression and by a dependency map,
-and holds each one's normalized substituted form. The operand memo is
-keyed by a variable, the identity of the value tuple it holds (the memo
-keeps that tuple, so its id is not reused), the substitution and whether
-the variable is tracked, and holds the variable's indexed values. A
-value tuple is replaced, never changed, when its variable is assigned or
-merged, so a hit is exact. The combine memo holds combine's result for
-each pair of dependency maps the join, an operand binding or a branch
-edge combines.
+and holds each one's normalized substituted form. The combine memo holds
+combine's result for each pair of dependency maps the join, an operand
+binding or a branch edge combines. Within one statement, a variable
+operand's candidates and their index are built once for each distinct
+substitution among its alternatives, and shared by the alternatives that
+carry it.
 """
 
 from __future__ import annotations
@@ -306,28 +303,9 @@ Tracked = tuple[frozenset, frozenset]
 _Alt = namedtuple("_Alt", "deps pc subst", defaults=(frozenset(), ()))
 
 
-class _Val:
-    """A value a variable may hold: its expression, the dependencies it
-    carries, and its remaining arithmetic depth through storage. Interned
-    like expressions, on (expr, deps, depth), but in the running engine's
-    table (_Engine.run swaps in a fresh one and drops it when it returns),
-    since a _Val never leaves the engine."""
-
-    __slots__ = ("expr", "deps", "depth")
-    table: dict = {}
-
-    def __new__(cls, expr: Expr, deps: DependencyMap, depth: int):
-        key = (expr, deps, depth)
-        self = cls.table.get(key)
-        if self is None:
-            self = cls.table[key] = object.__new__(cls)
-            self.expr = expr
-            self.deps = deps
-            self.depth = depth
-        return self
-
-    def __reduce__(self):
-        return _Val, (self.expr, self.deps, self.depth)
+# A value a variable may hold: its expression, the dependencies it carries,
+# and its remaining arithmetic depth through storage.
+_Val = namedtuple("_Val", "expr deps depth")
 
 
 # What replaying one memoized statement execution needs: the alternatives
@@ -520,17 +498,14 @@ class _Engine:
         self.walk_memo: dict = {}
         self.stmt_memo: dict[tuple, _Replay] = {}
         # the operand memos (see Mechanics): subst -> (its mapping, expr ->
-        # substituted expr, deps -> substituted deps), and (variable, id of
-        # its value tuple, subst, tracked) -> (that tuple, its join level)
+        # substituted expr, deps -> substituted deps), and (a, b) ->
+        # combine(a, b) for two interned dependency maps
         self.subst_memo: dict[tuple, tuple] = {}
-        self.operand_memo: dict[tuple, tuple] = {}
-        # (a, b) -> combine(a, b), for two interned dependency maps
         self.combine_memo: dict[tuple, DependencyMap | Conflict] = {}
 
     # -- top level -------------------------------------------------------
 
     def run(self) -> dict:
-        _Val.table = {}
         try:
             ctor = self.contract.constructor
             if ctor is not None:
@@ -544,8 +519,6 @@ class _Engine:
         except _Timeout:
             self.truncated = True
             self.notes.append("resource cap exceeded; partial result")
-        finally:
-            _Val.table = {}
         return self._facts()
 
     def _check_time(self):
@@ -715,16 +688,9 @@ class _Engine:
 
     def _level(self, var: str, env, alt: _Alt, tracked: Tracked) -> tuple:
         """The join level of a variable operand under alt: its candidates
-        and their _DepIndex, memoized (see Mechanics)."""
-        vals = env.get(var, ())
-        bind = var in tracked[0]
-        key = (var, id(vals), alt.subst, bind)
-        hit = self.operand_memo.get(key)
-        if hit is None:
-            cands = self._resolve(var, vals, alt, bind)
-            hit = self.operand_memo[key] = (
-                vals, (cands, _DepIndex([c[1] for c in cands])))
-        return hit[1]
+        and their _DepIndex."""
+        cands = self._resolve(var, env.get(var, ()), alt, var in tracked[0])
+        return cands, _DepIndex([c[1] for c in cands])
 
     def _combos(self, operands, env, alts, tracked: Tracked,
                 combined: bool = True):

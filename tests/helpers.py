@@ -14,10 +14,10 @@ import random
 from typing import Optional
 
 from symvalic.clients import run_detectors
-from symvalic.deps import Conflict, DependencyMap, combine
+from symvalic.deps import EMPTY, Conflict, DependencyMap, combine
 from symvalic.ir import Contract, Function
 from symvalic.symexpr import (
-    BINOPS, Const, Expr, Op, Sym,
+    BINOPS, Const, Expr, Op, Sym, contract_symbol,
 )
 from symvalic.valueflow import (
     AnalysisConfig, AnalysisResult, _Engine, assemble,
@@ -242,17 +242,34 @@ class EveryRoundNoReplayEngine(NoReplayEngine, EveryRoundEngine):
 
 
 class NoMemoEngine(_Engine):
-    """The engine with its operand memos and its combine memo turned off:
-    every solver substitution of a value, every operand's candidates and
-    index and every combination of two dependency maps are computed anew
-    at each statement. The reference for those memos, which must produce
-    the same result in the same order."""
+    """The engine with its substitution memo and its combine memo turned
+    off: every solver substitution of a value and every combination of two
+    dependency maps are computed anew wherever they are needed. The
+    reference for those memos, which must produce the same result in the
+    same order."""
 
     def __init__(self, contract, config, entry_seeds):
         super().__init__(contract, config, entry_seeds)
         self.subst_memo = _Forgetful()
-        self.operand_memo = _Forgetful()
         self.combine_memo = _Forgetful()
+
+
+class ProductEngine(_Engine):
+    """The engine with its operand join replaced by product-and-prune
+    (product_combos): per alternative, each operand is resolved anew, with
+    no index and no level shared between alternatives. The reference for
+    the join and its per-statement level cache, which must produce the
+    same result in the same order."""
+
+    def _combos(self, operands, env, alts, tracked, combined: bool = True):
+        def resolve(op, alt):
+            if op.__class__ is Const:
+                return [(op, EMPTY, self.limit)]
+            if op[0] == "@":
+                return [(contract_symbol(op[1:]), EMPTY, self.limit)]
+            return self._resolve(op, env.get(op, ()), alt, op in tracked[0])
+        for alt, values, d, depths in product_combos(resolve, operands, alts):
+            yield alt, values, d if combined else None, depths
 
 
 class EveryVariableLiveEngine(_Engine):

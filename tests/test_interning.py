@@ -1,19 +1,21 @@
-"""Interned values: one object per expression, dependency map and engine
-value, so equality is identity and hashes follow memory addresses. No
-output may depend on where the values happen to lie in memory."""
+"""Interned values: one object per expression and dependency map, so
+equality is identity and hashes follow memory addresses. No output may
+depend on where the values happen to lie in memory, and an analysis keeps
+no state outside its engine."""
 
 import copy
 import pickle
 import subprocess
 import sys
 
+from symvalic import valueflow
 from symvalic.deps import DependencyMap, combine
 from symvalic.parser import parse
 from symvalic.symexpr import (
     OWNER, USER_UNIQUE, Const, Op, Sym, expr_key, free_syms,
 )
 from symvalic.valueflow import (
-    _Engine, _Val, AnalysisConfig, _conjunction, analyze,
+    _Engine, AnalysisConfig, _conjunction, analyze,
 )
 
 from conftest import FIXTURES
@@ -76,16 +78,18 @@ def test_combine_of_one_pair_is_one_map():
         (("a", Const(1)), ("b", Const(2))), ())
 
 
-def test_engine_values_live_and_die_with_one_run():
+def test_an_analysis_keeps_no_state_outside_its_engine():
     contract = parse((FIXTURES / "safe.svc").read_text())
+    spaces = (vars(valueflow), vars(valueflow._Val))
+    before = [dict(space) for space in spaces]
+    analyze(contract)
     engine = _Engine(contract, AnalysisConfig(), None)
-    table = _Val.table
     engine.run()
-    assert _Val.table is not table and not _Val.table
     assert engine.combine_memo  # the memo belongs to the engine alone
-    v = _Val(OWNER, DependencyMap(), 3)
-    assert _Val(OWNER, DependencyMap(), 3) is v
-    assert _Val(OWNER, DependencyMap(), 2) is not v
+    for space, names in zip(spaces, before):
+        assert space.keys() == names.keys()
+        for name, value in names.items():
+            assert space[name] is value, name
 
 
 def test_return_values_come_in_canonical_order():

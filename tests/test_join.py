@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symvalic.deps import EMPTY, Conflict, DependencyMap, combine
+from symvalic.deps import Conflict, DependencyMap, combine
 from symvalic.parser import parse
 from symvalic.symexpr import (
     Const, OWNER, Sym, UNPRIVILEGED_USER, contract_symbol,
@@ -16,7 +16,7 @@ from symvalic.valueflow import (
     analyze,
 )
 
-from helpers import product_combos
+from helpers import ProductEngine
 
 FREE = Sym("s", False)
 # Const(1) twice: equal values built apart
@@ -69,15 +69,9 @@ def printed(rows) -> list:
 
 def product_and_prune(e: _Engine, operands, env, alts) -> list:
     """The combinations of operands by product-and-prune, each operand
-    resolved anew: a constant or @name symbol as one candidate with no
-    deps, a variable through the engine's _resolve."""
-    def resolve(op, alt):
-        if isinstance(op, Const):
-            return [(op, EMPTY, e.limit)]
-        if op.startswith("@"):
-            return [(contract_symbol(op[1:]), EMPTY, e.limit)]
-        return e._resolve(op, env.get(op, ()), alt, op in TRACKED[0])
-    return list(product_combos(resolve, operands, alts))
+    resolved anew by a ProductEngine over e's contract."""
+    reference = ProductEngine(e.contract, e.cfg, None)
+    return list(reference._combos(operands, env, alts, TRACKED))
 
 
 @settings(max_examples=400, deadline=None)

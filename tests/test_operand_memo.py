@@ -1,7 +1,9 @@
-"""The operand memos: the solver substitution of each expression and
-dependency map, and each variable operand's candidates and index, are
-computed once per analysis, and the result equals that of computing them
-anew at every statement."""
+"""The operand memos and the join. The solver substitution of each
+expression and dependency map, and the combination of each pair of maps,
+are computed once per analysis; a variable operand's candidates and index
+are built once per statement and substitution, and joined without forming
+the cartesian product. The result equals that of computing each anew, and
+that of product-and-prune over operands resolved anew per alternative."""
 
 import random
 
@@ -10,8 +12,8 @@ from symvalic.valueflow import _Engine
 
 from conftest import FIXTURES, fixture_contract
 from helpers import (
-    NoMemoEngine, assert_same_result, gen_gated_contract, gen_rounds_contract,
-    gen_storage_contract,
+    NoMemoEngine, ProductEngine, assert_same_result, gen_gated_contract,
+    gen_rounds_contract, gen_storage_contract,
 )
 from test_acceptance import Stopwatch
 from test_join import branchy_like
@@ -36,3 +38,9 @@ def test_memos_equal_no_memo():
     with Stopwatch(60.0, "operand memos against no memo"):
         for contract in memo_inputs():
             assert_same_result(_Engine, NoMemoEngine, contract)
+
+
+def test_whole_analysis_equals_product_and_prune():
+    with Stopwatch(60.0, "indexed join against product-and-prune"):
+        for contract in memo_inputs():
+            assert_same_result(_Engine, ProductEngine, contract)

@@ -22,7 +22,7 @@ from symvalic.deps import EMPTY, Conflict, DependencyBudget, TrackingPlan
 from symvalic.parser import _Value, parse, tokenize as tokenize_text
 from symvalic.symexpr import Const
 from symvalic.valueflow import (
-    AnalysisConfig, _Alt, _Replay, _derived_rng, analyze,
+    AnalysisConfig, _Alt, _Replay, _Val, _derived_rng, analyze,
 )
 
 from conftest import FIXTURES, write_reentrancy_corpus
@@ -193,7 +193,7 @@ def _sample_records() -> list:
         fn.blocks[0].statements[0], fn.blocks[0], fn, contract,
         tokenize_text(text)[0], _Value("CONST", (Const(1),)),
         result.config, result.inferences[0], result.reachability[0],
-        result.calls[0], result, _Alt(EMPTY),
+        result.calls[0], result, _Alt(EMPTY), _Val(Const(1), EMPTY, 5),
         _Replay([], None, (), ()),
     ]
 
